@@ -154,12 +154,17 @@ rides — ships two interchangeable kernels
 (:func:`repro.temporal.scan_series`, ``kernel=`` /
 ``REPRO_SCAN_KERNEL``):
 
-* ``batched`` (the default) vectorizes each window across *all* source
-  rows at once: the ``(arrival, hops)`` state stays packed into single
-  int64 lexicographic keys for the whole scan, segment minima run as
-  bucketed padded gathers, and collectors/accumulators are fed whole
-  batches (``record_batch`` / ``observe_rows``, with a per-source
+* ``batched`` (the default) applies whole *runs* of consecutive
+  windows in one vectorized step — a window joins the open run unless
+  an earlier window of the run writes a state row it reads, so every
+  read sees the pre-run state.  The ``(arrival, hops)`` state stays
+  packed into single int64 lexicographic keys for the whole scan,
+  segment minima run as bucketed padded gathers, and
+  collectors/accumulators are fed whole batches (``record_batch`` with
+  a per-trip ``dep`` array / ``observe_rows``, with a per-source
   adapter for consumers that only implement the classic protocol).
+  Checkpoint captures, resume candidates and state accumulators cut
+  runs to the windows where they must see the state.
 * ``legacy`` is the original one-Python-iteration-per-source loop,
   kept selectable as the in-tree oracle.
 

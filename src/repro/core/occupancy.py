@@ -85,24 +85,26 @@ class OccupancyCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the batched kernel's feed;
+        ``dep`` is the per-trip departure array, unused here).
 
         Every per-trip quantity here (the ``hops/durations`` division,
         the exact atom at 1, the bin index) is elementwise and every
         tally an integer count, so folding the flattened batch is
         bit-identical to the per-source :meth:`record` calls — in exact
         mode the chunk list concatenates to the same value sequence
-        (rows arrive in legacy source-then-destination order).
+        (rows arrive in legacy window-then-source-then-destination
+        order).
         """
         if not targets.size:
             return
-        self.record(-1, dep, targets, arrivals, hops, durations)
+        self.record(-1, -1, targets, arrivals, hops, durations)
 
     def merge(self, other: "OccupancyCollector") -> "OccupancyCollector":
         """Absorb another collector's mass (in-place; returns ``self``).

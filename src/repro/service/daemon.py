@@ -54,8 +54,11 @@ zero scans.
 **Error mapping** (mirrored by the client): admission-control rejection
 → 429, unknown stream/job → 404, result not ready → 409, cancelled or
 deadline-expired job → 504 (the body names the task the plan stopped
-at), invalid request → 400, anything else → 500.  Bodies are
-``{"error": message, "kind": ...}``.
+at), invalid request → 400 (a ``Content-Length`` that is not a
+non-negative integer included), request body above
+:data:`MAX_BODY_BYTES` → 413, anything else → 500.  Bodies are
+``{"error": message, "kind": ...}``; a rejected body is never read, so
+its connection closes after the error response.
 """
 
 from __future__ import annotations
@@ -462,11 +465,42 @@ class AnalysisService:
 _ERROR_KINDS = {
     404: "not_found",
     409: "pending",
+    413: "too_large",
     429: "admission",
     504: "cancelled",
     400: "bad_request",
     500: "internal",
 }
+
+#: Largest request body the daemon reads, in bytes (a stream upload of a
+#: few million events fits); larger bodies are refused with 413 unread.
+MAX_BODY_BYTES = 256 * 1024 * 1024
+
+
+def _content_length(header: str | None) -> int:
+    """Validate a request's ``Content-Length`` (absent means 0): 400
+    unless it is a non-negative integer, 413 above
+    :data:`MAX_BODY_BYTES`."""
+    raw = (header or "").strip()
+    if not raw:
+        return 0
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ServiceError(
+            f"Content-Length must be an integer, got {raw!r}", status=400
+        )
+    length = int(raw)
+    if length < 0:
+        raise ServiceError(
+            f"Content-Length must be non-negative, got {length}", status=400
+        )
+    if length > MAX_BODY_BYTES:
+        raise ServiceError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+            status=413,
+        )
+    return length
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -491,6 +525,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -499,7 +535,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message, "kind": kind})
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = _content_length(self.headers.get("Content-Length"))
+        except ServiceError:
+            # The body stays unread, so the connection cannot carry
+            # another request: close it after the error response.
+            self.close_connection = True
+            raise
         return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> dict:

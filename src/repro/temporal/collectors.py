@@ -1,7 +1,7 @@
 """Collector protocol for the reachability scan.
 
 The backward scan discovers minimal trips in bulk (one batch per source
-node per window).  Collectors consume those batches; different analyses
+node per window, or one multi-source batch per run of windows).  Collectors consume those batches; different analyses
 need different materializations (full trip lists for validation,
 occupancy histograms for the saturation sweep, bare counts for metrics),
 so the engine is decoupled from storage via this small protocol.
@@ -14,16 +14,20 @@ legitimately common state for a shard whose nodes receive nothing).
 Merging disjoint shards reproduces exactly what an unsharded scan would
 have collected.
 
-The batched scan kernel feeds collectors whole *multi-source* batches —
-one flattened array set per window chunk — through ``record_batch``,
-with ``sources`` as an array parallel to ``targets`` (rows sorted by
-source, then destination: exactly the order per-source ``record`` calls
-would arrive in).  ``record_batch`` is optional: every built-in
+The batched scan kernel applies a whole *run* of conflict-free windows
+at once and feeds collectors one flattened multi-source batch per run
+chunk through ``record_batch(sources, dep, targets, arrivals, hops,
+durations)``: every argument is an array parallel to ``targets``, so
+``dep`` is the int64 departure window of each trip (one shape, always,
+even when the batch spans a single window).  Rows arrive in window
+descending, then source, then destination order — exactly the order
+per-source ``record`` calls would arrive in — and sources are unique
+within a batch.  ``record_batch`` is optional: every built-in
 implements it natively (vectorized, bit-identical to the equivalent
 ``record`` calls), and consumers without it are fed through
 :func:`record_batch_fallback`, which re-slices the batch into legacy
-per-source ``record`` calls — so third-party collectors keep working
-unchanged under either kernel.
+per-source ``record`` calls with a scalar ``int`` departure step — so
+third-party collectors keep working unchanged under either kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ class TripCollector(Protocol):
 def record_batch_fallback(
     collector,
     sources: np.ndarray,
-    dep: float,
+    dep: np.ndarray,
     targets: np.ndarray,
     arrivals: np.ndarray,
     hops: np.ndarray,
@@ -65,9 +69,12 @@ def record_batch_fallback(
 
     The adapter behind the batched kernel's consumer feed: slices the
     flattened batch back into one ``record`` call per source, in the
-    order the rows arrive (sources nondecreasing — the legacy kernel's
-    emission order), so a collector that never heard of ``record_batch``
-    sees byte-for-byte the same call sequence the legacy kernel makes.
+    order the rows arrive (window descending, then source — the legacy
+    kernel's emission order).  Sources are unique within a batch, so
+    every source boundary is a call boundary, and each call gets the
+    scalar ``int`` departure step the legacy kernel passes: a collector
+    that never heard of ``record_batch`` sees byte-for-byte the same
+    call sequence the legacy kernel makes.
     """
     if not sources.size:
         return
@@ -75,10 +82,10 @@ def record_batch_fallback(
         np.concatenate([[True], sources[1:] != sources[:-1]])
     )
     ends = np.append(starts[1:], sources.size)
-    for lo, hi in zip(starts, ends):
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
         collector.record(
             int(sources[lo]),
-            dep,
+            int(dep[lo]),
             targets[lo:hi],
             arrivals[lo:hi],
             hops[lo:hi],
@@ -194,7 +201,7 @@ class TripListCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
@@ -202,12 +209,15 @@ class TripListCollector:
     ) -> None:
         """Consume one multi-source batch (the batched kernel's feed).
 
-        Appends the whole batch as one chunk.  Bit-identical to the
-        per-source :meth:`record` calls of
-        :func:`record_batch_fallback`: the totals are integer sums and
-        the retained set is a pure function of the trip multiset (the
-        bottom-``max_trips`` priority sketch), so batch boundaries never
-        show in :meth:`trips`.
+        ``dep`` holds each trip's int64 departure window, parallel to
+        ``sources``.  Appends the whole batch as one chunk.
+        Bit-identical to the per-source :meth:`record` calls of
+        :func:`record_batch_fallback`: the rows arrive in the same order
+        with the same values (an ``int`` step fills the same int64
+        column), the totals are integer sums, and the retained set is a
+        pure function of the trip multiset (the bottom-``max_trips``
+        priority sketch), so batch boundaries never show in
+        :meth:`trips`.
         """
         count = targets.size
         if not count:
@@ -217,7 +227,7 @@ class TripListCollector:
         self.duration_total += durations.sum().item()
         self._u.append(sources.astype(np.int64, copy=True))
         self._v.append(targets.copy())
-        self._dep.append(np.full(count, dep))
+        self._dep.append(dep.copy())
         self._arr.append(arrivals.copy())
         self._hops.append(hops.copy())
         self._dur.append(durations.copy())
@@ -343,13 +353,14 @@ class CountingCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the batched kernel's feed;
+        ``dep`` is the per-trip departure array, unused here).
 
         Counts and maxima are order-free, so one batch fold is trivially
         identical to the per-source calls.
@@ -423,16 +434,17 @@ class ChainCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Fan one multi-source batch out to every child — natively when
-        the child implements ``record_batch``, through
-        :func:`record_batch_fallback` (per-source ``record`` calls in
-        legacy order) otherwise."""
+        """Fan one multi-source batch (``dep`` per trip, parallel to
+        ``sources``) out to every child — natively when the child
+        implements ``record_batch``, through
+        :func:`record_batch_fallback` (per-source ``record`` calls with
+        a scalar step, in legacy order) otherwise."""
         for collector in self._collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:

@@ -33,33 +33,64 @@ Scan kernels
 ------------
 Two kernels implement the identical per-window update rule:
 
-* ``batched`` (the default) — every source-row update within a window is
-  independent by construction (continuation reads come from the
-  pre-window stash, never from intra-window writes), so the kernel
-  vectorizes across sources.  It keeps each ``(A, H)`` cell packed into
-  a single int64 lexicographic key ``A * K + H`` for the *whole* scan
-  (``K`` and the infinity sentinel are analytic scan-wide constants:
-  arrivals are window indices and no minimal trip exceeds ``num_steps``
-  hops), so one vectorized minimum over the packed keys — segment minima
-  via size-bucketed padded gathers over the hop rows sorted by source —
-  selects the earliest arrival with the fewest-hops tie-break for free.
-  Direct-hop arrivals scatter in one shot and all updated rows commit
-  with a single fancy-indexed write; rows unpack back into ``(A, H)``
-  only where a consumer looks at them.  The staged ``(hops × width)``
-  working set is chunked (whole sources per chunk) to bound memory.
-  Consumers are fed in batch too: collectors via ``record_batch`` and
-  accumulators via ``observe_rows`` when they implement them, through a
-  per-source adapter loop otherwise — so third-party consumers keep
-  working unchanged.
+* ``batched`` (the default) — the **run kernel**.  It keeps each
+  ``(A, H)`` cell packed into a single int64 lexicographic key
+  ``A * K + H`` for the *whole* scan (``K`` and the infinity sentinel
+  are analytic scan-wide constants: arrivals are window indices and no
+  minimal trip exceeds ``num_steps`` hops), so one vectorized minimum
+  over the packed keys selects the earliest arrival with the
+  fewest-hops tie-break for free, and rows unpack back into ``(A, H)``
+  only where a consumer looks at them.  It applies a whole **run** of
+  consecutive windows as one vectorized step:
+
+  - *The run rule.*  A window writes the state rows of its hop sources
+    and reads the rows of its sources and of its hop targets.  Walking
+    the windows in scan order (latest first), a window joins the open
+    run unless an earlier window of that run writes a row it reads.  A
+    window alone is a run of length 1.
+  - *Why it is exact.*  No window of a run reads or writes a row
+    another window of the run writes, so every read of the run sees
+    the pre-run state — exactly the state the window would see if the
+    run's earlier windows were applied first.  This is the same
+    independence argument the per-window update already relies on
+    (continuation reads come from the pre-window stash, never from
+    intra-window writes; two links of one window never chain).  Sources
+    are unique across a run, so all its row writes commit at once.
+  - *What breaks a run.*  Besides a conflict, a run never absorbs a
+    window where the scan must see the state between two windows: a
+    checkpoint capture position (``checkpoints=``), a resume candidate
+    (``resume=``), or any window of a scan feeding a state accumulator
+    (``close_run`` folds the state between every pair of windows, so
+    such scans run one window per run).  Runs are planned in blocks of
+    windows that double in size, and never span two blocks, so a
+    resumed scan that settles after a few windows plans only those.
+  - *The step.*  The run's hops are sorted by (window descending,
+    source), giving one *segment* per (window, source) pair with its
+    own departure step; segment minima of the stashed continuation
+    keys come from size-bucketed padded gathers (skipped when every
+    segment holds one hop), each segment's direct hops scatter the key
+    ``step * K + 1``, and the lexicographic minimum with the old rows
+    commits in one fancy-indexed write.  The staged ``(hops × width)``
+    working set is chunked over whole segments to bound memory, with a
+    single-chunk fast path when the run fits the budget; one state
+    commit per chunk (:data:`SCAN_BATCHES`).
+  - *Emission order.*  The C-order ``nonzero`` of the improvement mask
+    walks segments in (window descending, source) order and columns
+    ascending within each, which is exactly the legacy kernel's trip
+    order.  Collectors are fed one flattened batch per chunk
+    (``record_batch``, with a departure step per trip) and accumulators
+    one row-matrix batch (``observe_rows``); consumers without the
+    batch methods fall back to their per-source/per-row protocol in
+    that same order, with the same arguments.
 * ``legacy`` — the original per-source Python loop, kept selectable as
   the in-tree oracle.
 
 Both kernels are bit-identical — same trips in the same order, same
 collector states, same accumulator sums — across directed/undirected
-input, ``targets`` shards, ``include_self``, and every backend, so the
-kernel is *not* part of any cache key.  Select it per call
-(``scan_series(series, kernel="legacy")``) or process-wide via
-``REPRO_SCAN_KERNEL=batched|legacy``.  :data:`SCAN_ROWS`,
+input, ``targets`` shards, ``include_self``, checkpoints, resumes, and
+every backend, so the kernel is *not* part of any cache key.  Select
+it per call (``scan_series(series, kernel="legacy")``) or process-wide
+via ``REPRO_SCAN_KERNEL=batched|legacy``.  :data:`SCAN_ROWS`,
 :data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally how much work each
 kernel did (per process), next to the pass counter :data:`SCAN_COUNTS`.
 
@@ -131,10 +162,11 @@ SCAN_COUNTS = {"series": 0, "stream": 0}
 #: Per-kernel work tallies (same no-behaviour caveats as
 #: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates,
 #: ``SCAN_WINDOWS`` nonempty windows processed, and ``SCAN_BATCHES``
-#: state commits — one per chunk for the batched kernel, one per row for
-#: the legacy loop.  Tests and benches assert how much work a scan did,
-#: not just that one happened: the two kernels must agree on rows and
-#: windows while ``batched`` commits in far fewer batches.
+#: state commits — one per run chunk for the batched kernel (a run of
+#: conflict-free windows commits at once), one per row for the legacy
+#: loop.  Tests and benches assert how much work a scan did, not just
+#: that one happened: the two kernels must agree on rows and windows
+#: while ``batched`` commits in far fewer batches.
 SCAN_ROWS = {"batched": 0, "legacy": 0}
 SCAN_WINDOWS = {"batched": 0, "legacy": 0}
 SCAN_BATCHES = {"batched": 0, "legacy": 0}
@@ -144,11 +176,17 @@ SCAN_BATCHES = {"batched": 0, "legacy": 0}
 SCAN_KERNELS = ("batched", "legacy")
 
 #: Upper bound on the cells (hop rows × state width) the batched kernel
-#: stages per chunk; chunks always hold whole sources.  At int64 this
+#: stages per chunk; chunks always hold whole segments.  At int64 this
 #: bounds each staged continuation matrix near 8 MB.  Overridable via
 #: ``REPRO_SCAN_BATCH_CELLS`` (tests force tiny budgets to exercise the
 #: multi-chunk path; the value never affects results, only peak memory).
 BATCH_CELL_BUDGET = 1 << 20
+
+#: Windows in the batched kernel's first run-planning block; each later
+#: block doubles.  A resumed scan that settles after a few windows plans
+#: little more than those, and a full scan needs only ``O(log windows)``
+#: blocks (a run never spans two).
+FIRST_PLAN_BLOCK = 8
 
 
 def _resolve_kernel(kernel: str | None) -> str:
@@ -722,15 +760,13 @@ class CheckpointRecorder:
         windows (keeps the checkpoint count near ``O(√num_windows)``)."""
         self._stride = max(int(np.sqrt(max(num_windows, 1))), 1)
 
-    def wants(self, iteration: int) -> bool:
+    def wants(self, iteration: int | np.ndarray) -> bool | np.ndarray:
         """Whether the scan should capture before iteration ``iteration``
         (0-based from the scan's start; the incoming state of iteration 0
-        is all-infinite and never worth storing)."""
-        if iteration < 1:
-            return False
-        if iteration & (iteration - 1) == 0:
-            return True
-        return iteration % self._stride == 0
+        is all-infinite and never worth storing).  Accepts one index or
+        an array of them (the run planner asks for a block at once)."""
+        it = np.asarray(iteration)
+        return (it >= 1) & (((it & (it - 1)) == 0) | (it % self._stride == 0))
 
     def capture(
         self, window: int, last_processed: int, A: np.ndarray, H: np.ndarray
@@ -802,6 +838,9 @@ class ResumePlan:
         self._by_window = {
             ckpt.window: i for i, ckpt in enumerate(self._checkpoints)
         }
+        #: The candidate windows, for the run planner (a run never
+        #: absorbs one: the scan compares its incoming state).
+        self.windows = np.fromiter(self._by_window, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._checkpoints)
@@ -902,7 +941,7 @@ def _process_group(
 
     The **legacy** kernel: one Python iteration per source row, kept
     selectable (``kernel="legacy"``) as the in-tree oracle for the
-    batched kernel (:func:`_process_group_batched`) and still used by
+    batched run kernel (:func:`_apply_run`) and still used by
     :func:`scan_stream`.
 
     ``us``/``vs`` are directed hops (already expanded for undirected
@@ -992,7 +1031,7 @@ def _process_group(
 
 
 def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
-    """Greedy chunking of source segments: as many whole segments per
+    """Greedy chunking of a run's segments: as many whole segments per
     chunk as fit ``max_rows`` hop rows (always at least one).
 
     Returns the chunk boundaries as indices into the segment list
@@ -1025,107 +1064,294 @@ def _unpack_rows(
     return A, H
 
 
-def _process_group_batched(
+class _RunBlock:
+    """One block of consecutive windows, laid out for the run kernel.
+
+    The block's hops (expanded for undirected input) are sorted by
+    (scan position, source) — window descending, then source — so each
+    (window, source) pair is one contiguous **segment** and every run of
+    the block's windows is a contiguous range of hops and of segments.
+    Per hop: ``targets`` (node ids, the continuation rows), ``tcols``
+    (their state columns, -1 outside a ``targets=`` restriction),
+    ``direct`` (the packed direct-hop key ``step * K + 1``) and
+    ``seg_of`` (the segment index).  Per segment: ``sources``,
+    ``self_cols`` (the diagonal column, -1 outside the restriction),
+    ``steps`` (the departure window), ``starts`` (first hop) and
+    ``sizes`` (hop count).
+    """
+
+    __slots__ = (
+        "targets", "tcols", "direct", "seg_of",
+        "sources", "self_cols", "steps", "starts", "sizes",
+    )
+
+
+def _previous_writers(
+    sources: np.ndarray,
+    seg_pos: np.ndarray,
+    targets: np.ndarray,
+    hop_pos: np.ndarray,
+    count: int,
+) -> np.ndarray:
+    """For each of a block's ``count`` scan positions, the latest earlier
+    position whose window writes a row this window reads (-1 if none).
+
+    A window writes its source rows and reads its sources and its hop
+    targets.  The touches are sorted by (row, position) with a window's
+    reads ahead of its own writes, so a running maximum over the writes
+    — offset per row so each row's values exceed every earlier row's —
+    yields, at each read, the latest strictly earlier writer of its row.
+    """
+    nseg = sources.size
+    rows = np.concatenate([sources, targets, sources])
+    pos = np.concatenate([seg_pos, hop_pos, seg_pos])
+    writes = np.zeros(rows.size, dtype=bool)
+    writes[rows.size - nseg:] = True
+    order = np.argsort((rows * count + pos) * 2 + writes)
+    rows, pos, writes = rows[order], pos[order], writes[order]
+    base = rows * (count + 1)
+    latest = np.maximum.accumulate(np.where(writes, base + pos + 1, base))
+    latest -= base + 1
+    reads = ~writes
+    writer = np.full(count, -1, dtype=np.int64)
+    np.maximum.at(writer, pos[reads], latest[reads])
+    return writer
+
+
+def _greedy_runs(writer: np.ndarray) -> list[int]:
+    """Cut a block into runs, greedily in scan order: position ``i``
+    opens a new run when its latest earlier writer (``writer[i]``) lies
+    inside the open run; otherwise it joins it.  Returns run starts."""
+    starts = [0]
+    start = 0
+    for i, latest in enumerate(writer.tolist()):
+        if latest >= start and i:
+            start = i
+            starts.append(i)
+    return starts
+
+
+def _plan_runs(
+    series: GraphSeries,
+    K: int,
+    col_of: np.ndarray | None,
+    breaks,
+    *,
+    single: bool,
+) -> Iterator[tuple[int, int, int, int, tuple]]:
+    """Lay out a series for the run kernel and cut it into runs.
+
+    Yields ``(first, end, step, low_step, run)`` per run in scan order:
+    scan positions ``[first, end)`` (0-based iteration indices, latest
+    window first), the run's first and last window, and the kernel's
+    ``(block, h0, h1, s0, s1)`` hop/segment ranges.  Windows are
+    planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling in size;
+    ``breaks(first, windows)`` flags block positions that must open a
+    run, and ``single`` makes every window its own run.
+    """
+    windows = series.nonempty_steps()
+    nw = int(windows.size)
+    offsets = np.append(
+        np.searchsorted(series.edge_steps, windows), series.edge_steps.size
+    )
+    first = 0
+    size = FIRST_PLAN_BLOCK
+    while first < nw:
+        end = min(nw, first + size)
+        size *= 2
+        yield from _plan_block(
+            series, windows, offsets, first, end, K, col_of, breaks, single
+        )
+        first = end
+
+
+def _plan_block(
+    series: GraphSeries,
+    windows: np.ndarray,
+    offsets: np.ndarray,
+    first: int,
+    end: int,
+    K: int,
+    col_of: np.ndarray | None,
+    breaks,
+    single: bool,
+) -> list[tuple[int, int, int, int, tuple]]:
+    """Lay out scan positions ``[first, end)`` as one :class:`_RunBlock`
+    and return its runs (see :func:`_plan_runs`).  The sort and conflict
+    temporaries die here, before the kernel allocates its own."""
+    n = series.num_nodes
+    nw = windows.size
+    count = end - first
+    # Scan positions [first, end) are ascending windows [j_lo, j_hi).
+    j_lo, j_hi = nw - end, nw - first
+    block_windows = windows[j_lo:j_hi][::-1]
+    u = series.edge_sources[offsets[j_lo]:offsets[j_hi]]
+    v = series.edge_targets[offsets[j_lo]:offsets[j_hi]]
+    pos = np.repeat(
+        np.arange(count - 1, -1, -1, dtype=np.int64),
+        np.diff(offsets[j_lo:j_hi + 1]),
+    )
+    if not series.directed:
+        u, v = _expand_undirected(u, v)
+        pos = np.concatenate([pos, pos])
+    key = pos * n + u
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    v = v[order]
+    # Segment heads: where the sorted (position, source) key changes.
+    head = np.empty(key.size, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    seg_pos, sources = np.divmod(key[starts], n)
+    block = _RunBlock()
+    block.targets = v
+    block.seg_of = np.cumsum(head) - 1
+    block.sources = sources
+    block.steps = block_windows[seg_pos]
+    block.direct = block.steps[block.seg_of] * K + 1
+    block.starts = starts
+    block.sizes = np.diff(np.append(starts, key.size))
+    if col_of is None:
+        block.tcols = v
+        block.self_cols = sources
+    else:
+        block.tcols = col_of[v]
+        block.self_cols = col_of[sources]
+    if single:
+        run_starts = list(range(count))
+    else:
+        writer = _previous_writers(
+            sources, seg_pos, v, seg_pos[block.seg_of], count
+        )
+        writer[breaks(first, block_windows)] = count
+        run_starts = _greedy_runs(writer)
+    hop_bounds = np.searchsorted(key, np.asarray(run_starts) * n).tolist()
+    seg_bounds = np.searchsorted(seg_pos, run_starts).tolist()
+    hop_bounds.append(key.size)
+    seg_bounds.append(sources.size)
+    run_ends = run_starts[1:] + [count]
+    step_list = block.steps.tolist()
+    runs = []
+    for i, lo in enumerate(run_starts):
+        s0, s1 = seg_bounds[i], seg_bounds[i + 1]
+        runs.append(
+            (
+                first + lo,
+                first + run_ends[i],
+                step_list[s0],
+                step_list[s1 - 1],
+                (block, hop_bounds[i], hop_bounds[i + 1], s0, s1),
+            )
+        )
+    return runs
+
+
+def _apply_run(
     P: np.ndarray,
     K: int,
     a_inf: int,
-    time_value,
-    us: np.ndarray,
-    vs: np.ndarray,
+    max_rows: int,
+    block: _RunBlock,
+    h0: int,
+    h1: int,
+    s0: int,
+    s1: int,
     collectors: list,
     include_self: bool,
-    duration_extra,
     accumulators: list,
-    col_of: np.ndarray | None = None,
     cols: np.ndarray | None = None,
 ) -> int:
-    """Apply one window's hops to the packed state; returns trips
-    recorded.  Bit-identical to :func:`_process_group`.
+    """Apply one run of conflict-free windows to the packed state;
+    returns trips recorded.  Bit-identical to :func:`_process_group`
+    applied window by window (see the module docstring's *Scan kernels*
+    section for the run rule and why it is exact).
 
     ``P`` is the scan state with each ``(arrival, hop)`` pair packed
     into a single int64 lexicographic key ``A * K + H`` — ``K`` above
     every finite hop the scan can produce, ``a_inf`` above every window
     index, infinite cells at the ``a_inf * K + (K - 1)`` sentinel.  The
-    state stays packed across the whole scan (:func:`scan_series` picks
-    the caps analytically and unpacks rows only on demand), so a window
-    costs one stash gather and one commit write instead of separate
-    arrival/hop passes.
+    run is ``block``'s hops ``[h0, h1)`` and segments ``[s0, s1)``.
 
-    Within a window, every source-row update is independent: all
-    continuation reads come from the pre-window stash, never from
-    intra-window writes.  So instead of looping sources in Python, the
-    kernel sorts the hops by source once, takes every segment minimum of
-    the packed keys in one pass — arrival first, hop tie-break for free
-    — scatters every direct-hop arrival at once, and commits all updated
-    source rows with a single fancy-indexed write.  The segment minima
-    themselves use size-bucketed padded gathers reduced along the pad
-    axis (a ``np.minimum.reduceat``-style segment reduction, but
-    vectorizable: reduceat's scalar inner loop is several times slower
+    Every segment update is independent: all continuation reads see the
+    pre-run state.  The kernel takes every segment minimum of the packed
+    continuation keys in one pass — arrival first, hop tie-break for
+    free — scatters every direct-hop key at once, and commits all
+    updated source rows with a single fancy-indexed write.  Segment
+    minima use size-bucketed padded gathers reduced along the pad axis
+    (``np.minimum.reduceat``'s scalar inner loop is several times slower
     per cell); padding repeats each segment's first row, which is
-    idempotent under ``min``.  Trip collectors are fed one flattened
-    batch per chunk (``record_batch`` when they implement it) and
-    accumulators one row-matrix batch (``observe_rows``); consumers
-    without the batch methods fall back to their per-source/per-row
-    protocol in exactly the legacy order.
+    idempotent under ``min``.  When every segment holds one hop the
+    gather alone is the minimum.
 
-    The staged working set — up to ``(hops × width)`` continuation cells,
-    inflated at most 50% by pad rows — is chunked over whole sources
-    (:func:`_chunk_bounds`) so a dense window on a wide state never
-    materializes much more than the cell budget at once.  Chunking
-    cannot change results: chunks hold whole sources, and sources are
-    independent.
+    The staged working set — up to ``(hops × width)`` continuation
+    cells, inflated at most 50% by pad rows — is chunked over whole
+    segments (:func:`_chunk_bounds`) so a dense run on a wide state
+    never materializes much more than ``max_rows`` hop rows at once;
+    chunks then read a copied pre-run stash, since earlier chunks have
+    committed.  A run that fits takes one chunk and reads the live
+    state directly (nothing commits before its reads are staged).
     """
     from repro.temporal.collectors import record_batch_fallback
 
-    order = np.argsort(us, kind="stable")
-    us = us[order]
-    vs = vs[order]
-    sources, starts = np.unique(us, return_index=True)
-    ends = np.append(starts[1:], us.size)
-    involved = np.unique(np.concatenate([sources, vs]))
-    # Fancy indexing already copies: this is the pre-window stash.
-    stash_P = P[involved]
+    sources = block.sources[s0:s1]
+    targets = block.targets[h0:h1]
+    nseg = s1 - s0
+    nhops = h1 - h0
+    if nhops <= max_rows:
+        chunks = [(0, nseg, 0, nhops)]
+        stash, w_pos, u_pos = P, targets, sources
+    else:
+        seg_bounds = _chunk_bounds(block.sizes[s0:s1], max_rows)
+        hop_bounds = np.append(block.starts[s0:s1] - h0, nhops)[seg_bounds]
+        chunks = list(
+            zip(
+                seg_bounds[:-1].tolist(), seg_bounds[1:].tolist(),
+                hop_bounds[:-1].tolist(), hop_bounds[1:].tolist(),
+            )
+        )
+        involved = np.unique(np.concatenate([sources, targets]))
+        # Fancy indexing copies: this is the pre-run stash.
+        stash = P[involved]
+        w_pos = np.searchsorted(involved, targets)
+        u_pos = np.searchsorted(involved, sources)
     width = P.shape[1]
-
-    seg_sizes = ends - starts
-    max_rows = max(_batch_cell_budget() // max(width, 1), 1)
-    bounds = _chunk_bounds(seg_sizes, max_rows)
-    w_pos = np.searchsorted(involved, vs)
     trips_recorded = 0
-    SCAN_WINDOWS["batched"] += 1
-    SCAN_ROWS["batched"] += sources.size
-    SCAN_BATCHES["batched"] += bounds.size - 1
+    SCAN_ROWS["batched"] += nseg
+    SCAN_BATCHES["batched"] += len(chunks)
 
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        row_lo = starts[lo]
-        row_hi = ends[hi - 1]
-        chunk_vs = vs[row_lo:row_hi]
-        chunk_sources = sources[lo:hi]
+    for lo, hi, row_lo, row_hi in chunks:
+        nrows = hi - lo
         chunk_w_pos = w_pos[row_lo:row_hi]
-        rel_starts = starts[lo:hi] - row_lo
-        sizes = seg_sizes[lo:hi]
-        nseg = hi - lo
-        # Segment minima of the packed keys: bucket segments by size
-        # class (1, 2, 3, 4, 6, 9, ... — a 1.5x progression bounds pad
-        # waste at 50%), gather each bucket padded to its class width —
-        # repeating the first row, min-idempotent — and reduce along the
-        # pad axis in one vectorized sweep per bucket.
-        P_cand = np.empty((nseg, width), dtype=np.int64)
-        pending = np.ones(nseg, dtype=bool)
-        k = 1
-        while pending.any():
-            sel = np.flatnonzero(pending & (sizes <= k))
-            if sel.size:
-                if k == 1:
-                    P_cand[sel] = stash_P[chunk_w_pos[rel_starts[sel]]]
-                else:
-                    pad = np.minimum(
-                        np.arange(k, dtype=np.int64), sizes[sel][:, None] - 1
-                    )
-                    rows_idx = rel_starts[sel][:, None] + pad
-                    P_cand[sel] = stash_P[chunk_w_pos[rows_idx]].min(axis=1)
-                pending[sel] = False
-            k = k + 1 if k < 4 else k * 3 // 2
+        if row_hi - row_lo == nrows:
+            # Every segment is one hop: the gather is the minimum.
+            P_cand = stash[chunk_w_pos]
+            seg_ids = np.arange(nrows)
+        else:
+            # Segment minima of the packed keys: bucket segments by size
+            # class (1, 2, 3, 4, 6, 9, ... — a 1.5x progression bounds
+            # pad waste at 50%), gather each bucket padded to its class
+            # width — repeating the first row, min-idempotent — and
+            # reduce along the pad axis in one sweep per bucket.
+            sizes = block.sizes[s0 + lo:s0 + hi]
+            rel_starts = block.starts[s0 + lo:s0 + hi] - (h0 + row_lo)
+            P_cand = np.empty((nrows, width), dtype=np.int64)
+            pending = np.ones(nrows, dtype=bool)
+            k = 1
+            while pending.any():
+                sel = np.flatnonzero(pending & (sizes <= k))
+                if sel.size:
+                    if k == 1:
+                        P_cand[sel] = stash[chunk_w_pos[rel_starts[sel]]]
+                    else:
+                        pad = np.minimum(
+                            np.arange(k, dtype=np.int64), sizes[sel][:, None] - 1
+                        )
+                        rows_idx = rel_starts[sel][:, None] + pad
+                        P_cand[sel] = stash[chunk_w_pos[rows_idx]].min(axis=1)
+                    pending[sel] = False
+                k = k + 1 if k < 4 else k * 3 // 2
+            seg_ids = block.seg_of[h0 + row_lo:h0 + row_hi] - (s0 + lo)
         # The continuation costs one more hop: with H < K packed in the
         # low digit, + 1 increments the hop component alone.  All-
         # infinite segments carry (a_inf * K + K - 1) + 1 = (a_inf + 1)
@@ -1133,18 +1359,17 @@ def _process_group_batched(
         # stashed infinity — exactly legacy's never-committed
         # HOP_INF + 1.
         P_cand += 1
-        # A direct hop arrives at the current window itself, always
-        # earlier than any continuation (which departs at the *next*
-        # window).  (source, target) pairs are unique within a window,
-        # so the scatter never collides.
-        seg_ids = np.repeat(np.arange(nseg, dtype=np.int64), sizes)
-        direct = time_value * K + 1
-        if col_of is None:
-            P_cand[seg_ids, chunk_vs] = direct
+        # A direct hop arrives at its own window, always earlier than
+        # any continuation (which departs at the *next* window).
+        # (window, source, target) triples are unique, so the scatter
+        # never collides.
+        tcols = block.tcols[h0 + row_lo:h0 + row_hi]
+        direct = block.direct[h0 + row_lo:h0 + row_hi]
+        if cols is None:
+            P_cand[seg_ids, tcols] = direct
         else:
-            tpos = col_of[chunk_vs]
-            keep = tpos >= 0
-            P_cand[seg_ids[keep], tpos[keep]] = direct
+            keep = tcols >= 0
+            P_cand[seg_ids[keep], tcols[keep]] = direct[keep]
 
         # Compare and commit entirely in key space: `candidate < floor`
         # (floor = the old keys' arrival component alone) is legacy's
@@ -1153,67 +1378,70 @@ def _process_group_batched(
         # lexicographic minimum with the old keys is legacy's
         # improved/tie-better selection: a tie on arrival resolves to
         # the smaller hop via the low digit.
-        u_pos = np.searchsorted(involved, chunk_sources)
-        old_P = stash_P[u_pos]
+        chunk_sources = sources[lo:hi]
+        old_P = stash[u_pos[lo:hi]]
         old_floor = old_P // K
         old_floor *= K
         improved = P_cand < old_floor
         new_P = np.minimum(P_cand, old_P, out=P_cand)
         P[chunk_sources] = new_P
 
-        if col_of is None:
-            self_cols = chunk_sources
-        else:
-            self_cols = col_of[chunk_sources]
+        self_cols = block.self_cols[s0 + lo:s0 + hi]
         if accumulators:
+            # Scans with accumulators run one window per run.
+            step = int(block.steps[s0])
             old_A, old_H = _unpack_rows(old_P, K, a_inf)
             new_A, new_H = _unpack_rows(new_P, K, a_inf)
             for accumulator in accumulators:
                 observe_rows = getattr(accumulator, "observe_rows", None)
                 if observe_rows is not None:
                     observe_rows(
-                        chunk_sources, time_value, old_A, old_H, new_A,
-                        new_H, self_cols,
+                        chunk_sources, step, old_A, old_H, new_A, new_H,
+                        self_cols,
                     )
                 else:
                     # Per-row adapter: third-party accumulators keep
                     # their observe_row protocol, fed in legacy
                     # (source) order.
-                    for i in range(chunk_sources.size):
+                    for i in range(nrows):
                         accumulator.observe_row(
-                            int(chunk_sources[i]), time_value, old_A[i],
+                            int(chunk_sources[i]), step, old_A[i],
                             old_H[i], new_A[i], new_H[i],
                             int(self_cols[i]),
                         )
 
         record = improved  # dead after the commit: safe to mutate
         if not include_self:
-            diag_rows = np.flatnonzero(self_cols >= 0)
-            if diag_rows.size:
-                record[diag_rows, self_cols[diag_rows]] = False
-        # C-order nonzero: rows ascending, columns ascending within a
-        # row — exactly the legacy source-by-source emission order.
+            if cols is None:
+                record[np.arange(nrows), self_cols] = False
+            else:
+                diag_rows = np.flatnonzero(self_cols >= 0)
+                if diag_rows.size:
+                    record[diag_rows, self_cols[diag_rows]] = False
+        # C-order nonzero: segments in (window descending, source)
+        # order, columns ascending within each — exactly the legacy
+        # window-by-window, source-by-source emission order.
         row_idx, col_idx = np.nonzero(record)
         trips_recorded += row_idx.size
         if collectors and row_idx.size:
-            trip_sources = chunk_sources[row_idx]
             # Recorded cells improved, hence are finite: unpacking the
             # gathered keys needs no sentinel fixup.
-            cells = new_P[row_idx, col_idx]
-            arrivals = cells // K
-            hops_out = cells - arrivals * K
+            arrivals, hops_out = np.divmod(new_P[row_idx, col_idx], K)
+            deps = block.steps[s0 + lo:s0 + hi][row_idx]
+            durations = arrivals - deps
+            durations += 1
+            trip_sources = chunk_sources[row_idx]
             node_targets = col_idx if cols is None else cols[col_idx]
-            durations = arrivals - time_value + duration_extra
             for collector in collectors:
                 record_batch = getattr(collector, "record_batch", None)
                 if record_batch is not None:
                     record_batch(
-                        trip_sources, time_value, node_targets, arrivals,
+                        trip_sources, deps, node_targets, arrivals,
                         hops_out, durations,
                     )
                 else:
                     record_batch_fallback(
-                        collector, trip_sources, time_value, node_targets,
+                        collector, trip_sources, deps, node_targets,
                         arrivals, hops_out, durations,
                     )
     return trips_recorded
@@ -1356,7 +1584,6 @@ def scan_series(
 
     num_trips = 0
     last_processed: int | None = None
-    iteration = 0
     captures = 0
     span_trip_base = 0
     settled_index: int | None = None
@@ -1365,7 +1592,34 @@ def scan_series(
     #: reused cached tail, in scan order.
     assembly: list[tuple] = []
 
-    for step, u, v in series.edge_groups(reverse=True):
+    if batched:
+        # The cell budget is read once per scan.
+        max_rows = max(_batch_cell_budget() // max(width, 1), 1)
+
+        def breaks(first: int, windows: np.ndarray) -> np.ndarray:
+            # Positions where the scan must see the state between two
+            # windows, so a run may start there but never absorb them.
+            cut = np.zeros(windows.size, dtype=bool)
+            if recorder is not None:
+                cut |= recorder.wants(
+                    np.arange(first, first + windows.size, dtype=np.int64)
+                )
+            if resume is not None:
+                cut |= np.isin(windows, resume.windows)
+            return cut
+
+        # Accumulators fold the state between every pair of windows
+        # (close_run), so their scans run one window per run.
+        runs = _plan_runs(
+            series, K, col_of, breaks, single=bool(accumulators)
+        )
+    else:
+        runs = (
+            (i, i + 1, step, step, (u, v))
+            for i, (step, u, v) in enumerate(series.edge_groups(reverse=True))
+        )
+
+    for first, end, step, low_step, run in runs:
         if resume is not None and last_processed is not None:
             found = resume.candidate(step)
             if found is not None and found[1].last_processed == last_processed:
@@ -1376,7 +1630,7 @@ def scan_series(
                 ):
                     settled_index = found[0]
                     break
-        if recorder is not None and recorder.wants(iteration):
+        if recorder is not None and recorder.wants(first):
             ck_A, ck_H = canonical_state()
             # last_processed is never None here: wants() skips iteration 0.
             if recorder.capture(step, last_processed, ck_A, ck_H):
@@ -1393,20 +1647,21 @@ def scan_series(
             # [step + 1, last_processed]: no edges exist in between.
             for accumulator in accumulators:
                 accumulator.close_run(step + 1, last_processed)
-        if not series.directed:
-            u, v = _expand_undirected(u, v)
         if batched:
-            num_trips += _process_group_batched(
-                P, K, a_inf, step, u, v, collectors, include_self, 1,
-                accumulators, col_of, cols,
+            SCAN_WINDOWS["batched"] += end - first
+            num_trips += _apply_run(
+                P, K, a_inf, max_rows, *run, collectors, include_self,
+                accumulators, cols,
             )
         else:
+            u, v = run
+            if not series.directed:
+                u, v = _expand_undirected(u, v)
             num_trips += _process_group(
                 A, H, step, u, v, collectors, include_self, 1,
                 accumulators, col_of, cols,
             )
-        last_processed = step
-        iteration += 1
+        last_processed = low_step
 
     if settled_index is not None:
         # Settled: every window at and below the boundary is served from

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from repro.core.occupancy import OccupancyCollector
 from repro.generators import time_uniform_stream
-from repro.graphseries import aggregate
+from repro.graphseries import GraphSeries, aggregate
 from repro.temporal import (
     SCAN_BATCHES,
     SCAN_ROWS,
     SCAN_WINDOWS,
+    CheckpointRecorder,
     CountingCollector,
+    ResumePlan,
     TripListCollector,
     scan_series,
 )
@@ -91,6 +93,36 @@ def _targets_for(mode, num_nodes):
     if mode == 1:
         return np.arange(max(1, num_nodes // 2), dtype=np.int64)
     return np.array([num_nodes - 1], dtype=np.int64)
+
+
+class RecordLog:
+    """A ``record``-only collector logging every call, argument types
+    included (the third-party consumer shape the fallback adapter
+    serves), with the shard and checkpoint contracts so it can ride
+    checkpointed and resumed scans."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, source, dep, targets, arrivals, hops, durations):
+        self.calls.append(
+            (
+                type(source), source, type(dep), dep,
+                targets.tolist(), arrivals.tolist(), hops.tolist(),
+                durations.tolist(),
+            )
+        )
+
+    def merge(self, other):
+        self.calls.extend(other.calls)
+        return self
+
+    def segment_handoff(self):
+        return RecordLog()
+
+    @property
+    def empty(self):
+        return not self.calls
 
 
 class TestKernelBitIdentity:
@@ -197,32 +229,212 @@ class TestKernelPlumbing:
     def test_record_only_collector_works_under_batched_kernel(self):
         # Third-party registry collectors may only implement the
         # per-source record(); the fallback adapter must segment batches
-        # back into per-source calls, preserving call order.
-        class RecordOnly:
-            def __init__(self):
-                self.calls = []
-
-            def record(self, source, dep, targets, arrivals, hops, durations):
-                self.calls.append(
-                    (source, dep, targets.copy(), arrivals.copy())
-                )
-
-            def merge(self, other):
-                self.calls.extend(other.calls)
-                return self
-
-            @property
-            def empty(self):
-                return not self.calls
-
+        # back into per-source calls, preserving call order and the
+        # scalar int arguments.
         stream = time_uniform_stream(25, 1, 80.0, seed=3)
         series = aggregate(stream, 2.0)
-        via_batched = RecordOnly()
-        via_legacy = RecordOnly()
+        via_batched = RecordLog()
+        via_legacy = RecordLog()
         scan_series(series, via_batched, kernel="batched")
         scan_series(series, via_legacy, kernel="legacy")
-        assert len(via_batched.calls) == len(via_legacy.calls)
-        for got, want in zip(via_batched.calls, via_legacy.calls):
-            assert got[0] == want[0] and got[1] == want[1]
-            assert np.array_equal(got[2], want[2])
-            assert np.array_equal(got[3], want[3])
+        assert via_batched.calls
+        assert via_batched.calls == via_legacy.calls
+
+
+def _series(num_nodes, num_steps, edges, directed=True):
+    step, u, v = (np.array(col, dtype=np.int64) for col in zip(*edges))
+    return GraphSeries(num_nodes, num_steps, step, u, v, directed=directed)
+
+
+def _commits(series, kernel="batched"):
+    """(windows, commits, trips) of one batched scan, plus its trips."""
+    windows, batches = SCAN_WINDOWS[kernel], SCAN_BATCHES[kernel]
+    trips = TripListCollector()
+    scan_series(series, trips, kernel=kernel)
+    t = trips.trips()
+    return (
+        SCAN_WINDOWS[kernel] - windows,
+        SCAN_BATCHES[kernel] - batches,
+        list(zip(t.u.tolist(), t.v.tolist(), t.dep.tolist(), t.arr.tolist())),
+    )
+
+
+class TestRunKernel:
+    def test_window_reading_a_later_write_commits_separately(self):
+        # Window 1 (scanned first) writes row 1; window 0 reads row 1 as
+        # its hop target, so it must see window 1's update: two runs.
+        series = _series(3, 2, [(1, 1, 2), (0, 0, 1)])
+        windows, commits, trips = _commits(series)
+        assert (windows, commits) == (2, 2)
+        assert (0, 2, 0, 1) in trips  # 0 -> 1 -> 2 chains across windows
+        assert trips == _commits(series, "legacy")[2]
+
+    def test_window_rewriting_a_later_row_commits_separately(self):
+        # Both windows write row 0 (source of both): the earlier window
+        # must read the later one's update of its own row.
+        series = _series(3, 2, [(1, 0, 1), (0, 0, 2)])
+        windows, commits, trips = _commits(series)
+        assert (windows, commits) == (2, 2)
+        assert trips == _commits(series, "legacy")[2]
+
+    def test_conflict_free_pair_commits_once(self):
+        # Window 1 touches rows {2, 3}, window 0 rows {0, 1}: one run.
+        series = _series(4, 2, [(1, 2, 3), (0, 0, 1)])
+        windows, commits, trips = _commits(series)
+        assert (windows, commits) == (2, 1)
+        assert trips == [(2, 3, 1, 1), (0, 1, 0, 0)]
+        assert trips == _commits(series, "legacy")[2]
+
+    def test_reading_an_earlier_windows_target_is_no_conflict(self):
+        # Window 0 writes row 1, which window 1 (scanned first) only
+        # reads: window 1 must see the pre-run row, which it does.
+        series = _series(3, 2, [(1, 0, 1), (0, 1, 2)])
+        windows, commits, trips = _commits(series)
+        assert (windows, commits) == (2, 1)
+        assert trips == _commits(series, "legacy")[2]
+
+    def test_accumulators_run_one_window_per_commit(self):
+        series = _series(4, 2, [(1, 2, 3), (0, 0, 1)])
+        batches = SCAN_BATCHES["batched"]
+        scan_series(series, DistanceTotals(), kernel="batched")
+        assert SCAN_BATCHES["batched"] - batches == 2
+
+    def test_checkpoint_positions_cut_runs(self):
+        # Four conflict-free windows; a recorder wants iterations 1, 2
+        # (powers of two), so the runs are [0], [1], [2, 3].
+        series = _series(
+            8, 4, [(3, 0, 1), (2, 2, 3), (1, 4, 5), (0, 6, 7)]
+        )
+        batches = SCAN_BATCHES["batched"]
+        scan_series(
+            series, TripListCollector(), kernel="batched",
+            checkpoints=CheckpointRecorder(),
+        )
+        assert SCAN_BATCHES["batched"] - batches == 3
+
+
+@st.composite
+def window_series(draw):
+    """Tiny-node, many-window series plus an append: ``(base, grown,
+    limit)`` where ``grown`` adds edges from window ``limit`` on (the
+    base's last window included, so appends may straddle it)."""
+    n = draw(st.integers(3, 12))
+    directed = draw(st.booleans())
+    num_steps = draw(st.integers(2, 60))
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_steps - 1),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+            ).filter(lambda e: e[1] != e[2]),
+            min_size=1,
+            max_size=70,
+        )
+    )
+    if not directed:
+        raw = [(k, min(a, b), max(a, b)) for k, a, b in raw]
+    edges = sorted(set(raw))
+    # Appends are short: the base keeps all but the last few windows.
+    cut = draw(st.integers(max(1, num_steps - 6), num_steps))
+    late = draw(st.sets(st.integers(0, len(edges) - 1), max_size=4))
+    base = [
+        e for i, e in enumerate(edges)
+        if e[0] < cut and not (e[0] == cut - 1 and i in late)
+    ]
+    added = [e[0] for e in edges if e not in base]
+    limit = min(added) if added else num_steps
+    grown = _series(n, num_steps, edges, directed)
+    base_series = (
+        _series(n, cut, base, directed)
+        if base
+        else GraphSeries(n, cut, [], [], [], directed=directed)
+    )
+    return base_series, grown, limit
+
+
+def _observe(
+    series, kernel, *, targets, include_self, totals, record=True,
+    resume_from=None,
+):
+    """Scan, optionally with a checkpoint recorder and optionally
+    resuming a recorded base scan; snapshot the call log, the trips and
+    the checkpoints."""
+    log, trips = RecordLog(), TripListCollector()
+    consumers = [log, trips] + ([DistanceTotals()] if totals else [])
+    recorder = CheckpointRecorder() if record else None
+    resume = None
+    if resume_from is not None:
+        base, limit = resume_from
+        base_recorder = CheckpointRecorder()
+        scan_series(
+            base,
+            [RecordLog(), TripListCollector()]
+            + ([DistanceTotals()] if totals else []),
+            include_self=include_self, targets=targets, kernel=kernel,
+            checkpoints=base_recorder,
+        )
+        resume = ResumePlan(
+            base_recorder.checkpoints, base_recorder.spans,
+            base_recorder.span_trips, limit=limit,
+        )
+    result = scan_series(
+        series, consumers, include_self=include_self, targets=targets,
+        kernel=kernel, checkpoints=recorder, resume=resume,
+    )
+    t = trips.trips()
+    state = {
+        "num_trips": result.num_trips,
+        "calls": log.calls,
+        "trips": [
+            (a.dtype.str, a.tolist())
+            for a in (t.u, t.v, t.dep, t.arr, t.hops, t.durations)
+        ],
+        "checkpoints": [
+            (c.window, c.last_processed, c.A.tolist(), c.H.tolist())
+            for c in (recorder.checkpoints if record else ())
+        ],
+        "span_trips": recorder.span_trips if record else None,
+    }
+    if totals:
+        d = consumers[2]
+        state["totals"] = (d.dist_sum, d.hops_sum, d.count_sum)
+    return state
+
+
+class TestRunKernelProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=window_series(),
+        include_self=st.booleans(),
+        target_mode=st.integers(0, 2),
+        totals=st.booleans(),
+        record=st.booleans(),
+        cells=st.sampled_from([None, 1, 24]),
+    )
+    def test_run_kernel_matches_legacy_call_for_call(
+        self, data, include_self, target_mode, totals, record, cells
+    ):
+        base, grown, limit = data
+        targets = _targets_for(target_mode, grown.num_nodes)
+        kwargs = dict(
+            targets=targets, include_self=include_self, totals=totals,
+            record=record,
+        )
+        oracle = _observe(grown, "legacy", **kwargs)
+        oracle_resumed = _observe(
+            grown, "legacy", resume_from=(base, limit), **kwargs
+        )
+        # A resumed record adopts the base scan's checkpoint tail, so
+        # only its results (not its record) match a from-scratch scan.
+        recording = ("checkpoints", "span_trips")
+        for key in oracle.keys() - set(recording):
+            assert oracle_resumed[key] == oracle[key], key
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
+            assert _observe(grown, "batched", **kwargs) == oracle
+            resumed = _observe(
+                grown, "batched", resume_from=(base, limit), **kwargs
+            )
+        assert resumed == oracle_resumed

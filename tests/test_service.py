@@ -10,10 +10,13 @@ cancel pending work naming the task the plan stopped at.
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import urlparse
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.generators import time_uniform_stream
 from repro.linkstream import read_tsv, write_tsv
 from repro.reporting import render_analysis
 from repro.service import AnalysisService, ServiceClient
-from repro.service.daemon import ServiceServer
+from repro.service.daemon import MAX_BODY_BYTES, ServiceServer
 from repro.temporal.reachability import SCAN_COUNTS
 from repro.utils.errors import (
     AdmissionError,
@@ -410,3 +413,60 @@ class TestHTTPDaemon:
         client = ServiceClient("http://127.0.0.1:9", timeout=2)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+
+def _raw_post(client, path, content_length, body=b""):
+    """POST with a hand-written Content-Length header (http.client
+    would otherwise compute it); returns (status, payload, headers)."""
+    url = urlparse(client.base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        return response.status, payload, response
+    finally:
+        conn.close()
+
+
+class TestRequestBodyLimits:
+    @pytest.mark.parametrize("value", ["abc", "12x", "1.5", "0x10", "1_0"])
+    def test_non_integer_content_length_is_400(self, daemon, value):
+        status, payload, _ = _raw_post(daemon, "/v1/analyze", value)
+        assert status == 400
+        assert payload["kind"] == "bad_request"
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_content_length_is_400_without_blocking(self, daemon):
+        # Before the fix this read rfile.read(-1), blocking until the
+        # client hung up; the 10 s socket timeout would fail the test.
+        status, payload, response = _raw_post(daemon, "/v1/append", "-5")
+        assert status == 400
+        assert "non-negative" in payload["error"]
+        assert response.getheader("Connection") == "close"
+
+    def test_oversized_body_is_413_unread(self, daemon):
+        status, payload, response = _raw_post(
+            daemon, "/v1/streams", str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert payload["kind"] == "too_large"
+        assert response.getheader("Connection") == "close"
+
+    def test_valid_body_still_served(self, daemon):
+        body = json.dumps({"fingerprint": "deadbeef"}).encode()
+        status, payload, _ = _raw_post(
+            daemon, "/v1/analyze", str(len(body)), body
+        )
+        assert status == 404  # parsed fine; the stream is unknown
+        assert payload["kind"] == "not_found"
+
+    def test_daemon_healthy_after_rejections(self, daemon):
+        _raw_post(daemon, "/v1/analyze", "-1")
+        _raw_post(daemon, "/v1/streams", str(MAX_BODY_BYTES + 1))
+        assert daemon.health()["status"] == "ok"
