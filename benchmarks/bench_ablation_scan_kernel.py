@@ -15,7 +15,10 @@ section of ``repro.temporal.reachability``).  Two regimes:
   what matters, and runs spread it over several windows.  The gate is
   a work counter, not a wall clock: the kernel must commit at most
   ``MAX_COMMIT_RATIO`` state commits per window (``SCAN_BATCHES`` over
-  ``SCAN_WINDOWS``).  Wall times land in the bench record ungated.
+  ``SCAN_WINDOWS``), and it must buffer trips across runs: a wrapped
+  collector counts the scan's ``record_batch`` deliveries, which may
+  be at most ``MAX_DELIVERY_RATIO`` per state commit.  Wall times land
+  in the bench record ungated.
 
 Both regimes gate on bit-identity first — the full collector and
 accumulator state on the dense stream, every trip of every Δ on the
@@ -59,6 +62,28 @@ ROUNDS = 3
 #: (runs measure ~0.36 commits per window on irvine at paper scale).
 SPARSE_REPLICA = "irvine"
 MAX_COMMIT_RATIO = 0.5
+#: Trip deliveries per state commit: the scan buffers trips and
+#: delivers them per checkpoint span, not per run.
+MAX_DELIVERY_RATIO = 0.25
+
+
+class DeliveryCounter:
+    """Wraps a collector and counts the scan's ``record_batch`` calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.deliveries = 0
+
+    def record(self, source, dep, targets, arrivals, hops, durations) -> None:
+        self.inner.record(source, dep, targets, arrivals, hops, durations)
+
+    def record_batch(
+        self, sources, dep, targets, arrivals, hops, durations
+    ) -> None:
+        self.deliveries += 1
+        self.inner.record_batch(
+            sources, dep, targets, arrivals, hops, durations
+        )
 
 
 def _consumer_state(series, kernel):
@@ -140,17 +165,19 @@ def test_scan_kernel_ablation(benchmark, capsys):
 
 
 def _sparse_scan(series, kernel):
-    """One occupancy-shaped scan; returns its trips and histogram."""
+    """One occupancy-shaped scan; returns its trips and histogram, and
+    how many ``record_batch`` deliveries the occupancy collector got."""
     trips = TripListCollector()
-    occupancy = OccupancyCollector()
+    occupancy = DeliveryCounter(OccupancyCollector())
     result = scan_series(series, [trips, occupancy], kernel=kernel)
     t = trips.trips()
-    return (
+    state = (
         result.num_trips,
         [a.tolist() for a in (t.u, t.v, t.dep, t.arr, t.hops, t.durations)],
-        occupancy._counts.tolist(),
-        occupancy._ones,
+        occupancy.inner._counts.tolist(),
+        occupancy.inner._ones,
     )
+    return state, occupancy.deliveries
 
 
 def test_scan_kernel_sparse_replica(benchmark, capsys):
@@ -163,12 +190,15 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
         windows = SCAN_WINDOWS["batched"]
         rows = SCAN_ROWS["batched"]
         commits = SCAN_BATCHES["batched"]
+        deliveries = 0
         for delta, series in zip(deltas, series_list):
             states = {}
             for kernel in ("batched", "legacy"):
                 start = perf_counter()
-                states[kernel] = _sparse_scan(series, kernel)
+                states[kernel], delivered = _sparse_scan(series, kernel)
                 seconds[kernel] += perf_counter() - start
+                if kernel == "batched":
+                    deliveries += delivered
             assert states["batched"] == states["legacy"], (
                 f"batched kernel diverged from the legacy oracle at "
                 f"delta={delta}"
@@ -177,19 +207,23 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
             "windows": SCAN_WINDOWS["batched"] - windows,
             "rows": SCAN_ROWS["batched"] - rows,
             "commits": SCAN_BATCHES["batched"] - commits,
+            "deliveries": deliveries,
         }
         return seconds, counts
 
     seconds, counts = benchmark.pedantic(compare, rounds=1, iterations=1)
     ratio = counts["commits"] / counts["windows"]
+    delivery_ratio = counts["deliveries"] / counts["commits"]
     table = render_table(
-        ["kernel", "wall_seconds", "windows", "rows", "commits"],
+        ["kernel", "wall_seconds", "windows", "rows", "commits",
+         "deliveries"],
         [
             ["legacy", seconds["legacy"], counts["windows"], counts["rows"],
-             counts["rows"]],
+             counts["rows"], ""],
             ["batched", seconds["batched"], counts["windows"],
-             counts["rows"], counts["commits"]],
-            ["commits/window", ratio, "", "", ""],
+             counts["rows"], counts["commits"], counts["deliveries"]],
+            ["commits/window", ratio, "", "", "", ""],
+            ["deliveries/commit", delivery_ratio, "", "", "", ""],
         ],
         title=(
             f"Ablation — scan kernel, sparse regime ({SPARSE_REPLICA} "
@@ -208,6 +242,8 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
             "rows": counts["rows"],
             "commits": counts["commits"],
             "commits_per_window": float(ratio),
+            "deliveries": counts["deliveries"],
+            "deliveries_per_commit": float(delivery_ratio),
             "legacy_seconds": float(seconds["legacy"]),
             "batched_seconds": float(seconds["batched"]),
         },
@@ -216,4 +252,9 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
         f"batched kernel committed {counts['commits']} times over "
         f"{counts['windows']} windows ({ratio:.2f} per window); need "
         f"<= {MAX_COMMIT_RATIO}"
+    )
+    assert delivery_ratio <= MAX_DELIVERY_RATIO, (
+        f"the scan delivered trips {counts['deliveries']} times over "
+        f"{counts['commits']} state commits ({delivery_ratio:.2f} per "
+        f"commit); need <= {MAX_DELIVERY_RATIO}"
     )

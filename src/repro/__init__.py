@@ -163,6 +163,8 @@ rides — ships two interchangeable kernels
   collectors/accumulators are fed whole batches (``record_batch`` with
   a per-trip ``dep`` array / ``observe_rows``, with a per-source
   adapter for consumers that only implement the classic protocol).
+  Trips are buffered across runs, so a batch may span windows; each
+  (window, source) pair is contiguous and in legacy order.
   Checkpoint captures, resume candidates and state accumulators cut
   runs to the windows where they must see the state.
 * ``legacy`` is the original one-Python-iteration-per-source loop,

@@ -23,6 +23,11 @@ The queue adds the three behaviours a long-lived shared process needs:
   are the caller's notion of identity — the service derives them from
   the stream fingerprint, the Δ-grid, and the measure tokens.
 
+Finished jobs stay queryable (status, result) until more than
+:data:`MAX_FINISHED_JOBS` have finished; past that, the oldest finished
+jobs are forgotten, so a long-lived daemon holds bounded job state.  A
+forgotten job looks exactly like an unknown one.
+
 Runners are plain threads (``runners`` of them); the heavy parallelism
 lives below, in the engine's backend pool that all jobs share.  Keeping
 the two pools separate is what makes the design deadlock-free: a runner
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import uuid
+from collections import OrderedDict
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +54,10 @@ CANCELLED = "cancelled"
 
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
+#: Finished jobs a :class:`JobQueue` keeps for status and result
+#: queries; beyond it the oldest finished jobs are forgotten.
+MAX_FINISHED_JOBS = 1024
+
 
 class Job:
     """One submitted request: a handle to poll, wait on, or cancel.
@@ -57,7 +67,14 @@ class Job:
     job never kills work another job is waiting for.
     """
 
-    def __init__(self, job_id: str, label: str, key: str | None) -> None:
+    def __init__(
+        self,
+        job_id: str,
+        label: str,
+        key: str | None,
+        *,
+        on_settle: Callable[[list["Job"]], None] | None = None,
+    ) -> None:
         self.id = job_id
         self.label = label
         self.key = key
@@ -70,6 +87,9 @@ class Job:
         self._result = None
         self._error: BaseException | None = None
         self._computation: "_Computation | None" = None
+        #: Called (outside every lock) after a cancel settles this job;
+        #: the owning queue's retention hook.
+        self._on_settle = on_settle
 
     @property
     def state(self) -> str:
@@ -105,8 +125,12 @@ class Job:
         out turns off the lights.  Returns ``False`` if already settled."""
         computation = self._computation
         if computation is not None:
-            return computation.cancel_job(self, reason)
-        return self._settle(CANCELLED, error=JobCancelled(reason))
+            settled = computation.cancel_job(self, reason)
+        else:
+            settled = self._settle(CANCELLED, error=JobCancelled(reason))
+        if settled and self._on_settle is not None:
+            self._on_settle([self])
+        return settled
 
     def _mark_running(self) -> None:
         with self._lock:
@@ -194,6 +218,8 @@ class JobQueue:
         )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        #: Ids of finished jobs still in ``_jobs``, oldest first.
+        self._finished: OrderedDict[str, None] = OrderedDict()
         self._inflight: dict[str, _Computation] = {}
         self._queued = 0
         self._running = 0
@@ -224,7 +250,7 @@ class JobQueue:
         :class:`~repro.utils.errors.AdmissionError` when the queue's
         backlog is full.
         """
-        job = Job(uuid.uuid4().hex[:12], label, key)
+        job = Job(uuid.uuid4().hex[:12], label, key, on_settle=self._retire)
         token = CancelToken.with_timeout(timeout)
         with self._lock:
             if self._closed:
@@ -297,6 +323,21 @@ class JobQueue:
         counter = {DONE: "completed", FAILED: "failed", CANCELLED: "cancelled"}[state]
         with self._lock:
             self.counters[counter] += max(1, len(settled))
+            self._retire_locked(settled)
+
+    def _retire(self, jobs: list[Job]) -> None:
+        with self._lock:
+            self._retire_locked(jobs)
+
+    def _retire_locked(self, jobs: list[Job]) -> None:
+        """Mark ``jobs`` finished, then forget the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS`."""
+        for job in jobs:
+            if job.id in self._jobs:
+                self._finished[job.id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            job_id, _ = self._finished.popitem(last=False)
+            del self._jobs[job_id]
 
     def job(self, job_id: str) -> Job | None:
         """Look up a job by id (``None`` when unknown)."""
@@ -304,7 +345,8 @@ class JobQueue:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
-        """Every job the queue has seen, newest last."""
+        """Every job the queue retains (live, or among the last
+        :data:`MAX_FINISHED_JOBS` finished), oldest submission first."""
         with self._lock:
             return list(self._jobs.values())
 
@@ -316,6 +358,7 @@ class JobQueue:
             if job is None or not job.done:
                 return False
             del self._jobs[job_id]
+            self._finished.pop(job_id, None)
             return True
 
     def stats(self) -> dict:
@@ -327,6 +370,7 @@ class JobQueue:
                 "running": self._running,
                 "max_pending": self.max_pending,
                 "runners": self.runners,
+                "retained": len(self._jobs),
             }
 
     def close(self, *, cancel_pending: bool = True) -> None:

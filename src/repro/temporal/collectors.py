@@ -1,10 +1,11 @@
 """Collector protocol for the reachability scan.
 
 The backward scan discovers minimal trips in bulk (one batch per source
-node per window, or one multi-source batch per run of windows).  Collectors consume those batches; different analyses
-need different materializations (full trip lists for validation,
-occupancy histograms for the saturation sweep, bare counts for metrics),
-so the engine is decoupled from storage via this small protocol.
+node per window, or one multi-source batch spanning many windows).
+Collectors consume those batches; different analyses need different
+materializations (full trip lists for validation, occupancy histograms
+for the saturation sweep, bare counts for metrics), so the engine is
+decoupled from storage via this small protocol.
 
 Every built-in collector implements the **shard contract** the engine's
 within-Δ sharding relies on: an in-place ``merge(other)`` that absorbs a
@@ -14,20 +15,22 @@ legitimately common state for a shard whose nodes receive nothing).
 Merging disjoint shards reproduces exactly what an unsharded scan would
 have collected.
 
-The batched scan kernel applies a whole *run* of conflict-free windows
-at once and feeds collectors one flattened multi-source batch per run
-chunk through ``record_batch(sources, dep, targets, arrivals, hops,
-durations)``: every argument is an array parallel to ``targets``, so
-``dep`` is the int64 departure window of each trip (one shape, always,
-even when the batch spans a single window).  Rows arrive in window
-descending, then source, then destination order — exactly the order
-per-source ``record`` calls would arrive in — and sources are unique
-within a batch.  ``record_batch`` is optional: every built-in
-implements it natively (vectorized, bit-identical to the equivalent
-``record`` calls), and consumers without it are fed through
-:func:`record_batch_fallback`, which re-slices the batch into legacy
-per-source ``record`` calls with a scalar ``int`` departure step — so
-third-party collectors keep working unchanged under either kernel.
+The batched scan kernel buffers the trips of many runs of windows and
+feeds collectors one flattened multi-source batch at a time through
+``record_batch(sources, dep, targets, arrivals, hops, durations)``:
+every argument is an array parallel to ``targets``, so ``dep`` is the
+int64 departure window of each trip (one shape, always, even when the
+batch spans a single window).  A batch may span windows; each
+(window, source) pair is contiguous and in legacy order — window
+descending, then source, then destination, exactly the order
+per-source ``record`` calls would arrive in.  A source may therefore
+appear more than once in a batch, once per window it fires in.
+``record_batch`` is optional: every built-in implements it natively
+(vectorized, bit-identical to the equivalent ``record`` calls), and
+consumers without it are fed through :func:`record_batch_fallback`,
+which re-slices the batch into legacy per-(window, source) ``record``
+calls with a scalar ``int`` departure step — so third-party collectors
+keep working unchanged under either kernel.
 """
 
 from __future__ import annotations
@@ -68,18 +71,21 @@ def record_batch_fallback(
     """Feed a multi-source batch to a ``record``-only collector.
 
     The adapter behind the batched kernel's consumer feed: slices the
-    flattened batch back into one ``record`` call per source, in the
-    order the rows arrive (window descending, then source — the legacy
-    kernel's emission order).  Sources are unique within a batch, so
-    every source boundary is a call boundary, and each call gets the
-    scalar ``int`` departure step the legacy kernel passes: a collector
-    that never heard of ``record_batch`` sees byte-for-byte the same
-    call sequence the legacy kernel makes.
+    flattened batch back into one ``record`` call per (window, source)
+    pair, in the order the rows arrive (window descending, then source
+    — the legacy kernel's emission order).  Each pair is contiguous, so
+    every change of source *or* departure is a call boundary (a source
+    firing in two consecutive windows is two calls), and each call gets
+    the scalar ``int`` departure step the legacy kernel passes: a
+    collector that never heard of ``record_batch`` sees byte-for-byte
+    the same call sequence the legacy kernel makes.
     """
     if not sources.size:
         return
     starts = np.flatnonzero(
-        np.concatenate([[True], sources[1:] != sources[:-1]])
+        np.concatenate(
+            [[True], (sources[1:] != sources[:-1]) | (dep[1:] != dep[:-1])]
+        )
     )
     ends = np.append(starts[1:], sources.size)
     for lo, hi in zip(starts.tolist(), ends.tolist()):
@@ -443,8 +449,8 @@ class ChainCollector:
         """Fan one multi-source batch (``dep`` per trip, parallel to
         ``sources``) out to every child — natively when the child
         implements ``record_batch``, through
-        :func:`record_batch_fallback` (per-source ``record`` calls with
-        a scalar step, in legacy order) otherwise."""
+        :func:`record_batch_fallback` (per-(window, source) ``record``
+        calls with a scalar step, in legacy order) otherwise."""
         for collector in self._collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:

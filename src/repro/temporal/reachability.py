@@ -77,11 +77,22 @@ Two kernels implement the identical per-window update rule:
   - *Emission order.*  The C-order ``nonzero`` of the improvement mask
     walks segments in (window descending, source) order and columns
     ascending within each, which is exactly the legacy kernel's trip
-    order.  Collectors are fed one flattened batch per chunk
-    (``record_batch``, with a departure step per trip) and accumulators
-    one row-matrix batch (``observe_rows``); consumers without the
-    batch methods fall back to their per-source/per-row protocol in
-    that same order, with the same arguments.
+    order.  Accumulators are fed one row-matrix batch per chunk
+    (``observe_rows``).
+  - *The trip buffer.*  Trip collectors are not called per run: each
+    chunk appends its recorded trips (source, departure window, target
+    and packed key) to a buffer local to the scan, and the scan decodes
+    the buffer (arrival, hops, duration) and delivers it as one
+    concatenated ``record_batch`` per collector.  It delivers before a
+    checkpoint capture hands the consumers off, before a settled resume
+    freezes them, at the end of the scan, and as soon as a chunk takes
+    the buffer past :data:`TRIP_BUFFER_TRIPS` trips (a dense chunk thus
+    delivers while its arrays are still in cache).  Appending never
+    reorders, so a delivered batch may span many windows but its rows
+    are still in legacy order.
+  - *Fallbacks.*  Consumers without the batch methods get their
+    per-source/per-row protocol, in that same order, with the same
+    arguments.
 * ``legacy`` — the original per-source Python loop, kept selectable as
   the in-tree oracle.
 
@@ -146,6 +157,7 @@ import numpy as np
 
 from repro.graphseries.series import GraphSeries
 from repro.linkstream.stream import LinkStream
+from repro.temporal.collectors import record_batch_fallback
 from repro.utils.errors import ValidationError
 
 #: Sentinel for "unreachable" in integer arrival matrices.  Kept far from
@@ -181,6 +193,16 @@ SCAN_KERNELS = ("batched", "legacy")
 #: ``REPRO_SCAN_BATCH_CELLS`` (tests force tiny budgets to exercise the
 #: multi-chunk path; the value never affects results, only peak memory).
 BATCH_CELL_BUDGET = 1 << 20
+
+#: Trips the batched kernel buffers before delivering them to the trip
+#: collectors (it also delivers at checkpoint and settle boundaries and
+#: at the end of the scan).  Sparse scans record a few trips per run, so
+#: one delivery serves thousands of runs.  The bound keeps the buffer
+#: and its decode temporaries (about 56 bytes a trip) near 1 MiB, in
+#: cache: a buffer as large as the chunk cell budget (a million trips)
+#: made dense collector-only scans ~40% slower.  The bound is checked
+#: per chunk, so one large run cannot grow the buffer past it either.
+TRIP_BUFFER_TRIPS = 1 << 14
 
 #: Windows in the batched kernel's first run-planning block; each later
 #: block doubles.  A resumed scan that settles after a few windows plans
@@ -665,10 +687,12 @@ class ScanResult:
 
 
 #: Default byte budget for one scan's checkpointed state copies
-#: (overridable via ``REPRO_CHECKPOINT_MAX_BYTES``).  When a scan's
-#: planned checkpoints would exceed it, later (deeper) captures are
-#: skipped — keeping the near-end checkpoints, which are the ones a
-#: future append actually settles against.
+#: (overridable via ``REPRO_CHECKPOINT_MAX_BYTES``).  It counts the
+#: packed bytes a :class:`ScanCheckpoint` holds (one int64 key per
+#: state cell).  When a scan's planned checkpoints would exceed it,
+#: later (deeper) captures are skipped — keeping the near-end
+#: checkpoints, which are the ones a future append actually settles
+#: against.
 CHECKPOINT_MAX_BYTES = 256 * 1024 * 1024
 
 
@@ -700,28 +724,47 @@ class ScanCheckpoint:
     it arrives at the same window.  ``last_processed`` is the previous
     (higher) nonempty window already applied; a resumed scan may only
     settle here when its own previous window matches, otherwise the
-    pending departure run differs.  The state is stored **canonically
-    unpacked** (``A``/``H`` with the :data:`INT_INF`/:data:`HOP_INF`
-    sentinels): packed keys depend on the series length through ``K``,
-    which an append changes, while the canonical form is comparable
-    across any two scans of the same node set — and across both kernels.
+    pending departure run differs.
+
+    The state is stored **packed**: one read-only copy of the scan's
+    int64 keys ``P = A * K + H`` (infinite cells at ``a_inf * K + K -
+    1``) together with that scan's ``K`` and ``a_inf``, so a capture is
+    one copy of the live state.  Packed keys depend on the series
+    length through ``K``, which an append changes.  A resumed scan
+    therefore compares packed keys directly when its ``K`` matches and
+    otherwise unpacks both states and compares them canonically.  The
+    legacy kernel packs its ``(A, H)`` with the scan's ``K`` before a
+    capture, so stored records never depend on the kernel.  The
+    canonical ``A``/``H`` (with the :data:`INT_INF`/:data:`HOP_INF`
+    sentinels) are unpacked on demand.
     """
 
-    __slots__ = ("window", "last_processed", "A", "H")
+    __slots__ = ("window", "last_processed", "P", "K", "a_inf")
 
     def __init__(
-        self, window: int, last_processed: int, A: np.ndarray, H: np.ndarray
+        self, window: int, last_processed: int, P: np.ndarray, K: int,
+        a_inf: int,
     ) -> None:
-        A.setflags(write=False)
-        H.setflags(write=False)
+        P.setflags(write=False)
         self.window = int(window)
         self.last_processed = int(last_processed)
-        self.A = A
-        self.H = H
+        self.P = P
+        self.K = int(K)
+        self.a_inf = int(a_inf)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The canonical arrival matrix (unpacked on each access)."""
+        return _unpack_rows(self.P, self.K, self.a_inf)[0]
+
+    @property
+    def H(self) -> np.ndarray:
+        """The canonical hop matrix (unpacked on each access)."""
+        return _unpack_rows(self.P, self.K, self.a_inf)[1]
 
     @property
     def nbytes(self) -> int:
-        return int(self.A.nbytes) + int(self.H.nbytes)
+        return int(self.P.nbytes)
 
 
 class CheckpointRecorder:
@@ -742,7 +785,7 @@ class CheckpointRecorder:
     (descending windows, so early iterations sit near the stream's end —
     where future appends settle): every power of two, plus every
     multiple of a stride ≈ √(nonempty windows), subject to the byte
-    budget.
+    budget (packed bytes, :attr:`ScanCheckpoint.nbytes`).
     """
 
     def __init__(self, *, max_bytes: int | None = None) -> None:
@@ -760,23 +803,27 @@ class CheckpointRecorder:
         windows (keeps the checkpoint count near ``O(√num_windows)``)."""
         self._stride = max(int(np.sqrt(max(num_windows, 1))), 1)
 
-    def wants(self, iteration: int | np.ndarray) -> bool | np.ndarray:
-        """Whether the scan should capture before iteration ``iteration``
-        (0-based from the scan's start; the incoming state of iteration 0
-        is all-infinite and never worth storing).  Accepts one index or
-        an array of them (the run planner asks for a block at once)."""
-        it = np.asarray(iteration)
+    def wants(self, iterations: np.ndarray) -> np.ndarray:
+        """Which iterations the scan should capture before (0-based from
+        the scan's start; the incoming state of iteration 0 is
+        all-infinite and never worth storing).  The scan asks once, for
+        every iteration, and carries the answer in its run plan."""
+        it = np.asarray(iterations)
         return (it >= 1) & (((it & (it - 1)) == 0) | (it % self._stride == 0))
 
     def capture(
-        self, window: int, last_processed: int, A: np.ndarray, H: np.ndarray
+        self, window: int, last_processed: int, P: np.ndarray, K: int,
+        a_inf: int,
     ) -> bool:
-        """Store one checkpoint; ``False`` when the byte budget is spent
-        (the scan then simply keeps feeding the current span)."""
-        cost = int(A.nbytes) + int(H.nbytes)
+        """Store a copy of the packed state ``P`` as one checkpoint;
+        ``False`` when the byte budget is spent (the scan then simply
+        keeps feeding the current span)."""
+        cost = int(P.nbytes)
         if self._bytes + cost > self._max_bytes:
             return False
-        self.checkpoints.append(ScanCheckpoint(window, last_processed, A, H))
+        self.checkpoints.append(
+            ScanCheckpoint(window, last_processed, P.copy(), K, a_inf)
+        )
         self._bytes += cost
         return True
 
@@ -1064,6 +1111,74 @@ def _unpack_rows(
     return A, H
 
 
+def _pack_rows(A: np.ndarray, H: np.ndarray, K: int, a_inf: int) -> np.ndarray:
+    """The inverse of :func:`_unpack_rows`: canonical ``(A, H)`` rows as
+    packed keys, infinite cells at ``a_inf * K + (K - 1)``."""
+    finite = A < INT_INF
+    return np.where(finite, A, a_inf) * K + np.where(finite, H, K - 1)
+
+
+class _TripBuffer:
+    """Minimal trips the run kernel recorded but has not delivered yet.
+
+    Each chunk appends parallel arrays of trip sources, departure
+    windows, target node ids and packed ``arrival * K + hops`` keys, in
+    emission order.  :meth:`deliver` decodes everything buffered and
+    feeds it to ``collectors`` (the scan swaps in the successors at a
+    checkpoint handoff) as one ``record_batch`` call each.  An append
+    that takes the buffer past :data:`TRIP_BUFFER_TRIPS` delivers at
+    once, while the chunk's arrays are still in cache; the scan delivers
+    at its boundaries (see the module docstring's *Scan kernels*).
+    """
+
+    __slots__ = ("collectors", "K", "parts", "size")
+
+    def __init__(self, collectors: list, K: int) -> None:
+        self.collectors = collectors
+        self.K = K
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.size = 0
+
+    def add(
+        self,
+        sources: np.ndarray,
+        deps: np.ndarray,
+        targets: np.ndarray,
+        keys: np.ndarray,
+    ) -> None:
+        self.parts.append((sources, deps, targets, keys))
+        self.size += keys.size
+        if self.size > TRIP_BUFFER_TRIPS:
+            self.deliver()
+
+    def deliver(self) -> None:
+        """Feed every buffered trip to the collectors; empty the buffer."""
+        if not self.size:
+            return
+        if len(self.parts) == 1:
+            sources, deps, targets, keys = self.parts[0]
+        else:
+            sources, deps, targets, keys = (
+                np.concatenate(column) for column in zip(*self.parts)
+            )
+        self.parts = []
+        self.size = 0
+        # Recorded cells improved, hence are finite: decoding the keys
+        # needs no sentinel fixup.
+        arrivals, hops = np.divmod(keys, self.K)
+        durations = arrivals - deps
+        durations += 1
+        for collector in self.collectors:
+            record_batch = getattr(collector, "record_batch", None)
+            if record_batch is not None:
+                record_batch(sources, deps, targets, arrivals, hops, durations)
+            else:
+                record_batch_fallback(
+                    collector, sources, deps, targets, arrivals, hops,
+                    durations,
+                )
+
+
 class _RunBlock:
     """One block of consecutive windows, laid out for the run kernel.
 
@@ -1135,19 +1250,22 @@ def _plan_runs(
     series: GraphSeries,
     K: int,
     col_of: np.ndarray | None,
-    breaks,
+    capture: np.ndarray | None,
+    resume_windows: np.ndarray | None,
     *,
     single: bool,
-) -> Iterator[tuple[int, int, int, int, tuple]]:
+) -> Iterator[tuple[int, int, int, int, bool, tuple]]:
     """Lay out a series for the run kernel and cut it into runs.
 
-    Yields ``(first, end, step, low_step, run)`` per run in scan order:
-    scan positions ``[first, end)`` (0-based iteration indices, latest
-    window first), the run's first and last window, and the kernel's
-    ``(block, h0, h1, s0, s1)`` hop/segment ranges.  Windows are
-    planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling in size;
-    ``breaks(first, windows)`` flags block positions that must open a
-    run, and ``single`` makes every window its own run.
+    Yields ``(first, end, step, low_step, capture, run)`` per run in
+    scan order: scan positions ``[first, end)`` (0-based iteration
+    indices, latest window first), the run's first and last window,
+    whether the scan captures a checkpoint before the run, and the
+    kernel's ``(block, h0, h1, s0, s1)`` hop/segment ranges.  Windows
+    are planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling in size.
+    A run opens at every position where ``capture`` (indexed by scan
+    position; ``None`` for no checkpoints) is set and at every window in
+    ``resume_windows``; ``single`` makes every window its own run.
     """
     windows = series.nonempty_steps()
     nw = int(windows.size)
@@ -1160,7 +1278,8 @@ def _plan_runs(
         end = min(nw, first + size)
         size *= 2
         yield from _plan_block(
-            series, windows, offsets, first, end, K, col_of, breaks, single
+            series, windows, offsets, first, end, K, col_of, capture,
+            resume_windows, single,
         )
         first = end
 
@@ -1173,9 +1292,10 @@ def _plan_block(
     end: int,
     K: int,
     col_of: np.ndarray | None,
-    breaks,
+    capture: np.ndarray | None,
+    resume_windows: np.ndarray | None,
     single: bool,
-) -> list[tuple[int, int, int, int, tuple]]:
+) -> list[tuple[int, int, int, int, bool, tuple]]:
     """Lay out scan positions ``[first, end)`` as one :class:`_RunBlock`
     and return its runs (see :func:`_plan_runs`).  The sort and conflict
     temporaries die here, before the kernel allocates its own."""
@@ -1218,14 +1338,23 @@ def _plan_block(
     else:
         block.tcols = col_of[v]
         block.self_cols = col_of[sources]
+    captures = (
+        np.zeros(count, dtype=bool) if capture is None
+        else capture[first:end]
+    )
     if single:
         run_starts = list(range(count))
     else:
         writer = _previous_writers(
             sources, seg_pos, v, seg_pos[block.seg_of], count
         )
-        writer[breaks(first, block_windows)] = count
+        # Positions where the scan must see the state between two
+        # windows: a run may start there but never absorb them.
+        writer[captures] = count
+        if resume_windows is not None:
+            writer[np.isin(block_windows, resume_windows)] = count
         run_starts = _greedy_runs(writer)
+    capture_flags = captures[run_starts].tolist()
     hop_bounds = np.searchsorted(key, np.asarray(run_starts) * n).tolist()
     seg_bounds = np.searchsorted(seg_pos, run_starts).tolist()
     hop_bounds.append(key.size)
@@ -1241,6 +1370,7 @@ def _plan_block(
                 first + run_ends[i],
                 step_list[s0],
                 step_list[s1 - 1],
+                capture_flags[i],
                 (block, hop_bounds[i], hop_bounds[i + 1], s0, s1),
             )
         )
@@ -1257,7 +1387,7 @@ def _apply_run(
     h1: int,
     s0: int,
     s1: int,
-    collectors: list,
+    trips: _TripBuffer | None,
     include_self: bool,
     accumulators: list,
     cols: np.ndarray | None = None,
@@ -1265,7 +1395,8 @@ def _apply_run(
     """Apply one run of conflict-free windows to the packed state;
     returns trips recorded.  Bit-identical to :func:`_process_group`
     applied window by window (see the module docstring's *Scan kernels*
-    section for the run rule and why it is exact).
+    section for the run rule and why it is exact).  Recorded trips go
+    to the ``trips`` buffer (``None`` when no collector wants them).
 
     ``P`` is the scan state with each ``(arrival, hop)`` pair packed
     into a single int64 lexicographic key ``A * K + H`` — ``K`` above
@@ -1292,8 +1423,6 @@ def _apply_run(
     committed.  A run that fits takes one chunk and reads the live
     state directly (nothing commits before its reads are staged).
     """
-    from repro.temporal.collectors import record_batch_fallback
-
     sources = block.sources[s0:s1]
     targets = block.targets[h0:h1]
     nseg = s1 - s0
@@ -1423,27 +1552,13 @@ def _apply_run(
         # window-by-window, source-by-source emission order.
         row_idx, col_idx = np.nonzero(record)
         trips_recorded += row_idx.size
-        if collectors and row_idx.size:
-            # Recorded cells improved, hence are finite: unpacking the
-            # gathered keys needs no sentinel fixup.
-            arrivals, hops_out = np.divmod(new_P[row_idx, col_idx], K)
-            deps = block.steps[s0 + lo:s0 + hi][row_idx]
-            durations = arrivals - deps
-            durations += 1
-            trip_sources = chunk_sources[row_idx]
-            node_targets = col_idx if cols is None else cols[col_idx]
-            for collector in collectors:
-                record_batch = getattr(collector, "record_batch", None)
-                if record_batch is not None:
-                    record_batch(
-                        trip_sources, deps, node_targets, arrivals,
-                        hops_out, durations,
-                    )
-                else:
-                    record_batch_fallback(
-                        collector, trip_sources, deps, node_targets,
-                        arrivals, hops_out, durations,
-                    )
+        if trips is not None and row_idx.size:
+            trips.add(
+                chunk_sources[row_idx],
+                block.steps[s0 + lo:s0 + hi][row_idx],
+                col_idx if cols is None else cols[col_idx],
+                new_P[row_idx, col_idx],
+            )
     return trips_recorded
 
 
@@ -1555,32 +1670,45 @@ def scan_series(
         begin = getattr(accumulator, "begin", None)
         if begin is not None:
             begin(n, series.num_steps, cols)
-    recorder = checkpoints
-    if recorder is not None:
-        recorder.begin(int(series.nonempty_steps().size))
-    # Analytic packing caps for the batched kernel: arrivals and window
-    # indices are < num_steps, and no minimal trip can take more than
-    # num_steps hops (each hop departs one window later).  Both caps are
-    # scan-wide constants, so the state stays packed for the whole scan.
-    # Were the packed keys ever to overflow int64 (num_steps near 2**31),
-    # the whole scan falls back to the legacy kernel — bit-identical by
-    # contract — and is tallied as legacy work.
+    # Analytic packing caps: arrivals and window indices are <
+    # num_steps, and no minimal trip can take more than num_steps hops
+    # (each hop departs one window later).  Both caps are scan-wide
+    # constants, so the batched kernel's state stays packed for the
+    # whole scan, and checkpoints of either kernel store packed keys.
+    # Were the packed keys ever to overflow int64 (num_steps near
+    # 2**31), the whole scan falls back to the legacy kernel —
+    # bit-identical by contract — is tallied as legacy work, and
+    # records no checkpoints.
     a_inf = max(int(series.num_steps), 1)
     K = a_inf + 2
-    if a_inf + 2 > (1 << 62) // K:
-        batched = False
+    packable = a_inf + 2 <= (1 << 62) // K
+    batched = batched and packable
     if batched:
         P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
     else:
         A = np.full((n, width), INT_INF, dtype=np.int64)
         H = np.full((n, width), HOP_INF, dtype=np.int64)
+    recorder = checkpoints
+    capture = None
+    if recorder is not None and packable:
+        num_windows = int(series.nonempty_steps().size)
+        recorder.begin(num_windows)
+        # Capture positions by scan iteration, asked once per scan.
+        capture = recorder.wants(np.arange(num_windows, dtype=np.int64))
 
-    def canonical_state() -> tuple[np.ndarray, np.ndarray]:
-        # Kernel-agnostic state copies with the canonical sentinels, the
-        # form checkpoints are stored and compared in.
-        if batched:
-            return _unpack_rows(P, K, a_inf)
-        return A.copy(), H.copy()
+    def packed_state() -> np.ndarray:
+        # The form checkpoints are stored in (a fresh copy for legacy).
+        return P if batched else _pack_rows(A, H, K, a_inf)
+
+    def settles(ckpt: ScanCheckpoint) -> bool:
+        # Whether the current state equals a checkpoint's: packed keys
+        # compare directly under the same K; otherwise (the usual case
+        # after an append) both unpack to the canonical form.
+        if ckpt.K == K:
+            return np.array_equal(packed_state(), ckpt.P)
+        cur_A, cur_H = _unpack_rows(P, K, a_inf) if batched else (A, H)
+        ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.K, ckpt.a_inf)
+        return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
 
     num_trips = 0
     last_processed: int | None = None
@@ -1591,56 +1719,51 @@ def scan_series(
     #: frozen handoff spans from this scan, then (when settled) the
     #: reused cached tail, in scan order.
     assembly: list[tuple] = []
+    #: The run kernel's undelivered trips (see *Scan kernels*).
+    trips = _TripBuffer(collectors, K) if batched and collectors else None
 
     if batched:
         # The cell budget is read once per scan.
         max_rows = max(_batch_cell_budget() // max(width, 1), 1)
-
-        def breaks(first: int, windows: np.ndarray) -> np.ndarray:
-            # Positions where the scan must see the state between two
-            # windows, so a run may start there but never absorb them.
-            cut = np.zeros(windows.size, dtype=bool)
-            if recorder is not None:
-                cut |= recorder.wants(
-                    np.arange(first, first + windows.size, dtype=np.int64)
-                )
-            if resume is not None:
-                cut |= np.isin(windows, resume.windows)
-            return cut
-
         # Accumulators fold the state between every pair of windows
         # (close_run), so their scans run one window per run.
         runs = _plan_runs(
-            series, K, col_of, breaks, single=bool(accumulators)
+            series, K, col_of, capture,
+            None if resume is None else resume.windows,
+            single=bool(accumulators),
         )
     else:
         runs = (
-            (i, i + 1, step, step, (u, v))
+            (i, i + 1, step, step, capture is not None and capture[i], (u, v))
             for i, (step, u, v) in enumerate(series.edge_groups(reverse=True))
         )
 
-    for first, end, step, low_step, run in runs:
+    for first, end, step, low_step, wanted, run in runs:
         if resume is not None and last_processed is not None:
             found = resume.candidate(step)
-            if found is not None and found[1].last_processed == last_processed:
-                cur_A, cur_H = canonical_state()
-                ckpt = found[1]
-                if np.array_equal(cur_A, ckpt.A) and np.array_equal(
-                    cur_H, ckpt.H
-                ):
-                    settled_index = found[0]
-                    break
-        if recorder is not None and recorder.wants(first):
-            ck_A, ck_H = canonical_state()
-            # last_processed is never None here: wants() skips iteration 0.
-            if recorder.capture(step, last_processed, ck_A, ck_H):
-                if captures:
-                    recorder.store_span(items, num_trips - span_trip_base)
-                    assembly.append(tuple(items))
-                captures += 1
-                span_trip_base = num_trips
-                items = [item.segment_handoff() for item in items]
-                collectors, accumulators = _split_consumers(items)
+            if (
+                found is not None
+                and found[1].last_processed == last_processed
+                and settles(found[1])
+            ):
+                settled_index = found[0]
+                break
+        # last_processed is never None at a capture: wants() skips
+        # iteration 0.
+        if wanted and recorder.capture(
+            step, last_processed, packed_state(), K, a_inf
+        ):
+            if trips is not None:
+                trips.deliver()
+            if captures:
+                recorder.store_span(items, num_trips - span_trip_base)
+                assembly.append(tuple(items))
+            captures += 1
+            span_trip_base = num_trips
+            items = [item.segment_handoff() for item in items]
+            collectors, accumulators = _split_consumers(items)
+            if trips is not None:
+                trips.collectors = collectors
         if accumulators and last_processed is not None:
             # The current state (built from windows > step) is the exact
             # reachability picture for every departure step t in
@@ -1650,7 +1773,7 @@ def scan_series(
         if batched:
             SCAN_WINDOWS["batched"] += end - first
             num_trips += _apply_run(
-                P, K, a_inf, max_rows, *run, collectors, include_self,
+                P, K, a_inf, max_rows, *run, trips, include_self,
                 accumulators, cols,
             )
         else:
@@ -1662,6 +1785,10 @@ def scan_series(
                 accumulators, col_of, cols,
             )
         last_processed = low_step
+
+    if trips is not None:
+        # Before a settle freezes the consumers, or at the scan's end.
+        trips.deliver()
 
     if settled_index is not None:
         # Settled: every window at and below the boundary is served from

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from repro.engine import (
     current_cancel_token,
     get_backend,
 )
+from repro.engine import jobs as jobs_module
 from repro.engine.cache import SweepCache
 from repro.engine.tasks import DeltaTask
 from repro.utils.errors import AdmissionError, EngineError, JobCancelled
@@ -352,6 +354,64 @@ class TestJobQueue:
             live.result(5)
             assert queue.forget(live.id)
             assert queue.job(live.id) is None
+
+    def test_oldest_finished_jobs_are_forgotten(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 3)
+        gate = threading.Event()
+        with JobQueue(runners=1) as queue:
+            live = queue.submit(lambda: gate.wait(5))
+            done = [queue.submit(lambda i=i: i) for i in range(5)]
+            for job in done:
+                # Queued behind the live job: nothing finished yet.
+                assert queue.job(job.id) is job
+            gate.set()
+            for i, job in enumerate(done):
+                assert job.result(5) == i
+            queue.close()  # waits until the runner has retired every job
+            # Six finished, three retained: the live job and the two
+            # oldest results were forgotten, newest kept.
+            assert [j.id for j in queue.jobs()] == [j.id for j in done[2:]]
+            assert queue.job(live.id) is None
+            assert queue.stats()["retained"] == 3
+            # A forgotten job's handle still works for its holder.
+            assert done[0].result(0) == 0
+
+    def test_cancelled_jobs_count_as_finished(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        gate = threading.Event()
+        with JobQueue(runners=1) as queue:
+            blocker = queue.submit(lambda: gate.wait(5))
+            waiting = queue.submit(lambda: 1)
+            assert waiting.cancel("no longer needed")
+            assert queue.job(waiting.id) is waiting
+            gate.set()
+            blocker.result(5)
+            queue.close()
+            assert queue.job(waiting.id) is None
+            assert [j.id for j in queue.jobs()] == [blocker.id]
+
+    def test_retention_holds_under_concurrent_settles(self, monkeypatch):
+        # More runners than cores, a tiny switch interval, and cancels
+        # racing completions: the retained set must still be exactly the
+        # newest finished jobs, each one settled.
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            queue = JobQueue(runners=6, max_pending=1000)
+            submitted = [queue.submit(lambda i=i: i) for i in range(300)]
+            for job in submitted[::7]:
+                job.cancel("racing a runner")
+            for job in submitted:
+                assert job.wait(10)
+            queue.close()
+        finally:
+            sys.setswitchinterval(interval)
+        retained = queue.jobs()
+        assert len(retained) == 8
+        assert all(job.done for job in retained)
+        assert queue.stats()["retained"] == 8
+        assert sorted(queue._finished) == sorted(j.id for j in retained)
 
     def test_closed_queue_rejects_submissions(self):
         queue = JobQueue(runners=1)

@@ -26,6 +26,7 @@ from repro.graphseries.aggregation import (
     aggregate_cached,
     aggregate_prefix_extended,
     clear_aggregate_cache,
+    window_index,
 )
 from repro.linkstream import LinkStream
 from repro.temporal import (
@@ -35,6 +36,7 @@ from repro.temporal import (
     EarliestArrivalAccumulator,
     ResumePlan,
     SCAN_WINDOWS,
+    ScanCheckpoint,
     TripListCollector,
     blocked_pair_reachability,
     bruteforce_pair_reachability,
@@ -329,6 +331,128 @@ class TestCheckpointResume:
         assert not recorder.checkpoints
         assert result.num_trips == baseline.num_trips
         assert _consumer_state(consumers) == _consumer_state(plain)
+
+
+def _grown_pair(delta=100.0):
+    """A base series, the series of the base plus an append (longer, so
+    its packed keys use a different ``K``), and the first window the
+    append touches (checkpoints below it are settle candidates)."""
+    stream = small_stream(m=600, span=6000.0)
+    u, v, t = append_batch(stream, m=40, span=300.0)
+    origin = float(stream.t_min)
+    base = aggregate(stream, delta, origin=origin)
+    grown = aggregate(stream.extend(u, v, t), delta, origin=origin)
+    limit = int(window_index(t[:1], delta, origin)[0])
+    return base, grown, limit
+
+
+def _resumed_scan(series, plan, kernel="batched"):
+    """Resume ``series`` against ``plan``; returns (settled, consumers)."""
+    consumers = _consumer_set()
+    before = SCAN_WINDOWS[kernel]
+    scan_series(series, consumers, resume=plan, kernel=kernel)
+    scanned = SCAN_WINDOWS[kernel] - before
+    return scanned < series.nonempty_steps().size, consumers
+
+
+def _fresh_state(series):
+    consumers = _consumer_set()
+    scan_series(series, consumers)
+    return _consumer_state(consumers)
+
+
+class TestPackedCheckpoints:
+    def test_base_checkpoint_settles_grown_series_across_K(self):
+        base, grown, limit = _grown_pair()
+        assert grown.num_steps > base.num_steps
+        recorder = CheckpointRecorder()
+        scan_series(base, _consumer_set(), checkpoints=recorder)
+        assert {c.K for c in recorder.checkpoints} == {base.num_steps + 2}
+        plan = ResumePlan(
+            recorder.checkpoints, recorder.spans, recorder.span_trips,
+            limit=limit,
+        )
+        settled, consumers = _resumed_scan(grown, plan)
+        assert settled
+        assert _consumer_state(consumers) == _fresh_state(grown)
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["same-K", "cross-K"])
+    def test_one_hop_difference_does_not_settle(self, grow):
+        base, grown, limit = _grown_pair()
+        series = grown if grow else base
+        recorder = CheckpointRecorder()
+        scan_series(base, _consumer_set(), checkpoints=recorder)
+        last = recorder.checkpoints[-1]
+
+        def resume_against(ckpt):
+            # The deepest checkpoint alone is a complete reusable tail.
+            plan = ResumePlan(
+                [ckpt], recorder.spans[-1:], recorder.span_trips[-1:],
+                limit=limit if grow else base.num_steps,
+            )
+            return _resumed_scan(series, plan)
+
+        assert resume_against(last)[0]
+        P = np.array(last.P)
+        A, H = P // last.K, P % last.K
+        cell = np.flatnonzero((A < last.a_inf) & (H + 1 < last.K))[0]
+        P.flat[cell] += 1  # one more hop, same arrival
+        tampered = ScanCheckpoint(
+            last.window, last.last_processed, P, last.K, last.a_inf
+        )
+        assert np.array_equal(tampered.A, last.A)
+        assert not np.array_equal(tampered.H, last.H)
+        settled, consumers = resume_against(tampered)
+        assert not settled
+        assert _consumer_state(consumers) == _fresh_state(series)
+
+    @pytest.mark.parametrize(
+        "record_kernel, resume_kernel",
+        [("legacy", "batched"), ("batched", "legacy")],
+    )
+    def test_checkpoints_settle_across_kernels(
+        self, record_kernel, resume_kernel
+    ):
+        base, grown, limit = _grown_pair()
+        recorders = {}
+        for kernel in ("legacy", "batched"):
+            recorders[kernel] = CheckpointRecorder()
+            scan_series(
+                base, _consumer_set(), checkpoints=recorders[kernel],
+                kernel=kernel,
+            )
+        # Both kernels store the same packed keys.
+        pairs = zip(
+            recorders["legacy"].checkpoints, recorders["batched"].checkpoints
+        )
+        for left, right in pairs:
+            assert (left.window, left.last_processed, left.K) == (
+                right.window, right.last_processed, right.K,
+            )
+            assert np.array_equal(left.P, right.P)
+        recorder = recorders[record_kernel]
+        plan = ResumePlan(
+            recorder.checkpoints, recorder.spans, recorder.span_trips,
+            limit=limit,
+        )
+        settled, consumers = _resumed_scan(grown, plan, kernel=resume_kernel)
+        assert settled
+        assert _consumer_state(consumers) == _fresh_state(grown)
+
+    def test_checkpoint_bytes_are_packed_bytes(self):
+        series = aggregate(small_stream(), 40.0)
+        cell_bytes = series.num_nodes * series.num_nodes * 8
+        recorder = CheckpointRecorder()
+        scan_series(series, _consumer_set(), checkpoints=recorder)
+        assert len(recorder.checkpoints) > 2
+        for ckpt in recorder.checkpoints:
+            assert ckpt.nbytes == ckpt.P.nbytes == cell_bytes
+            assert not ckpt.P.flags.writeable
+        assert recorder.nbytes == len(recorder.checkpoints) * cell_bytes
+        bounded = CheckpointRecorder(max_bytes=2 * cell_bytes)
+        scan_series(series, _consumer_set(), checkpoints=bounded)
+        assert len(bounded.checkpoints) == 2
+        assert bounded.nbytes == 2 * cell_bytes
 
 
 class TestBlockedPairReachability:

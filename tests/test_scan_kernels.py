@@ -26,6 +26,7 @@ from repro.temporal import (
     TripListCollector,
     scan_series,
 )
+from repro.temporal import reachability
 from repro.temporal.reachability import (
     DistanceTotals,
     EarliestArrivalAccumulator,
@@ -292,6 +293,38 @@ class TestRunKernel:
         windows, commits, trips = _commits(series)
         assert (windows, commits) == (2, 1)
         assert trips == _commits(series, "legacy")[2]
+
+    def test_fallback_splits_a_source_firing_in_consecutive_windows(self):
+        # Source 0 fires in windows 1 and 0.  The buffered feed delivers
+        # both windows in one batch, so the record-only adapter must cut
+        # on the departure too: two calls, each with its own dep.
+        series = _series(3, 2, [(1, 0, 1), (0, 0, 2)])
+        via_batched, via_legacy = RecordLog(), RecordLog()
+        scan_series(series, via_batched, kernel="batched")
+        scan_series(series, via_legacy, kernel="legacy")
+        assert [call[1:4] for call in via_batched.calls] == [
+            (0, int, 1), (0, int, 0),
+        ]
+        assert via_batched.calls == via_legacy.calls
+
+    @pytest.mark.parametrize("bound", [0, 5, 1 << 14])
+    def test_trip_buffer_bound_never_changes_the_feed(self, bound, monkeypatch):
+        # Deliveries at any buffer bound, between checkpoint captures
+        # too, reach every collector in the legacy call order.
+        monkeypatch.setattr(reachability, "TRIP_BUFFER_TRIPS", bound)
+        stream = time_uniform_stream(25, 1, 80.0, seed=3)
+        series = aggregate(stream, 2.0)
+        logs = {}
+        for kernel in ("batched", "legacy"):
+            log, trips = RecordLog(), TripListCollector()
+            scan_series(
+                series, [log, trips], kernel=kernel,
+                checkpoints=CheckpointRecorder(),
+            )
+            t = trips.trips()
+            logs[kernel] = (log.calls, [a.tolist() for a in (t.u, t.v, t.dep)])
+        assert logs["batched"][0]
+        assert logs["batched"] == logs["legacy"]
 
     def test_accumulators_run_one_window_per_commit(self):
         series = _series(4, 2, [(1, 2, 3), (0, 0, 1)])

@@ -29,6 +29,7 @@ from repro.engine import (
     register_measure,
     unregister_measure,
 )
+from repro.engine import jobs as jobs_module
 from repro.generators import time_uniform_stream
 from repro.linkstream import read_tsv, write_tsv
 from repro.reporting import render_analysis
@@ -394,6 +395,36 @@ class TestHTTPDaemon:
         assert cancelled["state"] == "cancelled"
         with pytest.raises(JobCancelled):
             daemon.fetch(job["job_id"], wait=10)
+
+    def test_forgotten_job_is_404_and_health_counts_retained(
+        self, stream, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        service = AnalysisService(jobs=2, runners=1)
+        server = ServiceServer(("127.0.0.1", 0), service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            fingerprint = service.register_stream(stream)
+            old = client.analyze(fingerprint, num_deltas=4)
+            client.fetch(old["job_id"], wait=60)
+            new = client.analyze(fingerprint, num_deltas=5)
+            client.fetch(new["job_id"], wait=60)
+            service.queue.close()  # the runner has retired both jobs
+            assert client.health()["queue"]["retained"] == 1
+            assert client.status(new["job_id"])["state"] == "done"
+            parsed = urlparse(client.base_url)
+            conn = http.client.HTTPConnection(parsed.hostname, parsed.port)
+            conn.request("GET", f"/v1/jobs/{old['job_id']}")
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            conn.close()
+            assert response.status == 404
+            assert payload["kind"] == "not_found"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
     def test_shutdown_endpoint(self, stream):
         service = AnalysisService(jobs=2, runners=1)
