@@ -15,10 +15,12 @@ section of ``repro.temporal.reachability``).  Two regimes:
   what matters, and runs spread it over several windows.  The gate is
   a work counter, not a wall clock: the kernel must commit at most
   ``MAX_COMMIT_RATIO`` state commits per window (``SCAN_BATCHES`` over
-  ``SCAN_WINDOWS``), and it must buffer trips across runs: a wrapped
+  ``SCAN_WINDOWS``), and it must extract trips across runs: its row
+  buffer turns many commits into trips in one flush, so a wrapped
   collector counts the scan's ``record_batch`` deliveries, which may
-  be at most ``MAX_DELIVERY_RATIO`` per state commit.  Wall times land
-  in the bench record ungated.
+  be at most ``MAX_DELIVERY_RATIO`` per state commit.  The record also
+  carries the row-buffer flush count.  Wall times land in the bench
+  record ungated.
 
 Both regimes gate on bit-identity first — the full collector and
 accumulator state on the dense stream, every trip of every Δ on the
@@ -45,6 +47,7 @@ from repro.temporal import (
     TripListCollector,
     scan_series,
 )
+from repro.temporal import reachability
 from repro.temporal.reachability import DistanceTotals
 
 #: Dense synthetic workload: every pair linked once, uniform in time —
@@ -62,8 +65,8 @@ ROUNDS = 3
 #: (runs measure ~0.36 commits per window on irvine at paper scale).
 SPARSE_REPLICA = "irvine"
 MAX_COMMIT_RATIO = 0.5
-#: Trip deliveries per state commit: the scan buffers trips and
-#: delivers them per checkpoint span, not per run.
+#: Trip deliveries per state commit: the scan buffers committed rows
+#: and extracts their trips per flush, not per run.
 MAX_DELIVERY_RATIO = 0.25
 
 
@@ -180,16 +183,26 @@ def _sparse_scan(series, kernel):
     return state, occupancy.deliveries
 
 
-def test_scan_kernel_sparse_replica(benchmark, capsys):
+def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
     stream = dataset_stream(SPARSE_REPLICA)
     deltas = log_delta_grid(stream, num=sweep_size())
     series_list = [aggregate(stream, float(delta)) for delta in deltas]
+    # Count the row buffer's flushes (of a nonempty buffer).
+    flushes = [0]
+    flush = reachability._RowBuffer.flush
+
+    def counted_flush(rows):
+        flushes[0] += rows.rows > 0
+        return flush(rows)
+
+    monkeypatch.setattr(reachability._RowBuffer, "flush", counted_flush)
 
     def compare():
         seconds = {"batched": 0.0, "legacy": 0.0}
         windows = SCAN_WINDOWS["batched"]
         rows = SCAN_ROWS["batched"]
         commits = SCAN_BATCHES["batched"]
+        flushes[0] = 0
         deliveries = 0
         for delta, series in zip(deltas, series_list):
             states = {}
@@ -208,6 +221,7 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
             "rows": SCAN_ROWS["batched"] - rows,
             "commits": SCAN_BATCHES["batched"] - commits,
             "deliveries": deliveries,
+            "flushes": flushes[0],
         }
         return seconds, counts
 
@@ -216,14 +230,15 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
     delivery_ratio = counts["deliveries"] / counts["commits"]
     table = render_table(
         ["kernel", "wall_seconds", "windows", "rows", "commits",
-         "deliveries"],
+         "flushes", "deliveries"],
         [
             ["legacy", seconds["legacy"], counts["windows"], counts["rows"],
-             counts["rows"], ""],
+             counts["rows"], "", ""],
             ["batched", seconds["batched"], counts["windows"],
-             counts["rows"], counts["commits"], counts["deliveries"]],
-            ["commits/window", ratio, "", "", "", ""],
-            ["deliveries/commit", delivery_ratio, "", "", "", ""],
+             counts["rows"], counts["commits"], counts["flushes"],
+             counts["deliveries"]],
+            ["commits/window", ratio, "", "", "", "", ""],
+            ["deliveries/commit", delivery_ratio, "", "", "", "", ""],
         ],
         title=(
             f"Ablation — scan kernel, sparse regime ({SPARSE_REPLICA} "
@@ -242,6 +257,7 @@ def test_scan_kernel_sparse_replica(benchmark, capsys):
             "rows": counts["rows"],
             "commits": counts["commits"],
             "commits_per_window": float(ratio),
+            "flushes": counts["flushes"],
             "deliveries": counts["deliveries"],
             "deliveries_per_commit": float(delivery_ratio),
             "legacy_seconds": float(seconds["legacy"]),

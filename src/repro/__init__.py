@@ -158,13 +158,14 @@ rides — ships two interchangeable kernels
   windows in one vectorized step — a window joins the open run unless
   an earlier window of the run writes a state row it reads, so every
   read sees the pre-run state.  The ``(arrival, hops)`` state stays
-  packed into single int64 lexicographic keys for the whole scan,
-  segment minima run as bucketed padded gathers, and
-  collectors/accumulators are fed whole batches (``record_batch`` with
-  a per-trip ``dep`` array / ``observe_rows``, with a per-source
-  adapter for consumers that only implement the classic protocol).
-  Trips are buffered across runs, so a batch may span windows; each
-  (window, source) pair is contiguous and in legacy order.
+  packed into single int64 lexicographic keys for the whole scan, the
+  planner precomputes each run's gather and scatter layout so segment
+  minima are in-place prefix folds, and collectors/accumulators are fed
+  whole batches (``record_batch`` with a per-trip ``dep`` array /
+  ``observe_rows``, with a per-source adapter for consumers that only
+  implement the classic protocol).  Committed rows are buffered across
+  runs and turned into trips per flush, so a batch may span windows;
+  each (window, source) pair is contiguous and in legacy order.
   Checkpoint captures, resume candidates and state accumulators cut
   runs to the windows where they must see the state.
 * ``legacy`` is the original one-Python-iteration-per-source loop,

@@ -11,14 +11,15 @@ own parameter token (see :meth:`DeltaTask.cache_key`).
 
 Two stores are provided.  :class:`MemoryStore` is a bounded LRU map for
 within-process reuse; :class:`DiskStore` pickles results under a cache
-directory (atomic writes, corrupt entries treated as misses) so warm
-re-runs survive across processes.  :class:`SweepCache` layers them:
-reads check memory first and promote disk hits, writes go to every
-layer.
+directory (atomic writes; versioned, checksummed entries, so corrupt or
+foreign ones are misses) so warm re-runs survive across processes.
+:class:`SweepCache` layers them: reads check memory first and promote
+disk hits, writes go to every layer.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -32,6 +33,18 @@ from repro.utils.errors import EngineError
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
+
+#: :class:`DiskStore` entry header: magic, format version (bump it when
+#: the entry layout changes), then the payload's BLAKE2b digest.
+ENTRY_MAGIC = b"RPRC"
+ENTRY_VERSION = 1
+_DIGEST_SIZE = 32
+_HEADER = ENTRY_MAGIC + ENTRY_VERSION.to_bytes(2, "big")
+_HEADER_SIZE = len(_HEADER) + _DIGEST_SIZE
+
+
+def _digest(payload) -> bytes:
+    return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
 
 
 class CacheStore(ABC):
@@ -92,8 +105,16 @@ class DiskStore(CacheStore):
 
     Entries are named by their (hex) cache key, written atomically via a
     temporary file, and sharded into 256 subdirectories by key prefix so
-    huge caches stay filesystem-friendly.  Unreadable entries count as
-    misses — a damaged cache only costs recomputation.
+    huge caches stay filesystem-friendly.  Each entry is a short header —
+    the magic :data:`ENTRY_MAGIC`, the format :data:`ENTRY_VERSION` and
+    a BLAKE2b checksum of the payload — followed by the pickled value.
+    A wrong magic or version, a checksum mismatch, a truncated file or
+    an unreadable pickle is a miss, so a damaged (or foreign, or
+    older-format) entry only costs a recomputation, whose ``put``
+    overwrites it.  The checksum guards against corruption, not against
+    a hostile writer: anyone who can write the cache directory can
+    write a valid entry, and loading an entry unpickles it, so share a
+    cache directory only with writers you trust.
 
     ``max_bytes`` caps the store's total size: when the cap is exceeded
     after a write, entries are deleted until the store fits again.
@@ -175,10 +196,20 @@ class DiskStore(CacheStore):
             path = weighted[0]
         try:
             with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except FileNotFoundError:
+                data = handle.read()
+        except OSError:
             return MISS
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+        header = len(_HEADER)
+        payload = memoryview(data)[_HEADER_SIZE:]
+        if (
+            len(data) < _HEADER_SIZE
+            or data[:header] != _HEADER
+            or data[header:_HEADER_SIZE] != _digest(payload)
+        ):
+            return MISS
+        try:
+            value = pickle.loads(payload)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
             return MISS
         try:
             # Mark the entry recently used, so the LRU sweep spares it.
@@ -191,10 +222,13 @@ class DiskStore(CacheStore):
         path = self._path(key, weight)
         path.parent.mkdir(parents=True, exist_ok=True)
         stale = [p for p in self._variants(key) if p != path]
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(_HEADER)
+                handle.write(_digest(payload))
+                handle.write(payload)
             written = os.path.getsize(tmp_name)
             # An overwrite replaces an existing entry: account the delta,
             # not the full size, or re-puts would inflate the estimate and

@@ -64,32 +64,53 @@ Two kernels implement the identical per-window update rule:
     such scans run one window per run).  Runs are planned in blocks of
     windows that double in size, and never span two blocks, so a
     resumed scan that settles after a few windows plans only those.
-  - *The step.*  The run's hops are sorted by (window descending,
-    source), giving one *segment* per (window, source) pair with its
-    own departure step; segment minima of the stashed continuation
-    keys come from size-bucketed padded gathers (skipped when every
-    segment holds one hop), each segment's direct hops scatter the key
-    ``step * K + 1``, and the lexicographic minimum with the old rows
-    commits in one fancy-indexed write.  The staged ``(hops × width)``
-    working set is chunked over whole segments to bound memory, with a
-    single-chunk fast path when the run fits the budget; one state
-    commit per chunk (:data:`SCAN_BATCHES`).
-  - *Emission order.*  The C-order ``nonzero`` of the improvement mask
-    walks segments in (window descending, source) order and columns
-    ascending within each, which is exactly the legacy kernel's trip
-    order.  Accumulators are fed one row-matrix batch per chunk
-    (``observe_rows``).
-  - *The trip buffer.*  Trip collectors are not called per run: each
-    chunk appends its recorded trips (source, departure window, target
-    and packed key) to a buffer local to the scan, and the scan decodes
-    the buffer (arrival, hops, duration) and delivers it as one
-    concatenated ``record_batch`` per collector.  It delivers before a
-    checkpoint capture hands the consumers off, before a settled resume
-    freezes them, at the end of the scan, and as soon as a chunk takes
-    the buffer past :data:`TRIP_BUFFER_TRIPS` trips (a dense chunk thus
-    delivers while its arrays are still in cache).  Appending never
-    reorders, so a delivered batch may span many windows but its rows
-    are still in legacy order.
+  - *The layout.*  Per block of windows, the planner sorts the hops by
+    (window descending, source), giving one *segment* per (window,
+    source) pair with its own departure step; a run is a contiguous
+    range of segments.  A run commits as one *group*, or — when its
+    staged ``(hops × width)`` working set would exceed the chunk budget
+    (``REPRO_SCAN_BATCH_CELLS``) — as several groups of whole segments,
+    which bounds memory (one state commit per group,
+    :data:`SCAN_BATCHES`).  Within a group the planner lays the
+    segments out largest first (stably by hop count), so the segments
+    with more than ``r`` hops are always a prefix, and precomputes
+    everything that does not depend on the state (:class:`_RunBlock`):
+    one gather index per group holding its hop targets rank-major (all
+    first hops, then all second hops, ...) followed by its sources; the
+    direct hops as flat positions in the group's candidate rows with
+    their keys ``step * K + 1`` (a ``targets=`` restriction drops the
+    hops outside it here); and per hop rank the prefix length to fold.
+  - *The step.*  The per-group body is a short, fixed sequence of
+    state-dependent numpy calls (:func:`_apply_run`): one gather yields
+    the continuation rows and the old rows; each further hop rank folds
+    into the segment minima with one in-place ``np.minimum`` on a
+    prefix; ``+ 1`` costs the continuation its hop; one flat write
+    scatters the direct hops; the strict-improvement mask and the
+    lexicographic minimum with the old rows are written straight into
+    the row buffer (``np.less``/``np.minimum`` with ``out=``), whose
+    rows commit to the state.  Accumulators see each group's old and
+    new rows as one batch (``observe_rows``).
+  - *The row buffer.*  Trips are not extracted per run: a scan-local
+    buffer (:class:`_RowBuffer`) holds the committed groups' masks and
+    new rows, consecutive laid-out segments of one block.  A flush
+    clears the diagonal of every buffered row at once (unless
+    ``include_self``), runs one C-order ``nonzero``, decodes the trips
+    (arrival, hops, duration) and delivers one ``record_batch`` per
+    collector; the flushes' counts are the scan's trip count.  The
+    scan flushes before a checkpoint capture hands the consumers off,
+    before a settled resume freezes them, and at its end; the buffer
+    flushes itself when a group comes from another block or would not
+    fit, and once it holds :data:`ROW_BUFFER_CELLS` cells (near
+    0.5 MiB, so a dense scan flushes while the rows are still in
+    cache).
+  - *Emission order.*  The buffer holds whole groups, and a group is
+    a contiguous range of segments laid out only within itself, so a
+    flush can restore legacy segment order by reindexing the buffered
+    mask rows.  Its C-order ``nonzero`` then walks segments in (window
+    descending, source) order and columns ascending within each —
+    exactly the legacy kernel's trip order — and flushes follow one
+    another in scan order, so a delivered batch may span many windows
+    but its rows are still in legacy order.
   - *Fallbacks.*  Consumers without the batch methods get their
     per-source/per-row protocol, in that same order, with the same
     arguments.
@@ -174,11 +195,12 @@ SCAN_COUNTS = {"series": 0, "stream": 0}
 #: Per-kernel work tallies (same no-behaviour caveats as
 #: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates,
 #: ``SCAN_WINDOWS`` nonempty windows processed, and ``SCAN_BATCHES``
-#: state commits — one per run chunk for the batched kernel (a run of
-#: conflict-free windows commits at once), one per row for the legacy
-#: loop.  Tests and benches assert how much work a scan did, not just
-#: that one happened: the two kernels must agree on rows and windows
-#: while ``batched`` commits in far fewer batches.
+#: state commits — one per run for the batched kernel (a run of
+#: conflict-free windows commits at once; one over the cell budget
+#: commits per chunk), one per row for the legacy loop.  Tests and
+#: benches assert how much work a scan did, not just that one happened:
+#: the two kernels must agree on rows and windows while ``batched``
+#: commits in far fewer batches.
 SCAN_ROWS = {"batched": 0, "legacy": 0}
 SCAN_WINDOWS = {"batched": 0, "legacy": 0}
 SCAN_BATCHES = {"batched": 0, "legacy": 0}
@@ -194,15 +216,17 @@ SCAN_KERNELS = ("batched", "legacy")
 #: multi-chunk path; the value never affects results, only peak memory).
 BATCH_CELL_BUDGET = 1 << 20
 
-#: Trips the batched kernel buffers before delivering them to the trip
-#: collectors (it also delivers at checkpoint and settle boundaries and
-#: at the end of the scan).  Sparse scans record a few trips per run, so
-#: one delivery serves thousands of runs.  The bound keeps the buffer
-#: and its decode temporaries (about 56 bytes a trip) near 1 MiB, in
-#: cache: a buffer as large as the chunk cell budget (a million trips)
-#: made dense collector-only scans ~40% slower.  The bound is checked
-#: per chunk, so one large run cannot grow the buffer past it either.
-TRIP_BUFFER_TRIPS = 1 << 14
+#: State cells (committed rows × state width) the batched kernel's row
+#: buffer holds before it flushes them into trips (it also flushes at
+#: checkpoint and settle boundaries, at a block change and at the end of
+#: the scan).  Sparse scans commit a few rows per run, so one flush
+#: serves many runs.  The bound keeps the buffer (9 bytes a cell: the
+#: packed key and the improvement flag) near 0.5 MiB, in cache; a
+#: commit larger than the bound gets a buffer of its own size and
+#: flushes at once.  Twice the bound ran no faster and raised the peak
+#: RSS of a cold sweep of the four paper replicas by 5-11 MB (four
+#: seeds).
+ROW_BUFFER_CELLS = 1 << 16
 
 #: Windows in the batched kernel's first run-planning block; each later
 #: block doubles.  A resumed scan that settles after a few windows plans
@@ -613,14 +637,23 @@ class EarliestArrivalAccumulator:
         """
         if self._A is None:
             return
-        for source in range(self.num_nodes):
-            self._fold_row(
-                source,
-                self._A[source],
-                self._H[source],
-                0,
-                int(self._row_hi[source]),
-            )
+        # One closed-form, masked pass over every row (all integer
+        # arithmetic, so bit-identical to folding row by row): a row's
+        # pending run [0, row_hi] has row_hi + 1 steps.  The dead state
+        # is reused in place; `reach` is zero off the finite cells, so
+        # the sentinels multiply to zero and never wrap.
+        run_len = self._row_hi + 1
+        reach = np.where(self._A < INT_INF, run_len[:, None], 0)
+        self.reach_steps += reach
+        A = self._A
+        A += 1
+        A *= reach
+        t_total = (self._row_hi * run_len // 2)[:, None]
+        np.subtract(A, t_total, out=A, where=reach > 0)
+        self.dist_sum += A
+        H = self._H
+        H *= reach
+        self.hops_sum += H
         self._A = None
         self._H = None
         self._row_hi = None
@@ -1118,54 +1151,115 @@ def _pack_rows(A: np.ndarray, H: np.ndarray, K: int, a_inf: int) -> np.ndarray:
     return np.where(finite, A, a_inf) * K + np.where(finite, H, K - 1)
 
 
-class _TripBuffer:
-    """Minimal trips the run kernel recorded but has not delivered yet.
+class _RowBuffer:
+    """Committed rows whose minimal trips the run kernel has not
+    extracted yet.
 
-    Each chunk appends parallel arrays of trip sources, departure
-    windows, target node ids and packed ``arrival * K + hops`` keys, in
-    emission order.  :meth:`deliver` decodes everything buffered and
-    feeds it to ``collectors`` (the scan swaps in the successors at a
-    checkpoint handoff) as one ``record_batch`` call each.  An append
-    that takes the buffer past :data:`TRIP_BUFFER_TRIPS` delivers at
-    once, while the chunk's arrays are still in cache; the scan delivers
-    at its boundaries (see the module docstring's *Scan kernels*).
+    Each state commit of the run kernel (one *group*: a run, or one
+    chunk of a run over the cell budget) writes its strict-improvement
+    mask and its new packed rows into the next consecutive rows of
+    ``mask`` and ``keys`` (``np.less``/``np.minimum`` with ``out=``).
+    Buffered rows are laid-out segments ``[lo, lo + rows)`` of one
+    :class:`_RunBlock`, and the buffer always holds whole groups.
+
+    :meth:`flush` turns everything buffered into trips at once: it
+    clears the diagonal (unless ``include_self``), restores legacy
+    segment order (within a group the kernel lays segments out by size,
+    see :class:`_RunBlock`), runs one C-order ``nonzero``, decodes the
+    packed keys and feeds ``collectors`` (the scan swaps in the
+    successors at a checkpoint handoff) one ``record_batch`` each.  It
+    returns the number of trips, the scan's only trip count.  The
+    buffer flushes itself when a group comes from another block or
+    would not fit, and once it holds :data:`ROW_BUFFER_CELLS` cells;
+    the scan flushes it at its boundaries (see the module docstring's
+    *Scan kernels*).
     """
 
-    __slots__ = ("collectors", "K", "parts", "size")
+    __slots__ = (
+        "collectors", "K", "cols", "include_self", "width", "cap",
+        "mask", "keys", "block", "lo", "rows",
+    )
 
-    def __init__(self, collectors: list, K: int) -> None:
+    def __init__(
+        self,
+        collectors: list,
+        K: int,
+        cols: np.ndarray | None,
+        include_self: bool,
+        width: int,
+    ) -> None:
         self.collectors = collectors
         self.K = K
-        self.parts: list[tuple[np.ndarray, ...]] = []
-        self.size = 0
+        self.cols = cols
+        self.include_self = include_self
+        self.width = width
+        #: Rows that make up the cell bound (at least one).
+        self.cap = max(-(-ROW_BUFFER_CELLS // max(width, 1)), 1)
+        self.mask: np.ndarray | None = None
+        self.keys: np.ndarray | None = None
+        self.block: _RunBlock | None = None
+        self.lo = 0
+        self.rows = 0
 
-    def add(
-        self,
-        sources: np.ndarray,
-        deps: np.ndarray,
-        targets: np.ndarray,
-        keys: np.ndarray,
-    ) -> None:
-        self.parts.append((sources, deps, targets, keys))
-        self.size += keys.size
-        if self.size > TRIP_BUFFER_TRIPS:
-            self.deliver()
+    def claim(self, block: "_RunBlock", lo: int, nseg: int) -> int:
+        """Make room for a group of ``nseg`` rows starting at laid-out
+        segment ``lo`` of ``block``; returns the trips a flush found."""
+        flushed = 0
+        if self.rows and (
+            block is not self.block or self.rows + nseg > self.cap
+        ):
+            flushed = self.flush()
+        if not self.rows:
+            self.block = block
+            self.lo = lo
+            if self.mask is None or nseg > self.mask.shape[0]:
+                size = max(self.cap, nseg)
+                self.mask = np.empty((size, self.width), dtype=bool)
+                self.keys = np.empty((size, self.width), dtype=np.int64)
+        return flushed
 
-    def deliver(self) -> None:
-        """Feed every buffered trip to the collectors; empty the buffer."""
-        if not self.size:
-            return
-        if len(self.parts) == 1:
-            sources, deps, targets, keys = self.parts[0]
+    def flush(self) -> int:
+        """Extract, decode and deliver every buffered trip; empty the
+        buffer and return the trip count."""
+        rows = self.rows
+        if not rows:
+            return 0
+        self.rows = 0
+        block, lo = self.block, self.lo
+        mask = self.mask[:rows]
+        if not self.include_self:
+            diag = block.self_cols[lo:lo + rows]
+            at = np.arange(0, rows * self.width, self.width) + diag
+            if self.cols is not None:
+                at = at[diag >= 0]
+            mask.reshape(-1)[at] = False
+        if not self.collectors:
+            return int(np.count_nonzero(mask))
+        # C-order nonzero over rows in legacy segment order: segments in
+        # (window descending, source) order, columns ascending within
+        # each — exactly the legacy window-by-window, source-by-source
+        # emission order.  (Flat indices: a 2-D nonzero is several
+        # times slower.)
+        width = self.width
+        if block.laid_pos is None:
+            flat = np.flatnonzero(mask)
+            row_idx, col_idx = np.divmod(flat, width)
         else:
-            sources, deps, targets, keys = (
-                np.concatenate(column) for column in zip(*self.parts)
-            )
-        self.parts = []
-        self.size = 0
+            legacy = block.laid_pos[lo:lo + rows] - lo
+            row_idx, col_idx = np.divmod(np.flatnonzero(mask[legacy]), width)
+            row_idx = legacy[row_idx]
+            flat = row_idx * width + col_idx
+        if not flat.size:
+            return 0
         # Recorded cells improved, hence are finite: decoding the keys
         # needs no sentinel fixup.
-        arrivals, hops = np.divmod(keys, self.K)
+        arrivals, hops = np.divmod(
+            self.keys[:rows].reshape(-1)[flat], self.K
+        )
+        row_idx += lo
+        sources = block.sources[row_idx]
+        deps = block.steps[row_idx]
+        targets = col_idx if self.cols is None else self.cols[col_idx]
         durations = arrivals - deps
         durations += 1
         for collector in self.collectors:
@@ -1177,27 +1271,43 @@ class _TripBuffer:
                     collector, sources, deps, targets, arrivals, hops,
                     durations,
                 )
+        return int(sources.size)
 
 
 class _RunBlock:
     """One block of consecutive windows, laid out for the run kernel.
 
-    The block's hops (expanded for undirected input) are sorted by
-    (scan position, source) — window descending, then source — so each
-    (window, source) pair is one contiguous **segment** and every run of
-    the block's windows is a contiguous range of hops and of segments.
-    Per hop: ``targets`` (node ids, the continuation rows), ``tcols``
-    (their state columns, -1 outside a ``targets=`` restriction),
-    ``direct`` (the packed direct-hop key ``step * K + 1``) and
-    ``seg_of`` (the segment index).  Per segment: ``sources``,
-    ``self_cols`` (the diagonal column, -1 outside the restriction),
-    ``steps`` (the departure window), ``starts`` (first hop) and
-    ``sizes`` (hop count).
+    The block's hops (expanded for undirected input) sort by (scan
+    position, source) — window descending, then source — so each
+    (window, source) pair is one contiguous **segment** in *legacy
+    order* and every run of the block's windows is a contiguous range
+    of segments.  The kernel commits a run as one **group**, or, when
+    its hops exceed the chunk budget, as several groups of whole
+    consecutive segments.  Within each group the segments are *laid
+    out* by hop count descending (stably), so the segments holding more
+    than ``r`` hops are always a prefix; all per-segment arrays are in
+    that laid-out order:
+
+    * ``sources`` (the row each segment writes), ``steps`` (its
+      departure window) and ``self_cols`` (its diagonal column, -1
+      outside a ``targets=`` restriction);
+    * ``laid_pos``, each legacy segment's laid-out position (``None``
+      when every group is already in legacy order), which the row
+      buffer uses to restore legacy order;
+    * ``gather``, one index array holding per group its hop targets
+      rank-major (every segment's first hop, then every second hop of
+      the segments with two or more, ...) followed by its sources, so
+      one ``P[...]`` gather yields both the continuation rows and the
+      old rows;
+    * ``dpos``/``dkey``, per group the direct hops as flat positions in
+      the group's candidate rows (``row * width + column``) with their
+      packed keys ``step * K + 1``; a ``targets=`` restriction drops
+      the hops whose target lies outside it.
     """
 
     __slots__ = (
-        "targets", "tcols", "direct", "seg_of",
-        "sources", "self_cols", "steps", "starts", "sizes",
+        "sources", "steps", "self_cols", "laid_pos", "gather", "dpos",
+        "dkey",
     )
 
 
@@ -1254,6 +1364,8 @@ def _plan_runs(
     resume_windows: np.ndarray | None,
     *,
     single: bool,
+    max_rows: int,
+    width: int,
 ) -> Iterator[tuple[int, int, int, int, bool, tuple]]:
     """Lay out a series for the run kernel and cut it into runs.
 
@@ -1261,11 +1373,13 @@ def _plan_runs(
     scan order: scan positions ``[first, end)`` (0-based iteration
     indices, latest window first), the run's first and last window,
     whether the scan captures a checkpoint before the run, and the
-    kernel's ``(block, h0, h1, s0, s1)`` hop/segment ranges.  Windows
-    are planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling in size.
-    A run opens at every position where ``capture`` (indexed by scan
-    position; ``None`` for no checkpoints) is set and at every window in
-    ``resume_windows``; ``single`` makes every window its own run.
+    kernel's ``(block, g0, g1, groups)`` layout (see :func:`_apply_run`).
+    Windows are planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling
+    in size.  A run opens at every position where ``capture`` (indexed
+    by scan position; ``None`` for no checkpoints) is set and at every
+    window in ``resume_windows``; ``single`` makes every window its own
+    run.  A run of more than ``max_rows`` hops commits as several
+    groups of whole segments; ``width`` is the state width.
     """
     windows = series.nonempty_steps()
     nw = int(windows.size)
@@ -1279,7 +1393,7 @@ def _plan_runs(
         size *= 2
         yield from _plan_block(
             series, windows, offsets, first, end, K, col_of, capture,
-            resume_windows, single,
+            resume_windows, single, max_rows, width,
         )
         first = end
 
@@ -1295,6 +1409,8 @@ def _plan_block(
     capture: np.ndarray | None,
     resume_windows: np.ndarray | None,
     single: bool,
+    max_rows: int,
+    width: int,
 ) -> list[tuple[int, int, int, int, bool, tuple]]:
     """Lay out scan positions ``[first, end)`` as one :class:`_RunBlock`
     and return its runs (see :func:`_plan_runs`).  The sort and conflict
@@ -1318,26 +1434,19 @@ def _plan_block(
     order = np.argsort(key, kind="stable")
     key = key[order]
     v = v[order]
+    nhops = key.size
     # Segment heads: where the sorted (position, source) key changes.
-    head = np.empty(key.size, dtype=bool)
+    head = np.empty(nhops, dtype=bool)
     head[0] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
     starts = np.flatnonzero(head)
+    nseg = starts.size
+    seg_of = np.cumsum(head) - 1
     seg_pos, sources = np.divmod(key[starts], n)
-    block = _RunBlock()
-    block.targets = v
-    block.seg_of = np.cumsum(head) - 1
-    block.sources = sources
-    block.steps = block_windows[seg_pos]
-    block.direct = block.steps[block.seg_of] * K + 1
-    block.starts = starts
-    block.sizes = np.diff(np.append(starts, key.size))
-    if col_of is None:
-        block.tcols = v
-        block.self_cols = sources
-    else:
-        block.tcols = col_of[v]
-        block.self_cols = col_of[sources]
+    steps = block_windows[seg_pos]
+    sizes = np.diff(np.append(starts, nhops))
+    # The sort temporaries are dead: free them before the layout's own.
+    del u, pos, key, order, head
     captures = (
         np.zeros(count, dtype=bool) if capture is None
         else capture[first:end]
@@ -1345,161 +1454,218 @@ def _plan_block(
     if single:
         run_starts = list(range(count))
     else:
-        writer = _previous_writers(
-            sources, seg_pos, v, seg_pos[block.seg_of], count
-        )
+        writer = _previous_writers(sources, seg_pos, v, seg_pos[seg_of], count)
         # Positions where the scan must see the state between two
         # windows: a run may start there but never absorb them.
         writer[captures] = count
         if resume_windows is not None:
             writer[np.isin(block_windows, resume_windows)] = count
         run_starts = _greedy_runs(writer)
-    capture_flags = captures[run_starts].tolist()
-    hop_bounds = np.searchsorted(key, np.asarray(run_starts) * n).tolist()
-    seg_bounds = np.searchsorted(seg_pos, run_starts).tolist()
-    hop_bounds.append(key.size)
-    seg_bounds.append(sources.size)
-    run_ends = run_starts[1:] + [count]
-    step_list = block.steps.tolist()
-    runs = []
-    for i, lo in enumerate(run_starts):
-        s0, s1 = seg_bounds[i], seg_bounds[i + 1]
-        runs.append(
-            (
-                first + lo,
-                first + run_ends[i],
-                step_list[s0],
-                step_list[s1 - 1],
-                capture_flags[i],
-                (block, hop_bounds[i], hop_bounds[i + 1], s0, s1),
-            )
+    run_segs = np.append(np.searchsorted(seg_pos, run_starts), nseg)
+    # Groups: a run commits at once unless its hops exceed the chunk
+    # budget; then it commits in chunks of whole segments.
+    hop_at = np.append(starts, nhops)
+    run_hops = np.diff(hop_at[run_segs])
+    group_segs = run_segs
+    run_groups = np.arange(run_segs.size)
+    big = np.flatnonzero(run_hops > max_rows)
+    if big.size:
+        cuts = [run_segs[:1]]
+        group_count = np.ones(run_hops.size, dtype=np.int64)
+        for r, (s0, s1) in enumerate(zip(run_segs[:-1], run_segs[1:])):
+            if run_hops[r] <= max_rows:
+                cuts.append(np.array([s1]))
+            else:
+                chunks = _chunk_bounds(sizes[s0:s1], max_rows)[1:]
+                group_count[r] = chunks.size
+                cuts.append(chunks + s0)
+        group_segs = np.concatenate(cuts)
+        run_groups = np.append(0, np.cumsum(group_count))
+    ngroups = group_segs.size - 1
+    group_hops = hop_at[group_segs]
+    g_of = np.repeat(np.arange(ngroups), np.diff(group_segs))
+    # Lay each group's segments out by size, largest first (stable), and
+    # its hops rank-major, ordered by segment within each rank.
+    block = _RunBlock()
+    block.laid_pos = None
+    block.sources = sources
+    block.steps = steps
+    hop_group = g_of[seg_of]
+    # Each hop's row in its group's candidate rows (its laid-out
+    # segment's position in the group).
+    seg_row = seg_of - group_segs[hop_group]
+    hop_order = None
+    if nhops > nseg:
+        lay = np.lexsort((-sizes, g_of))
+        if np.any(lay != np.arange(nseg)):
+            block.laid_pos = np.empty(nseg, dtype=np.int64)
+            block.laid_pos[lay] = np.arange(nseg)
+            block.sources = sources[lay]
+            block.steps = steps[lay]
+            seg_row = block.laid_pos[seg_of]
+            seg_row -= group_segs[hop_group]
+        rank = np.arange(nhops)
+        rank -= starts[seg_of]
+        hop_order = np.lexsort((seg_row, rank, hop_group))
+        rank = rank[hop_order]
+    block.self_cols = (
+        block.sources if col_of is None else col_of[block.sources]
+    )
+    # Per group: its hops rank-major, then its laid-out sources.  The
+    # sort keeps every group's hops inside the group's own range, so
+    # hop_group also gives the group of a sorted position.
+    block.gather = np.empty(nhops + nseg, dtype=np.int64)
+    at = group_segs[hop_group]
+    at += np.arange(nhops)
+    block.gather[at] = v if hop_order is None else v[hop_order]
+    del at, hop_order
+    block.gather[np.arange(nseg) + group_hops[1:][g_of]] = block.sources
+    # Direct hops, in legacy order: flat positions in the candidate rows.
+    tcols = v if col_of is None else col_of[v]
+    dpos = seg_row
+    dpos *= width
+    dpos += tcols
+    dkey = steps[seg_of]
+    dkey *= K
+    dkey += 1
+    direct_at = group_hops
+    if col_of is not None:
+        keep = tcols >= 0
+        dpos = dpos[keep]
+        dkey = dkey[keep]
+        direct_at = np.append(0, np.cumsum(keep))[group_hops]
+    block.dpos = dpos
+    block.dkey = dkey
+    # Folds: per group and rank >= 1, where the rank's rows start in the
+    # group's gather section and how many segments reach that rank.
+    folds: list = [()] * ngroups
+    if nhops > nseg:
+        ranked = np.flatnonzero(rank > 0)
+        fold_key = hop_group[ranked] * nhops + rank[ranked]
+        brk = np.flatnonzero(
+            np.append(True, fold_key[1:] != fold_key[:-1])
         )
-    return runs
+        fold_at = ranked[brk]
+        fold_count = np.diff(np.append(brk, ranked.size))
+        fold_group = hop_group[fold_at]
+        fold_off = fold_at - group_hops[fold_group]
+        for g, off, c in zip(
+            fold_group.tolist(), fold_off.tolist(), fold_count.tolist()
+        ):
+            folds[g] += ((off, c),)
+    # Per group, its gather offset within its run's section.
+    group_start = group_hops + group_segs
+    run_of_group = np.repeat(np.arange(run_hops.size), np.diff(run_groups))
+    group_list = list(
+        zip(
+            (group_start[:-1] - group_start[run_groups[run_of_group]]).tolist(),
+            np.diff(group_hops).tolist(),
+            np.diff(group_segs).tolist(),
+            group_segs.tolist(),
+            direct_at.tolist(),
+            direct_at[1:].tolist(),
+            folds,
+        )
+    )
+    if big.size:
+        bounds = run_groups.tolist()
+        run_group_lists = [
+            tuple(group_list[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+    else:
+        run_group_lists = [(group,) for group in group_list]
+    run_gather = group_start[run_groups].tolist()
+    run_pos = np.append(run_starts, count)
+    return list(
+        zip(
+            (run_pos[:-1] + first).tolist(),
+            (run_pos[1:] + first).tolist(),
+            steps[run_segs[:-1]].tolist(),
+            steps[run_segs[1:] - 1].tolist(),
+            captures[run_pos[:-1]].tolist(),
+            [
+                (block, g0, g1, groups)
+                for g0, g1, groups in zip(
+                    run_gather, run_gather[1:], run_group_lists
+                )
+            ],
+        )
+    )
 
 
 def _apply_run(
     P: np.ndarray,
     K: int,
     a_inf: int,
-    max_rows: int,
     block: _RunBlock,
-    h0: int,
-    h1: int,
-    s0: int,
-    s1: int,
-    trips: _TripBuffer | None,
-    include_self: bool,
+    g0: int,
+    g1: int,
+    groups: tuple,
+    rows: _RowBuffer,
     accumulators: list,
-    cols: np.ndarray | None = None,
 ) -> int:
     """Apply one run of conflict-free windows to the packed state;
-    returns trips recorded.  Bit-identical to :func:`_process_group`
-    applied window by window (see the module docstring's *Scan kernels*
-    section for the run rule and why it is exact).  Recorded trips go
-    to the ``trips`` buffer (``None`` when no collector wants them).
+    returns the trips of the row-buffer flushes it triggered.
+    Bit-identical to :func:`_process_group` applied window by window
+    (see the module docstring's *Scan kernels* section for the run rule
+    and why it is exact).
 
     ``P`` is the scan state with each ``(arrival, hop)`` pair packed
     into a single int64 lexicographic key ``A * K + H`` — ``K`` above
     every finite hop the scan can produce, ``a_inf`` above every window
     index, infinite cells at the ``a_inf * K + (K - 1)`` sentinel.  The
-    run is ``block``'s hops ``[h0, h1)`` and segments ``[s0, s1)``.
+    run is ``block``'s gather section ``[g0, g1)``, committed as
+    ``groups``: per group ``(off, nhops, nseg, s0, d0, d1, folds)`` —
+    its gather section offset, hop and segment counts, first laid-out
+    segment, direct-hop range and its ``(offset, count)`` fold per hop
+    rank (see :class:`_RunBlock`).
 
-    Every segment update is independent: all continuation reads see the
-    pre-run state.  The kernel takes every segment minimum of the packed
-    continuation keys in one pass — arrival first, hop tie-break for
-    free — scatters every direct-hop key at once, and commits all
-    updated source rows with a single fancy-indexed write.  Segment
-    minima use size-bucketed padded gathers reduced along the pad axis
-    (``np.minimum.reduceat``'s scalar inner loop is several times slower
-    per cell); padding repeats each segment's first row, which is
-    idempotent under ``min``.  When every segment holds one hop the
-    gather alone is the minimum.
+    Per group, every step depends on the state and nothing else: one
+    gather yields the continuation rows (rank-major) and the old rows;
+    each rank's rows fold into the segment minima with one in-place
+    ``np.minimum`` on a prefix (segments are laid out largest first);
+    the continuation costs one hop (``+ 1``); one flat write scatters
+    the direct hops; then the strict-improvement mask and the
+    lexicographic minimum with the old rows go straight into the row
+    buffer, whose rows commit to the state.  Trips are extracted later,
+    many groups at once (:meth:`_RowBuffer.flush`).
 
-    The staged working set — up to ``(hops × width)`` continuation
-    cells, inflated at most 50% by pad rows — is chunked over whole
-    segments (:func:`_chunk_bounds`) so a dense run on a wide state
-    never materializes much more than ``max_rows`` hop rows at once;
-    chunks then read a copied pre-run stash, since earlier chunks have
-    committed.  A run that fits takes one chunk and reads the live
+    A run whose hops exceed the chunk budget comes as several groups of
+    whole segments, so it never stages much more than the budget's hop
+    rows at once; its groups then read a copied pre-run stash, since
+    earlier groups have committed.  A run of one group reads the live
     state directly (nothing commits before its reads are staged).
     """
-    sources = block.sources[s0:s1]
-    targets = block.targets[h0:h1]
-    nseg = s1 - s0
-    nhops = h1 - h0
-    if nhops <= max_rows:
-        chunks = [(0, nseg, 0, nhops)]
-        stash, w_pos, u_pos = P, targets, sources
+    index = block.gather[g0:g1]
+    if len(groups) == 1:
+        stash = P
     else:
-        seg_bounds = _chunk_bounds(block.sizes[s0:s1], max_rows)
-        hop_bounds = np.append(block.starts[s0:s1] - h0, nhops)[seg_bounds]
-        chunks = list(
-            zip(
-                seg_bounds[:-1].tolist(), seg_bounds[1:].tolist(),
-                hop_bounds[:-1].tolist(), hop_bounds[1:].tolist(),
-            )
-        )
-        involved = np.unique(np.concatenate([sources, targets]))
+        involved = np.unique(index)
         # Fancy indexing copies: this is the pre-run stash.
         stash = P[involved]
-        w_pos = np.searchsorted(involved, targets)
-        u_pos = np.searchsorted(involved, sources)
-    width = P.shape[1]
-    trips_recorded = 0
-    SCAN_ROWS["batched"] += nseg
-    SCAN_BATCHES["batched"] += len(chunks)
-
-    for lo, hi, row_lo, row_hi in chunks:
-        nrows = hi - lo
-        chunk_w_pos = w_pos[row_lo:row_hi]
-        if row_hi - row_lo == nrows:
-            # Every segment is one hop: the gather is the minimum.
-            P_cand = stash[chunk_w_pos]
-            seg_ids = np.arange(nrows)
-        else:
-            # Segment minima of the packed keys: bucket segments by size
-            # class (1, 2, 3, 4, 6, 9, ... — a 1.5x progression bounds
-            # pad waste at 50%), gather each bucket padded to its class
-            # width — repeating the first row, min-idempotent — and
-            # reduce along the pad axis in one sweep per bucket.
-            sizes = block.sizes[s0 + lo:s0 + hi]
-            rel_starts = block.starts[s0 + lo:s0 + hi] - (h0 + row_lo)
-            P_cand = np.empty((nrows, width), dtype=np.int64)
-            pending = np.ones(nrows, dtype=bool)
-            k = 1
-            while pending.any():
-                sel = np.flatnonzero(pending & (sizes <= k))
-                if sel.size:
-                    if k == 1:
-                        P_cand[sel] = stash[chunk_w_pos[rel_starts[sel]]]
-                    else:
-                        pad = np.minimum(
-                            np.arange(k, dtype=np.int64), sizes[sel][:, None] - 1
-                        )
-                        rows_idx = rel_starts[sel][:, None] + pad
-                        P_cand[sel] = stash[chunk_w_pos[rows_idx]].min(axis=1)
-                    pending[sel] = False
-                k = k + 1 if k < 4 else k * 3 // 2
-            seg_ids = block.seg_of[h0 + row_lo:h0 + row_hi] - (s0 + lo)
+        index = np.searchsorted(involved, index)
+    SCAN_BATCHES["batched"] += len(groups)
+    flushed = 0
+    for off, nhops, nseg, s0, d0, d1, folds in groups:
+        SCAN_ROWS["batched"] += nseg
+        G = stash[index[off:off + nhops + nseg]]
+        # Segment minima of the packed keys: arrival first, hop
+        # tie-break for free.  Rank 0 holds every segment's first hop.
+        cand = G[:nseg]
+        for at, reach in folds:
+            np.minimum(cand[:reach], G[at:at + reach], out=cand[:reach])
         # The continuation costs one more hop: with H < K packed in the
         # low digit, + 1 increments the hop component alone.  All-
         # infinite segments carry (a_inf * K + K - 1) + 1 = (a_inf + 1)
         # * K, which still sorts above every real candidate and the
         # stashed infinity — exactly legacy's never-committed
         # HOP_INF + 1.
-        P_cand += 1
+        cand += 1
         # A direct hop arrives at its own window, always earlier than
         # any continuation (which departs at the *next* window).
         # (window, source, target) triples are unique, so the scatter
         # never collides.
-        tcols = block.tcols[h0 + row_lo:h0 + row_hi]
-        direct = block.direct[h0 + row_lo:h0 + row_hi]
-        if cols is None:
-            P_cand[seg_ids, tcols] = direct
-        else:
-            keep = tcols >= 0
-            P_cand[seg_ids[keep], tcols[keep]] = direct[keep]
-
+        cand.reshape(-1)[block.dpos[d0:d1]] = block.dkey[d0:d1]
         # Compare and commit entirely in key space: `candidate < floor`
         # (floor = the old keys' arrival component alone) is legacy's
         # `arr < old_A` — strict arrival improvement, the trip-record
@@ -1507,59 +1673,59 @@ def _apply_run(
         # lexicographic minimum with the old keys is legacy's
         # improved/tie-better selection: a tie on arrival resolves to
         # the smaller hop via the low digit.
-        chunk_sources = sources[lo:hi]
-        old_P = stash[u_pos[lo:hi]]
-        old_floor = old_P // K
-        old_floor *= K
-        improved = P_cand < old_floor
-        new_P = np.minimum(P_cand, old_P, out=P_cand)
-        P[chunk_sources] = new_P
-
-        self_cols = block.self_cols[s0 + lo:s0 + hi]
+        old = G[nhops:]
+        floor = old // K
+        floor *= K
+        flushed += rows.claim(block, s0, nseg)
+        r = rows.rows
+        np.less(cand, floor, out=rows.mask[r:r + nseg])
+        new = np.minimum(cand, old, out=rows.keys[r:r + nseg])
+        sources = block.sources[s0:s0 + nseg]
+        P[sources] = new
+        rows.rows = r + nseg
         if accumulators:
             # Scans with accumulators run one window per run.
-            step = int(block.steps[s0])
-            old_A, old_H = _unpack_rows(old_P, K, a_inf)
-            new_A, new_H = _unpack_rows(new_P, K, a_inf)
-            for accumulator in accumulators:
-                observe_rows = getattr(accumulator, "observe_rows", None)
-                if observe_rows is not None:
-                    observe_rows(
-                        chunk_sources, step, old_A, old_H, new_A, new_H,
-                        self_cols,
-                    )
-                else:
-                    # Per-row adapter: third-party accumulators keep
-                    # their observe_row protocol, fed in legacy
-                    # (source) order.
-                    for i in range(nrows):
-                        accumulator.observe_row(
-                            int(chunk_sources[i]), step, old_A[i],
-                            old_H[i], new_A[i], new_H[i],
-                            int(self_cols[i]),
-                        )
-
-        record = improved  # dead after the commit: safe to mutate
-        if not include_self:
-            if cols is None:
-                record[np.arange(nrows), self_cols] = False
-            else:
-                diag_rows = np.flatnonzero(self_cols >= 0)
-                if diag_rows.size:
-                    record[diag_rows, self_cols[diag_rows]] = False
-        # C-order nonzero: segments in (window descending, source)
-        # order, columns ascending within each — exactly the legacy
-        # window-by-window, source-by-source emission order.
-        row_idx, col_idx = np.nonzero(record)
-        trips_recorded += row_idx.size
-        if trips is not None and row_idx.size:
-            trips.add(
-                chunk_sources[row_idx],
-                block.steps[s0 + lo:s0 + hi][row_idx],
-                col_idx if cols is None else cols[col_idx],
-                new_P[row_idx, col_idx],
+            _observe(
+                accumulators, sources, int(block.steps[s0]), old, new, K,
+                a_inf, block.self_cols[s0:s0 + nseg],
             )
-    return trips_recorded
+        if rows.rows >= rows.cap:
+            flushed += rows.flush()
+        # Release this group's gather before the next one allocates
+        # its own: in a chunked run each is near the cell budget.
+        del G, cand, old, floor
+    return flushed
+
+
+def _observe(
+    accumulators: list,
+    sources: np.ndarray,
+    step: int,
+    old: np.ndarray,
+    new: np.ndarray,
+    K: int,
+    a_inf: int,
+    self_cols: np.ndarray,
+) -> None:
+    """Feed one committed group of a window to the state accumulators.
+
+    Rows come in laid-out order (sources are unique within a window, so
+    ``observe_rows`` sees the same rows in some order); the per-row
+    adapter for third-party accumulators with only ``observe_row``
+    walks them in legacy (source) order.
+    """
+    old_A, old_H = _unpack_rows(old, K, a_inf)
+    new_A, new_H = _unpack_rows(new, K, a_inf)
+    for accumulator in accumulators:
+        observe_rows = getattr(accumulator, "observe_rows", None)
+        if observe_rows is not None:
+            observe_rows(sources, step, old_A, old_H, new_A, new_H, self_cols)
+        else:
+            for i in np.argsort(sources).tolist():
+                accumulator.observe_row(
+                    int(sources[i]), step, old_A[i], old_H[i], new_A[i],
+                    new_H[i], int(self_cols[i]),
+                )
 
 
 def _target_columns(
@@ -1719,18 +1885,21 @@ def scan_series(
     #: frozen handoff spans from this scan, then (when settled) the
     #: reused cached tail, in scan order.
     assembly: list[tuple] = []
-    #: The run kernel's undelivered trips (see *Scan kernels*).
-    trips = _TripBuffer(collectors, K) if batched and collectors else None
+    #: The run kernel's committed rows not yet turned into trips (see
+    #: *Scan kernels*).
+    rows = None
 
     if batched:
-        # The cell budget is read once per scan.
-        max_rows = max(_batch_cell_budget() // max(width, 1), 1)
+        rows = _RowBuffer(collectors, K, cols, include_self, width)
         # Accumulators fold the state between every pair of windows
-        # (close_run), so their scans run one window per run.
+        # (close_run), so their scans run one window per run.  The cell
+        # budget is read once per scan.
         runs = _plan_runs(
             series, K, col_of, capture,
             None if resume is None else resume.windows,
             single=bool(accumulators),
+            max_rows=max(_batch_cell_budget() // max(width, 1), 1),
+            width=width,
         )
     else:
         runs = (
@@ -1753,8 +1922,8 @@ def scan_series(
         if wanted and recorder.capture(
             step, last_processed, packed_state(), K, a_inf
         ):
-            if trips is not None:
-                trips.deliver()
+            if rows is not None:
+                num_trips += rows.flush()
             if captures:
                 recorder.store_span(items, num_trips - span_trip_base)
                 assembly.append(tuple(items))
@@ -1762,8 +1931,8 @@ def scan_series(
             span_trip_base = num_trips
             items = [item.segment_handoff() for item in items]
             collectors, accumulators = _split_consumers(items)
-            if trips is not None:
-                trips.collectors = collectors
+            if rows is not None:
+                rows.collectors = collectors
         if accumulators and last_processed is not None:
             # The current state (built from windows > step) is the exact
             # reachability picture for every departure step t in
@@ -1772,10 +1941,7 @@ def scan_series(
                 accumulator.close_run(step + 1, last_processed)
         if batched:
             SCAN_WINDOWS["batched"] += end - first
-            num_trips += _apply_run(
-                P, K, a_inf, max_rows, *run, trips, include_self,
-                accumulators, cols,
-            )
+            num_trips += _apply_run(P, K, a_inf, *run, rows, accumulators)
         else:
             u, v = run
             if not series.directed:
@@ -1786,9 +1952,9 @@ def scan_series(
             )
         last_processed = low_step
 
-    if trips is not None:
+    if rows is not None:
         # Before a settle freezes the consumers, or at the scan's end.
-        trips.deliver()
+        num_trips += rows.flush()
 
     if settled_index is not None:
         # Settled: every window at and below the boundary is served from

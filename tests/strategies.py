@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from repro.linkstream import LinkStream
 
+#: The timestamp step of ``link_streams(float_time=True)``.
+FLOAT_TIME_STEP = 0.1
+
 
 @st.composite
 def link_streams(
@@ -17,8 +20,15 @@ def link_streams(
     max_events: int = 14,
     max_time: int = 20,
     directed: bool | None = None,
+    float_time: bool = False,
 ) -> LinkStream:
-    """Random small link streams (integer timestamps, no self-loops)."""
+    """Random small link streams (no self-loops).
+
+    Timestamps are integers in ``[0, max_time]``; with ``float_time``
+    they are those integers times :data:`FLOAT_TIME_STEP` instead — a
+    non-dyadic step, so timestamps and their differences are inexact
+    floats (``3 * 0.1 != 0.3``) — with ties as often as integer draws.
+    """
     n = draw(st.integers(min_nodes, max_nodes))
     m = draw(st.integers(min_events, max_events))
     events = draw(
@@ -35,6 +45,8 @@ def link_streams(
     if directed is None:
         directed = draw(st.booleans())
     u, v, t = zip(*events)
+    if float_time:
+        t = [k * FLOAT_TIME_STEP for k in t]
     return LinkStream(u, v, t, directed=directed, num_nodes=n)
 
 

@@ -4,15 +4,20 @@ cache`` CLI subcommand."""
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 import pytest
 
 from repro.cli import main
 from repro.engine import MISS, DiskStore, SweepCache, SweepEngine
+from repro.engine.cache import ENTRY_MAGIC
 from repro.generators import time_uniform_stream
 from repro.core import occupancy_method
 from repro.utils.errors import EngineError
+
+#: An entry's header: magic, 2-byte format version, BLAKE2b-256 digest.
+ENTRY_HEADER_SIZE = len(ENTRY_MAGIC) + 2 + 32
 
 
 def key(i: int) -> str:
@@ -222,3 +227,84 @@ class TestWeightedEviction:
         weighted = [p.name for p in tmp_path.glob("??/*~w*.pkl")]
         assert any("~w0.25" in name for name in weighted)  # metrics
         assert any("~w4" in name for name in weighted)  # trips
+
+
+class TestEntryIntegrity:
+    """Damaged, foreign and tampered entries are misses, and the sweep
+    that misses recomputes the point and overwrites the entry."""
+
+    @staticmethod
+    def _sweep(engine):
+        stream = time_uniform_stream(8, 4, 3000.0, seed=5)
+        return occupancy_method(stream, num_deltas=4, engine=engine)
+
+    def _damage_then_recompute(self, tmp_path, damage):
+        reference = self._sweep(SweepEngine(cache=None))
+        store = DiskStore(tmp_path)
+        self._sweep(SweepEngine(cache=SweepCache([store])))
+        entries = sorted(tmp_path.glob("??/*.pkl"))
+        assert entries
+        target = entries[0]
+        damage(target)
+        cache = SweepCache([DiskStore(tmp_path)])
+        result = self._sweep(SweepEngine(cache=cache))
+        assert cache.stats()["misses"] == 1
+        assert result.gamma == reference.gamma
+        assert [p.scores for p in result.points] == [
+            p.scores for p in reference.points
+        ]
+        # The miss recomputed the point and overwrote the entry.
+        assert target.read_bytes().startswith(ENTRY_MAGIC)
+        warm = SweepCache([DiskStore(tmp_path)])
+        self._sweep(SweepEngine(cache=warm))
+        assert warm.stats()["misses"] == 0
+
+    def test_truncated_entry_is_a_miss(self, tmp_path):
+        def truncate(path):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+
+        self._damage_then_recompute(tmp_path, truncate)
+
+    def test_foreign_pickle_is_a_miss(self, tmp_path):
+        def replace_with_plain_pickle(path):
+            with open(path, "wb") as handle:
+                pickle.dump({"not": "a sweep point"}, handle)
+
+        self._damage_then_recompute(tmp_path, replace_with_plain_pickle)
+
+    def test_flipped_payload_byte_is_a_miss(self, tmp_path):
+        def flip_a_payload_byte(path):
+            # The last payload bit whose flip still unpickles: silent
+            # corruption that only the checksum can catch.
+            data = path.read_bytes()
+            for at in range(len(data) - 1, ENTRY_HEADER_SIZE - 1, -1):
+                flipped = bytearray(data)
+                flipped[at] ^= 0x01
+                try:
+                    pickle.loads(bytes(flipped[ENTRY_HEADER_SIZE:]))
+                except Exception:
+                    continue
+                path.write_bytes(bytes(flipped))
+                return
+            raise AssertionError("no silently loadable bit flip found")
+
+        self._damage_then_recompute(tmp_path, flip_a_payload_byte)
+
+    def test_wrong_version_is_a_miss(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put(key(1), [1, 2, 3])
+        path = next(tmp_path.glob("??/*.pkl"))
+        data = bytearray(path.read_bytes())
+        data[len(ENTRY_MAGIC) + 1] ^= 0x01  # low byte of the version
+        path.write_bytes(bytes(data))
+        assert store.get(key(1)) is MISS
+        store.put(key(1), [1, 2, 3])
+        assert store.get(key(1)) == [1, 2, 3]
+
+    def test_unpicklable_value_leaves_no_temp_file(self, tmp_path):
+        store = DiskStore(tmp_path)
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            store.put(key(2), lambda: None)
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert store.get(key(2)) is MISS

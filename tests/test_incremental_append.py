@@ -20,7 +20,7 @@ from repro.engine.incremental import IncrementalScanSession
 from repro.engine.measures import ClassicalMeasure, OccupancyMeasure
 from repro.engine.tasks import AnalysisTask
 from repro.generators import time_uniform_stream
-from repro.graphseries import aggregate
+from repro.graphseries import GraphSeries, aggregate
 from repro.graphseries.aggregation import (
     AGGREGATION_COUNTS,
     aggregate_cached,
@@ -464,6 +464,48 @@ class TestBlockedPairReachability:
         expected = bruteforce_pair_reachability(series)
         for got_matrix, expected_matrix in zip(got, expected):
             assert np.array_equal(got_matrix, expected_matrix)
+
+    @pytest.mark.parametrize("kernel", ["batched", "legacy"])
+    def test_row_the_scan_never_touches(self, kernel):
+        # Node 4 is only ever a hop target, so the scan never updates
+        # its row: finish must fold it to nothing, and fold every other
+        # row's pending run [0, row_hi] exactly as the oracle counts.
+        step = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
+        u = np.array([0, 1, 2, 3, 0, 2], dtype=np.int64)
+        v = np.array([1, 2, 4, 4, 3, 0], dtype=np.int64)
+        series = GraphSeries(5, 7, step, u, v, directed=True)
+        accumulator = EarliestArrivalAccumulator()
+        scan_series(series, accumulator, kernel=kernel)
+        expected = bruteforce_pair_reachability(series)
+        off_diagonal = ~np.eye(5, dtype=bool)
+        got = (
+            accumulator.reach_steps, accumulator.dist_sum,
+            accumulator.hops_sum,
+        )
+        for got_matrix, expected_matrix in zip(got, expected):
+            assert not got_matrix[4].any()
+            assert np.array_equal(
+                got_matrix[off_diagonal], expected_matrix[off_diagonal]
+            )
+        assert expected[0][0, 4] > 0  # the untouched column is reached
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_target_restriction_folds_its_columns(self, directed):
+        series = aggregate(small_stream(n=7, m=120, directed=directed), 90.0)
+        cols = np.array([1, 4, 6], dtype=np.int64)
+        accumulator = EarliestArrivalAccumulator()
+        scan_series(series, accumulator, targets=cols)
+        expected = bruteforce_pair_reachability(series)
+        got = (
+            accumulator.reach_steps, accumulator.dist_sum,
+            accumulator.hops_sum,
+        )
+        diagonal = cols[None, :] == np.arange(7)[:, None]
+        for got_matrix, expected_matrix in zip(got, expected):
+            assert got_matrix.shape == (7, cols.size)
+            want = expected_matrix[:, cols]
+            assert np.array_equal(got_matrix[~diagonal], want[~diagonal])
+            assert want[~diagonal].any()
 
     def test_env_var_sets_block_width(self, monkeypatch):
         series = aggregate(small_stream(n=6, m=60), 200.0)

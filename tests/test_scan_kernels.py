@@ -126,6 +126,30 @@ class RecordLog:
         return not self.calls
 
 
+class BatchTally:
+    """A ``record_batch`` collector counting deliveries into a shared
+    tally (its checkpoint successors count into the same one)."""
+
+    def __init__(self, tally):
+        self.tally = tally
+
+    def record(self, source, dep, targets, arrivals, hops, durations):
+        pass  # the legacy kernel's per-source feed: not a flush
+
+    def record_batch(self, sources, dep, targets, arrivals, hops, durations):
+        self.tally[0] += 1
+
+    def merge(self, other):
+        return self
+
+    def segment_handoff(self):
+        return BatchTally(self.tally)
+
+    @property
+    def empty(self):
+        return True  # the tally is shared, never per shard
+
+
 class TestKernelBitIdentity:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -227,6 +251,24 @@ class TestKernelPlumbing:
         assert SCAN_BATCHES["batched"] - batches["batched"] < grew_b
         assert SCAN_BATCHES["legacy"] - batches["legacy"] == grew_l
 
+    @pytest.mark.parametrize("cells", [None, 24])
+    def test_row_only_accumulator_sees_the_legacy_calls(
+        self, cells, monkeypatch
+    ):
+        # Within a window the run kernel lays segments out by size, so
+        # the per-row adapter must put the rows back in source order:
+        # an observe_row-only accumulator sees legacy's exact calls.
+        if cells is not None:
+            monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
+        stream = time_uniform_stream(12, 2, 60.0, seed=4)
+        series = aggregate(stream, 6.0)
+        logs = {}
+        for kernel in ("batched", "legacy"):
+            logs[kernel] = RowLog()
+            scan_series(series, logs[kernel], kernel=kernel)
+        assert len(logs["legacy"].calls) > series.nonempty_steps().size
+        assert logs["batched"].calls == logs["legacy"].calls
+
     def test_record_only_collector_works_under_batched_kernel(self):
         # Third-party registry collectors may only implement the
         # per-source record(); the fallback adapter must segment batches
@@ -240,6 +282,25 @@ class TestKernelPlumbing:
         scan_series(series, via_legacy, kernel="legacy")
         assert via_batched.calls
         assert via_batched.calls == via_legacy.calls
+
+
+class RowLog:
+    """An ``observe_row``-only accumulator logging every call (the
+    third-party shape the per-row adapter serves)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def observe_row(self, source, step, old_A, old_H, new_A, new_H, self_col):
+        self.calls.append(
+            (
+                type(source), source, step, old_A.tolist(), old_H.tolist(),
+                new_A.tolist(), new_H.tolist(), self_col,
+            )
+        )
+
+    def close_run(self, t_low, t_high):
+        self.calls.append(("close", t_low, t_high))
 
 
 def _series(num_nodes, num_steps, edges, directed=True):
@@ -307,24 +368,42 @@ class TestRunKernel:
         ]
         assert via_batched.calls == via_legacy.calls
 
-    @pytest.mark.parametrize("bound", [0, 5, 1 << 14])
-    def test_trip_buffer_bound_never_changes_the_feed(self, bound, monkeypatch):
-        # Deliveries at any buffer bound, between checkpoint captures
-        # too, reach every collector in the legacy call order.
-        monkeypatch.setattr(reachability, "TRIP_BUFFER_TRIPS", bound)
+    @pytest.mark.parametrize("bound", ["cell", "rows", "default"])
+    def test_row_buffer_bound_never_changes_the_feed(self, bound, monkeypatch):
+        # Flushes at any row-buffer bound — one cell (a flush per
+        # commit), a few rows, the default — crossed with chunk budgets
+        # that put flushes mid-run, at block changes and inside the
+        # chunked path, reach every collector in the legacy call order,
+        # between checkpoint captures too.
         stream = time_uniform_stream(25, 1, 80.0, seed=3)
         series = aggregate(stream, 2.0)
-        logs = {}
-        for kernel in ("batched", "legacy"):
-            log, trips = RecordLog(), TripListCollector()
+        cells = {"cell": 1, "rows": 3 * series.num_nodes, "default": None}
+
+        def observe(kernel):
+            log, trips, tally = RecordLog(), TripListCollector(), [0]
             scan_series(
-                series, [log, trips], kernel=kernel,
+                series, [log, trips, BatchTally(tally)], kernel=kernel,
                 checkpoints=CheckpointRecorder(),
             )
             t = trips.trips()
-            logs[kernel] = (log.calls, [a.tolist() for a in (t.u, t.v, t.dep)])
-        assert logs["batched"][0]
-        assert logs["batched"] == logs["legacy"]
+            feed = (log.calls, [a.tolist() for a in (t.u, t.v, t.dep)])
+            return feed, tally[0]
+
+        oracle, _ = observe("legacy")
+        assert oracle[0]
+        default_flushes = observe("batched")[1]
+        if cells[bound] is not None:
+            monkeypatch.setattr(reachability, "ROW_BUFFER_CELLS", cells[bound])
+        for budget in (1, 24, None):
+            if budget is None:
+                monkeypatch.delenv("REPRO_SCAN_BATCH_CELLS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", str(budget))
+            feed, flushes = observe("batched")
+            assert feed == oracle, budget
+            if bound != "default":
+                # The patched bound is live: it flushes more often.
+                assert flushes > default_flushes
 
     def test_accumulators_run_one_window_per_commit(self):
         series = _series(4, 2, [(1, 2, 3), (0, 0, 1)])
@@ -444,9 +523,11 @@ class TestRunKernelProperty:
         totals=st.booleans(),
         record=st.booleans(),
         cells=st.sampled_from([None, 1, 24]),
+        flush_cells=st.sampled_from([None, 1, 40]),
     )
     def test_run_kernel_matches_legacy_call_for_call(
-        self, data, include_self, target_mode, totals, record, cells
+        self, data, include_self, target_mode, totals, record, cells,
+        flush_cells,
     ):
         base, grown, limit = data
         targets = _targets_for(target_mode, grown.num_nodes)
@@ -466,6 +547,8 @@ class TestRunKernelProperty:
         with pytest.MonkeyPatch.context() as mp:
             if cells is not None:
                 mp.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
+            if flush_cells is not None:
+                mp.setattr(reachability, "ROW_BUFFER_CELLS", flush_cells)
             assert _observe(grown, "batched", **kwargs) == oracle
             resumed = _observe(
                 grown, "batched", resume_from=(base, limit), **kwargs

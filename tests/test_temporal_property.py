@@ -52,6 +52,25 @@ def test_backward_scan_matches_forward_oracle_on_stream(stream):
     assert got == expected
 
 
+def _exact(trips):
+    """Trips as sorted plain tuples: floats compared bit for bit."""
+    columns = (trips.u, trips.v, trips.dep, trips.arr, trips.hops, trips.durations)
+    return sorted(zip(*(c.tolist() for c in columns)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(stream=link_streams(float_time=True))
+def test_backward_scan_matches_forward_oracle_on_float_stream(stream):
+    # Non-dyadic float timestamps with ties: the stream scan's trips,
+    # durations included, equal the oracle's exactly — no tolerance.
+    assert stream.timestamps.dtype.kind == "f"
+    collector = TripListCollector()
+    scan_stream(stream, collector)
+    got = collector.trips()
+    assert got.durations.dtype.kind == "f"
+    assert _exact(got) == _exact(bruteforce_minimal_trips(stream))
+
+
 @settings(max_examples=60, deadline=None)
 @given(stream=link_streams(max_nodes=4, max_events=6, max_time=8), delta=st.sampled_from([1.0, 2.0]))
 def test_backward_scan_matches_dfs_ground_truth(stream, delta):
