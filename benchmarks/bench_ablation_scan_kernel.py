@@ -1,13 +1,14 @@
-"""Ablation — batched vs legacy backward-scan kernel.
+"""Ablation — the run kernel vs the per-source reference loop.
 
-The backward scan used to walk one Python iteration per source row per
-window; the batched kernel packs each ``(arrival, hop)`` cell into one
-int64 lexicographic key and applies a whole run of conflict-free
-windows with a handful of vectorized passes (see the *Scan kernels*
-section of ``repro.temporal.reachability``).  Two regimes:
+The reference loop (``repro.temporal.bruteforce.reference_scan``) walks
+one Python iteration per source row per window; the run kernel behind
+``scan_series`` packs each ``(arrival rank, hop)`` cell into one int64
+lexicographic key and applies a whole run of conflict-free windows with
+a handful of vectorized passes (see *The scan kernel* in
+``repro.temporal.reachability``).  Two regimes:
 
 * **dense** (a synthetic stream, n = 600, thousands of hops per
-  window): the batched kernel must beat the legacy loop by at least
+  window): the run kernel must beat the reference loop by at least
   ``MIN_SPEEDUP``, best-of-``ROUNDS`` interleaved so a scheduling
   hiccup cannot fake (or hide) the win;
 * **sparse** (the irvine replica at paper scale over the 28-point Δ
@@ -24,8 +25,8 @@ section of ``repro.temporal.reachability``).  Two regimes:
 
 Both regimes gate on bit-identity first — the full collector and
 accumulator state on the dense stream, every trip of every Δ on the
-replica.  The legacy kernel is the in-tree oracle: any divergence fails
-the bench before any timing is reported.
+replica.  The reference loop is the oracle: any divergence fails the
+bench before any timing is reported.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.temporal import (
     SCAN_WINDOWS,
     CountingCollector,
     TripListCollector,
+    reference_scan,
     scan_series,
 )
 from repro.temporal import reachability
@@ -89,10 +91,14 @@ class DeliveryCounter:
         )
 
 
+#: The two scans compared, under the labels the bench records keep.
+SCANS = {"batched": scan_series, "legacy": reference_scan}
+
+
 def _consumer_state(series, kernel):
     counts = CountingCollector()
     totals = DistanceTotals()
-    result = scan_series(series, [counts, totals], kernel=kernel)
+    result = SCANS[kernel](series, [counts, totals])
     return (
         result.num_trips,
         counts.num_trips,
@@ -115,7 +121,7 @@ def test_scan_kernel_ablation(benchmark, capsys):
         # Full consumer state first: the oracle check gates the timings.
         states = {k: _consumer_state(series, k) for k in ("batched", "legacy")}
         assert states["batched"] == states["legacy"], (
-            "batched kernel diverged from the legacy oracle: "
+            "run kernel diverged from the reference loop: "
             f"{states['batched']} != {states['legacy']}"
         )
 
@@ -124,7 +130,7 @@ def test_scan_kernel_ablation(benchmark, capsys):
         for _ in range(ROUNDS):
             for kernel in ("batched", "legacy"):
                 start = perf_counter()
-                result = scan_series(series, [], kernel=kernel)
+                result = SCANS[kernel](series, [])
                 timings[kernel].append(perf_counter() - start)
                 trips[kernel] = result.num_trips
         assert trips["batched"] == trips["legacy"]
@@ -161,7 +167,7 @@ def test_scan_kernel_ablation(benchmark, capsys):
         },
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"batched kernel only {speedup:.2f}x faster than legacy "
+        f"run kernel only {speedup:.2f}x faster than the reference loop "
         f"({best['batched']:.3f}s vs {best['legacy']:.3f}s); "
         f"need >= {MIN_SPEEDUP}x"
     )
@@ -172,7 +178,7 @@ def _sparse_scan(series, kernel):
     how many ``record_batch`` deliveries the occupancy collector got."""
     trips = TripListCollector()
     occupancy = DeliveryCounter(OccupancyCollector())
-    result = scan_series(series, [trips, occupancy], kernel=kernel)
+    result = SCANS[kernel](series, [trips, occupancy])
     t = trips.trips()
     state = (
         result.num_trips,
@@ -199,9 +205,9 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
 
     def compare():
         seconds = {"batched": 0.0, "legacy": 0.0}
-        windows = SCAN_WINDOWS["batched"]
-        rows = SCAN_ROWS["batched"]
-        commits = SCAN_BATCHES["batched"]
+        windows = SCAN_WINDOWS["series"]
+        rows = SCAN_ROWS["series"]
+        commits = SCAN_BATCHES["series"]
         flushes[0] = 0
         deliveries = 0
         for delta, series in zip(deltas, series_list):
@@ -213,13 +219,13 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
                 if kernel == "batched":
                     deliveries += delivered
             assert states["batched"] == states["legacy"], (
-                f"batched kernel diverged from the legacy oracle at "
+                f"run kernel diverged from the reference loop at "
                 f"delta={delta}"
             )
         counts = {
-            "windows": SCAN_WINDOWS["batched"] - windows,
-            "rows": SCAN_ROWS["batched"] - rows,
-            "commits": SCAN_BATCHES["batched"] - commits,
+            "windows": SCAN_WINDOWS["series"] - windows,
+            "rows": SCAN_ROWS["series"] - rows,
+            "commits": SCAN_BATCHES["series"] - commits,
             "deliveries": deliveries,
             "flushes": flushes[0],
         }
@@ -265,7 +271,7 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
         },
     )
     assert ratio <= MAX_COMMIT_RATIO, (
-        f"batched kernel committed {counts['commits']} times over "
+        f"run kernel committed {counts['commits']} times over "
         f"{counts['windows']} windows ({ratio:.2f} per window); need "
         f"<= {MAX_COMMIT_RATIO}"
     )

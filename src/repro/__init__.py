@@ -18,10 +18,8 @@ Quickstart::
     grown = stream.extend([(a, c, 9)])
     print(occupancy_method(grown).describe())
 
-Every scan-backed quantity above runs on the batched backward-scan
-kernel by default; ``REPRO_SCAN_KERNEL=legacy`` (or
-``scan_series(..., kernel="legacy")``) switches to the per-source
-reference loop — bit-identical, just slower — see *Scan kernels* below.
+Every scan-backed quantity above runs on one backward-scan kernel,
+checked against a per-source reference loop — see *Scan kernel* below.
 
 Traces too big to re-read whole?  Ingest once into a partitioned
 dataset catalog and analyze spans out of core (see *Dataset catalog &
@@ -147,40 +145,34 @@ everywhere built-ins do — fused tasks, all backends, within-Δ sharding,
 per-measure caching, ``analyze_stream``, the CLI — with bit-identical
 results by construction.
 
-Scan kernels
-------------
+Scan kernel
+-----------
 The backward reachability scan — the ``O(nM)`` engine every measure
-rides — ships two interchangeable kernels
-(:func:`repro.temporal.scan_series`, ``kernel=`` /
-``REPRO_SCAN_KERNEL``):
+rides — has one kernel (:func:`repro.temporal.scan_series`, and
+:func:`repro.temporal.scan_stream` on a raw stream).  It applies whole
+*runs* of consecutive windows in one vectorized step — a window joins
+the open run unless an earlier window of the run writes a state row it
+reads, so every read sees the pre-run state.  The state steps over the
+*ranks* of the nonempty windows (a stream's distinct timestamps), with
+each ``(arrival, hops)`` cell packed into one int64 lexicographic key
+for the whole scan; one rank → value table (the series' nonempty
+windows, or the stream's timestamps) decodes ranks wherever a consumer
+sees them.  Collectors and accumulators are fed whole batches
+(``record_batch`` with a per-trip ``dep`` array / ``observe_rows``,
+with a per-source adapter for consumers that only implement the
+classic protocol).  Committed rows are buffered across runs and turned
+into trips per flush, so a batch may span windows; each (window,
+source) pair is contiguous and in (window descending, source) order.
+Checkpoint captures, resume candidates and state accumulators cut runs
+to the windows where they must see the state.
 
-* ``batched`` (the default) applies whole *runs* of consecutive
-  windows in one vectorized step — a window joins the open run unless
-  an earlier window of the run writes a state row it reads, so every
-  read sees the pre-run state.  The ``(arrival, hops)`` state stays
-  packed into single int64 lexicographic keys for the whole scan, the
-  planner precomputes each run's gather and scatter layout so segment
-  minima are in-place prefix folds, and collectors/accumulators are fed
-  whole batches (``record_batch`` with a per-trip ``dep`` array /
-  ``observe_rows``, with a per-source adapter for consumers that only
-  implement the classic protocol).  Committed rows are buffered across
-  runs and turned into trips per flush, so a batch may span windows;
-  each (window, source) pair is contiguous and in legacy order.
-  Checkpoint captures, resume candidates and state accumulators cut
-  runs to the windows where they must see the state.
-* ``legacy`` is the original one-Python-iteration-per-source loop,
-  kept selectable as the in-tree oracle.
-
-Both kernels are **bit-identical** — same trips in the same order, same
-collector and accumulator state, across directed/undirected input,
-``targets`` shards, ``include_self``, and every backend — so the kernel
-choice is deliberately *not* part of any cache key, and caches warmed
-by either kernel serve the other.  Reach for ``legacy`` when auditing a
-result against the reference implementation, when bisecting a suspected
-kernel bug (``benchmarks/bench_ablation_scan_kernel.py`` pins the >= 3x
-speedup *and* the equivalence), or from third-party consumers that want
-the strict one-``record``-call-per-source feeding order without the
-batch adapter in between.
+The kernel is **bit-identical** to the per-source reference loop
+:func:`repro.temporal.bruteforce.reference_scan` — same trips in the
+same order, same collector and accumulator state, across
+directed/undirected input, ``targets`` shards, ``include_self``,
+checkpoints and resumes, and every backend.  The tests and
+``benchmarks/bench_ablation_scan_kernel.py`` (which also pins the
+>= 3x speedup over the loop) hold it to that.
 
 Engine & caching
 ----------------
@@ -274,7 +266,7 @@ The engine drives all of this through
 content-keyed store (``REPRO_INCREMENTAL_MAX_BYTES`` caps it;
 ``REPRO_INCREMENTAL=0`` disables reuse entirely, ``repro cache stats``
 reports it) — so a warm sweep on a grown stream re-scans only the
-unsettled windows of each Δ, on either scan kernel, sharded or not,
+unsettled windows of each Δ, sharded or not,
 with results bit-identical to a cold run
 (``benchmarks/bench_ablation_incremental_append.py`` pins the >= 3x
 wall-clock win, the counter-verified work bounds, and the equivalence).
@@ -306,8 +298,8 @@ the stream fingerprint in the manifest.  ``repro datasets list | info
 [--verify] | index`` inspect, integrity-check, and rebuild the
 manifest; :func:`~repro.datasets.open_dataset` returns a lazy
 partition-backed stream whose analyses are bit-identical to the
-in-memory ones on both scan kernels — cache entries warmed by either
-serve the other.  Corruption never passes silently: a missing or
+in-memory ones, so cache entries warmed by either serve the other.
+Corruption never passes silently: a missing or
 bit-flipped partition raises
 :class:`~repro.utils.errors.StorageError` naming the exact file.
 

@@ -91,7 +91,7 @@ class OccupancyCollector:
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed;
+        """Consume one multi-source batch (the scan kernel's feed;
         ``dep`` is the per-trip departure array, unused here).
 
         Every per-trip quantity here (the ``hops/durations`` division,
@@ -99,8 +99,7 @@ class OccupancyCollector:
         tally an integer count, so folding the flattened batch is
         bit-identical to the per-source :meth:`record` calls — in exact
         mode the chunk list concatenates to the same value sequence
-        (rows arrive in legacy window-then-source-then-destination
-        order).
+        (rows arrive in window-then-source-then-destination order).
         """
         if not targets.size:
             return

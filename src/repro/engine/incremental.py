@@ -19,7 +19,7 @@ recognition into reuse for the two expensive stages of a sweep point:
 
 Both reuses are exact: the spliced series and the assembled consumers
 are bit-identical to from-scratch computation (property-tested across
-kernels, sharding, and straddling-window appends), which is why cache
+sharding and straddling-window appends), which is why cache
 keys never distinguish warm from cold evaluation.
 
 The store is process-global and bounded (``REPRO_INCREMENTAL_MAX_BYTES``,
@@ -352,7 +352,6 @@ class IncrementalScanSession:
         consumers,
         *,
         targets: np.ndarray | None = None,
-        kernel: str | None = None,
     ):
         """Run the backward scan, resuming from a warm record when possible.
 
@@ -379,7 +378,6 @@ class IncrementalScanSession:
                 items,
                 include_self=self._include_self,
                 targets=targets,
-                kernel=kernel,
             )
         plan = self._resume_plan(series)
         recorder = CheckpointRecorder()
@@ -388,7 +386,6 @@ class IncrementalScanSession:
             items,
             include_self=self._include_self,
             targets=targets,
-            kernel=kernel,
             checkpoints=recorder,
             resume=plan,
         )

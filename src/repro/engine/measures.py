@@ -74,10 +74,10 @@ for trip collectors, ``observe_row``/``close_run`` — optionally
 ``begin`` — for state accumulators) plus in-place ``merge`` and
 ``empty`` when the measure should shard.  Collectors may additionally
 implement the batched feeds (``record_batch`` / ``observe_rows``) to
-receive many windows from the batched scan kernel in one call
+receive many windows from the scan kernel in one call
 (``record_batch``'s ``dep`` is an int64 array parallel to ``sources``;
 a batch may span windows, and each (window, source) pair is contiguous
-and in legacy order);
+and in the reference loop's order);
 without them the kernel adapts back to per-source ``record`` /
 per-row ``observe_row`` calls in the classic order, so plain
 collectors keep working unchanged.  ``finalize`` must fold into

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.graphseries.series import GraphSeries
 from repro.linkstream.stream import LinkStream
-from repro.temporal.reachability import _expand_undirected, _stream_groups
+from repro.temporal.paths import _expand_undirected, _stream_groups
 from repro.utils.errors import ValidationError
 from repro.utils.rng import ensure_rng
 

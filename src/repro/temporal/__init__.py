@@ -13,6 +13,7 @@ from repro.temporal.bruteforce import (
     bruteforce_pair_reachability,
     enumerate_temporal_paths,
     minimal_trips_from_paths,
+    reference_scan,
 )
 from repro.temporal.collectors import (
     ChainCollector,
@@ -29,7 +30,6 @@ from repro.temporal.paths import (
 )
 from repro.temporal.reachability import (
     SCAN_BATCHES,
-    SCAN_KERNELS,
     SCAN_ROWS,
     SCAN_WINDOWS,
     CheckpointRecorder,
@@ -63,7 +63,6 @@ __all__ = [
     "ScanCheckpoint",
     "CheckpointRecorder",
     "ResumePlan",
-    "SCAN_KERNELS",
     "SCAN_ROWS",
     "SCAN_WINDOWS",
     "SCAN_BATCHES",
@@ -80,4 +79,5 @@ __all__ = [
     "bruteforce_pair_reachability",
     "bruteforce_component_sizes",
     "enumerate_temporal_paths",
+    "reference_scan",
 ]

@@ -8,8 +8,14 @@ Two independent ways to recompute what the backward engine produces:
 * :func:`bruteforce_minimal_trips` — repeated forward scans, one per
   (source, departure) pair: quadratic-ish but independent of the
   backward engine's staging logic.
+* :func:`reference_scan` — the backward scan itself as a plain
+  per-source loop, window by window: the oracle the run kernel
+  (:func:`~repro.temporal.reachability.scan_series`,
+  :func:`~repro.temporal.reachability.scan_stream`) must match call for
+  call — same trips in the same order, same collector and accumulator
+  state, same checkpoint states.
 
-The test suite cross-validates all three implementations on random
+The test suite cross-validates these implementations on random
 instances.  The same file holds the oracles for the engine's measure
 layer: :func:`bruteforce_pair_reachability` recomputes the
 ``reachability`` measure's per-pair earliest-arrival sums from repeated
@@ -24,7 +30,19 @@ import numpy as np
 
 from repro.graphseries.series import GraphSeries
 from repro.linkstream.stream import LinkStream
-from repro.temporal.paths import _forward_groups, forward_earliest_arrival
+from repro.temporal.paths import (
+    _expand_undirected,
+    _forward_groups,
+    _stream_groups,
+    forward_earliest_arrival,
+)
+from repro.temporal.reachability import (
+    HOP_INF,
+    INT_INF,
+    ScanResult,
+    _split_consumers,
+    _target_columns,
+)
 from repro.temporal.trips import TripSet
 from repro.utils.errors import ValidationError
 
@@ -245,3 +263,124 @@ def bruteforce_component_sizes(
                     queue.append(neighbour)
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def reference_scan(
+    obj: GraphSeries | LinkStream,
+    collector=None,
+    *,
+    include_self: bool = False,
+    targets: np.ndarray | None = None,
+    snapshots: dict | None = None,
+) -> ScanResult:
+    """The backward scan as a per-source Python loop (the kernel oracle).
+
+    Walks the nonempty windows (a stream's distinct timestamps) latest
+    first and updates one source row per Python iteration, holding the
+    arrival state ``A`` in real window indices (timestamps for a stream,
+    float ``inf`` when they are floats) and the hop state ``H`` apart.
+    All continuation reads come from a pre-window stash, so updates
+    within a window never chain.  Takes the consumers, ``include_self``
+    and ``targets`` of :func:`~repro.temporal.reachability.scan_series`,
+    and feeds trip collectors one ``record`` per (window, source) pair
+    with a scalar departure and state accumulators one ``observe_row``
+    per row, with the same ``begin``/``close_run``/``finish`` hooks.
+    When ``snapshots`` is a dict, each window from the second on maps to
+    ``(last_processed, A, H)``: its incoming state, the reference for
+    checkpoint states.
+    """
+    if isinstance(obj, GraphSeries):
+        groups = obj.edge_groups(reverse=True)
+        extra = 1
+        dtype = np.int64
+    elif isinstance(obj, LinkStream):
+        groups = _stream_groups(obj)
+        extra = 0
+        dtype = np.float64 if obj.timestamps.dtype.kind == "f" else np.int64
+    else:
+        raise ValidationError(
+            f"expected GraphSeries or LinkStream, got {type(obj).__name__}"
+        )
+    collectors, accumulators = _split_consumers(collector)
+    if accumulators and not extra:
+        raise ValidationError("state accumulators need a GraphSeries")
+    n = obj.num_nodes
+    cols, col_of, width = _target_columns(targets, n)
+    for accumulator in accumulators:
+        begin = getattr(accumulator, "begin", None)
+        if begin is not None:
+            begin(n, obj.num_steps, cols)
+    A = np.full((n, width), np.inf if dtype is np.float64 else INT_INF, dtype=dtype)
+    H = np.full((n, width), HOP_INF, dtype=np.int64)
+    num_trips = 0
+    num_windows = 0
+    last = None
+    for time_value, us, vs in groups:
+        num_windows += 1
+        if last is not None:
+            if snapshots is not None:
+                snapshots[time_value] = (last, A.copy(), H.copy())
+            for accumulator in accumulators:
+                accumulator.close_run(time_value + 1, last)
+        last = time_value
+        if not obj.directed:
+            us, vs = _expand_undirected(us, vs)
+        order = np.argsort(us, kind="stable")
+        us, vs = us[order], vs[order]
+        sources, starts = np.unique(us, return_index=True)
+        ends = np.append(starts[1:], us.size)
+        involved = np.unique(np.concatenate([sources, vs]))
+        stash_A = A[involved].copy()
+        stash_H = H[involved].copy()
+        for u, lo, hi in zip(sources.tolist(), starts, ends):
+            hop_targets = vs[lo:hi]
+            w_pos = np.searchsorted(involved, hop_targets)
+            cont_A = stash_A[w_pos]
+            cont_H = stash_H[w_pos]
+            if hop_targets.size == 1:
+                arr = cont_A[0].copy()
+                hop = cont_H[0] + 1
+            else:
+                arr = cont_A.min(axis=0)
+                hop = np.where(cont_A == arr, cont_H, HOP_INF).min(axis=0) + 1
+            # A direct hop arrives at the current window itself, always
+            # earlier than any continuation (which departs at the next).
+            tpos = hop_targets if col_of is None else col_of[hop_targets]
+            tpos = tpos[tpos >= 0]
+            arr[tpos] = time_value
+            hop[tpos] = 1
+            u_pos = int(np.searchsorted(involved, u))
+            old_A = stash_A[u_pos]
+            old_H = stash_H[u_pos]
+            improved = arr < old_A
+            tie_better = ~improved & (arr == old_A) & (hop < old_H)
+            new_A = np.where(improved, arr, old_A)
+            new_H = np.where(improved | tie_better, hop, old_H)
+            A[u] = new_A
+            H[u] = new_H
+            self_col = u if col_of is None else int(col_of[u])
+            for accumulator in accumulators:
+                accumulator.observe_row(
+                    u, time_value, old_A, old_H, new_A, new_H, self_col
+                )
+            if not include_self and self_col >= 0:
+                improved[self_col] = False
+            chosen = np.flatnonzero(improved)
+            num_trips += chosen.size
+            if collectors and chosen.size:
+                arrivals = new_A[chosen]
+                node_targets = chosen if cols is None else cols[chosen]
+                hops = new_H[chosen]
+                durations = arrivals - time_value + extra
+                for trip_collector in collectors:
+                    trip_collector.record(
+                        u, time_value, node_targets, arrivals, hops, durations
+                    )
+    for accumulator in accumulators:
+        if last is not None:
+            accumulator.close_run(0, last)
+        finish = getattr(accumulator, "finish", None)
+        if finish is not None:
+            finish()
+    num_steps = obj.num_steps if extra else num_windows
+    return ScanResult(num_trips=num_trips, num_steps=num_steps)

@@ -15,22 +15,22 @@ legitimately common state for a shard whose nodes receive nothing).
 Merging disjoint shards reproduces exactly what an unsharded scan would
 have collected.
 
-The batched scan kernel buffers the trips of many runs of windows and
-feeds collectors one flattened multi-source batch at a time through
+The scan kernel buffers the trips of many runs of windows and feeds
+collectors one flattened multi-source batch at a time through
 ``record_batch(sources, dep, targets, arrivals, hops, durations)``:
 every argument is an array parallel to ``targets``, so ``dep`` is the
-int64 departure window of each trip (one shape, always, even when the
-batch spans a single window).  A batch may span windows; each
-(window, source) pair is contiguous and in legacy order — window
-descending, then source, then destination, exactly the order
-per-source ``record`` calls would arrive in.  A source may therefore
-appear more than once in a batch, once per window it fires in.
-``record_batch`` is optional: every built-in implements it natively
-(vectorized, bit-identical to the equivalent ``record`` calls), and
-consumers without it are fed through :func:`record_batch_fallback`,
-which re-slices the batch into legacy per-(window, source) ``record``
-calls with a scalar ``int`` departure step — so third-party collectors
-keep working unchanged under either kernel.
+departure of each trip — its int64 window for a series, its timestamp
+for a stream (one shape, always, even when the batch spans a single
+window).  A batch may span windows; each (window, source) pair is
+contiguous and in the reference loop's order — window descending, then
+source, then destination, exactly the order per-source ``record``
+calls would arrive in.  A source may therefore appear more than once
+in a batch, once per window it fires in.  ``record_batch`` is
+optional: every built-in implements it natively (vectorized,
+bit-identical to the equivalent ``record`` calls), and consumers
+without it are fed through :func:`record_batch_fallback`, which
+re-slices the batch into per-(window, source) ``record`` calls with a
+scalar departure — so third-party collectors keep working unchanged.
 """
 
 from __future__ import annotations
@@ -70,15 +70,17 @@ def record_batch_fallback(
 ) -> None:
     """Feed a multi-source batch to a ``record``-only collector.
 
-    The adapter behind the batched kernel's consumer feed: slices the
+    The adapter behind the scan kernel's consumer feed: slices the
     flattened batch back into one ``record`` call per (window, source)
     pair, in the order the rows arrive (window descending, then source
-    — the legacy kernel's emission order).  Each pair is contiguous, so
-    every change of source *or* departure is a call boundary (a source
-    firing in two consecutive windows is two calls), and each call gets
-    the scalar ``int`` departure step the legacy kernel passes: a
+    — the reference loop's emission order).  Each pair is contiguous,
+    so every change of source *or* departure is a call boundary (a
+    source firing in two consecutive windows is two calls), and each
+    call gets the scalar departure the reference loop passes (a Python
+    ``int`` window, or the stream's ``int``/``float`` timestamp): a
     collector that never heard of ``record_batch`` sees byte-for-byte
-    the same call sequence the legacy kernel makes.
+    the same call sequence
+    (:func:`repro.temporal.bruteforce.reference_scan`).
     """
     if not sources.size:
         return
@@ -91,7 +93,7 @@ def record_batch_fallback(
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         collector.record(
             int(sources[lo]),
-            int(dep[lo]),
+            dep[lo].item(),
             targets[lo:hi],
             arrivals[lo:hi],
             hops[lo:hi],
@@ -213,17 +215,18 @@ class TripListCollector:
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the scan kernel's feed).
 
-        ``dep`` holds each trip's int64 departure window, parallel to
-        ``sources``.  Appends the whole batch as one chunk.
-        Bit-identical to the per-source :meth:`record` calls of
-        :func:`record_batch_fallback`: the rows arrive in the same order
-        with the same values (an ``int`` step fills the same int64
-        column), the totals are integer sums, and the retained set is a
+        ``dep`` holds each trip's departure, parallel to ``sources``.
+        Appends the whole batch as one chunk.  Bit-identical to the
+        per-source :meth:`record` calls of :func:`record_batch_fallback`:
+        the rows arrive in the same order with the same values (a scalar
+        departure fills the same column dtype), the retained set is a
         pure function of the trip multiset (the bottom-``max_trips``
         priority sketch), so batch boundaries never show in
-        :meth:`trips`.
+        :meth:`trips`, and the totals are integer sums — except
+        ``duration_total`` on float stream timestamps, which is summed
+        per batch.
         """
         count = targets.size
         if not count:
@@ -365,7 +368,7 @@ class CountingCollector:
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed;
+        """Consume one multi-source batch (the scan kernel's feed;
         ``dep`` is the per-trip departure array, unused here).
 
         Counts and maxima are order-free, so one batch fold is trivially
@@ -450,7 +453,8 @@ class ChainCollector:
         ``sources``) out to every child — natively when the child
         implements ``record_batch``, through
         :func:`record_batch_fallback` (per-(window, source) ``record``
-        calls with a scalar step, in legacy order) otherwise."""
+        calls with a scalar departure, in the reference order)
+        otherwise."""
         for collector in self._collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:

@@ -16,14 +16,45 @@ using one of its *later but fewer-hop* states.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graphseries.series import GraphSeries
 from repro.linkstream.stream import LinkStream
-from repro.temporal.reachability import HOP_INF, _expand_undirected, _stream_groups
+from repro.temporal.reachability import HOP_INF
 from repro.utils.errors import ValidationError
+
+
+def _expand_undirected(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn undirected edges into both directed hops."""
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _stream_groups(stream: LinkStream) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield ``(timestamp, u, v)`` per distinct timestamp, latest first.
+
+    Pairs are deduplicated within each timestamp group.
+    """
+    t = stream.timestamps
+    u = stream.sources
+    v = stream.targets
+    n = stream.num_nodes
+    if not t.size:
+        return
+    # Events are already time-sorted; find group boundaries.
+    boundaries = np.flatnonzero(t[1:] != t[:-1]) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [t.size]])
+    for i in range(starts.size - 1, -1, -1):
+        lo, hi = starts[i], ends[i]
+        gu, gv = u[lo:hi], v[lo:hi]
+        if hi - lo > 1:
+            key = gu * n + gv
+            __, keep = np.unique(key, return_index=True)
+            gu, gv = gu[keep], gv[keep]
+        yield t[lo].item(), gu, gv
 
 
 def _forward_groups(obj: GraphSeries | LinkStream):

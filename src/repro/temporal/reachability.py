@@ -24,107 +24,111 @@ arrival keep the smaller hop count, so ``H`` stays exact.
 
 Each window touches only the rows of its edge sources, with all reads
 staged from a pre-window copy, giving ``O(n · |E_k|)`` work per window —
-``O(nM)`` overall, matching the paper's claim.  The same core runs on a
+``O(nM)`` overall, matching the paper's claim.  The same scan runs on a
 raw link stream by treating each distinct timestamp as a window and
 switching the duration convention from ``arr - dep + 1`` (window counts)
 to ``arr - dep`` (Definition 4).
 
-Scan kernels
-------------
-Two kernels implement the identical per-window update rule:
+The scan kernel
+---------------
+One kernel, the **run kernel**, runs every scan.
 
-* ``batched`` (the default) — the **run kernel**.  It keeps each
-  ``(A, H)`` cell packed into a single int64 lexicographic key
-  ``A * K + H`` for the *whole* scan (``K`` and the infinity sentinel
-  are analytic scan-wide constants: arrivals are window indices and no
-  minimal trip exceeds ``num_steps`` hops), so one vectorized minimum
-  over the packed keys selects the earliest arrival with the
-  fewest-hops tie-break for free, and rows unpack back into ``(A, H)``
-  only where a consumer looks at them.  It applies a whole **run** of
-  consecutive windows as one vectorized step:
+* *Rank steps.*  The state steps over the **ranks** of the scan's
+  nonempty windows: with ``W`` of them, rank ``r`` is the ``r``-th
+  nonempty window in ascending order.  Each ``(A, H)`` cell is packed
+  into one int64 lexicographic key ``A * K + H`` for the *whole* scan,
+  with ``A`` a rank, ``K = W + 2`` (no minimal trip takes more than
+  ``W`` hops) and infinite cells at ``a_inf * K + (K - 1)``,
+  ``a_inf = W``.  One vectorized minimum over the packed keys selects
+  the earliest arrival with the fewest-hops tie-break for free.
+  ``W`` is at most the edge count, so the keys cannot overflow for any
+  series that fits in memory (``W >= 2**31`` is a named error).
+* *One decode table.*  A rank → value table decodes ranks wherever a
+  consumer sees them: ``series.nonempty_steps()`` for a series, the
+  distinct timestamps for a stream (:func:`scan_stream` scans the
+  stream's rank series).  Trip collectors get decoded departures and
+  arrivals, state accumulators get real window indices with the
+  :data:`INT_INF`/:data:`HOP_INF` sentinels, and a
+  :class:`ScanCheckpoint` keeps a reference to its scan's table.
+* *The run rule.*  A window writes the state rows of its hop sources
+  and reads the rows of its sources and of its hop targets.  Walking
+  the windows in scan order (latest first), a window joins the open
+  run unless an earlier window of that run writes a row it reads.  A
+  window alone is a run of length 1.
+* *Why it is exact.*  No window of a run reads or writes a row another
+  window of the run writes, so every read of the run sees the pre-run
+  state — exactly the state the window would see if the run's earlier
+  windows were applied first.  This is the same independence argument
+  the per-window update relies on (continuation reads come from the
+  pre-window state, never from intra-window writes; two links of one
+  window never chain).  Sources are unique across a run, so all its
+  row writes commit at once.
+* *What breaks a run.*  Besides a conflict, a run never absorbs a
+  window where the scan must see the state between two windows: a
+  checkpoint capture position (``checkpoints=``), a resume candidate
+  (``resume=``), or any window of a scan feeding a state accumulator
+  (``close_run`` folds the state between every pair of windows, so
+  such scans run one window per run).  Runs are planned in blocks of
+  windows that double in size, and never span two blocks, so a resumed
+  scan that settles after a few windows plans only those.
+* *The layout.*  Per block of windows, the planner sorts the hops by
+  (window descending, source), giving one *segment* per (window,
+  source) pair with its own departure rank; a run is a contiguous
+  range of segments.  A run commits as one *group*, or — when its
+  staged ``(hops × width)`` working set would exceed
+  :data:`BATCH_CELL_BUDGET` — as several groups of whole segments,
+  which bounds memory (one state commit per group,
+  :data:`SCAN_BATCHES`).  Within a group the planner lays the segments
+  out largest first (stably by hop count), so the segments with more
+  than ``r`` hops are always a prefix, and precomputes everything that
+  does not depend on the state (:class:`_RunBlock`): one gather index
+  per group holding its hop targets rank-major (all first hops, then
+  all second hops, ...) followed by its sources; the direct hops as
+  flat positions in the group's candidate rows with their keys
+  ``rank * K + 1`` (a ``targets=`` restriction drops the hops outside
+  it here); and per hop rank the prefix length to fold.
+* *The step.*  The per-group body is a short, fixed sequence of
+  state-dependent numpy calls (:func:`_apply_run`): one gather yields
+  the continuation rows and the old rows; each further hop rank folds
+  into the segment minima with one in-place ``np.minimum`` on a
+  prefix; ``+ 1`` costs the continuation its hop; one flat write
+  scatters the direct hops; the strict-improvement mask and the
+  lexicographic minimum with the old rows are written straight into
+  the row buffer (``np.less``/``np.minimum`` with ``out=``), whose
+  rows commit to the state.  Accumulators see each group's old and new
+  rows as one batch (``observe_rows``).
+* *The row buffer.*  Trips are not extracted per run: a scan-local
+  buffer (:class:`_RowBuffer`) holds the committed groups' masks and
+  new rows, consecutive laid-out segments of one block.  A flush clears
+  the diagonal of every buffered row at once (unless
+  ``include_self``), runs one C-order ``nonzero``, decodes the trips
+  (departure, arrival, hops, duration) through the table and delivers
+  one ``record_batch`` per collector; the flushes' counts are the
+  scan's trip count.  The scan flushes before a checkpoint capture
+  hands the consumers off, before a settled resume freezes them, and at
+  its end; the buffer flushes itself when a group comes from another
+  block or would not fit, and once it holds :data:`ROW_BUFFER_CELLS`
+  cells (near 0.5 MiB, so a dense scan flushes while the rows are still
+  in cache).
+* *Emission order.*  The buffer holds whole groups, and a group is a
+  contiguous range of segments laid out only within itself, so a flush
+  restores segment order by reindexing the buffered mask rows.  Its
+  C-order ``nonzero`` then walks segments in (window descending,
+  source) order and columns ascending within each — the order of the
+  per-source reference loop
+  (:func:`repro.temporal.bruteforce.reference_scan`) — and flushes
+  follow one another in scan order, so a delivered batch may span many
+  windows but its rows are still in that order.
+* *Per-row adapters.*  Consumers without the batch methods get their
+  per-source/per-row protocol, in that same order, with the same
+  arguments.
 
-  - *The run rule.*  A window writes the state rows of its hop sources
-    and reads the rows of its sources and of its hop targets.  Walking
-    the windows in scan order (latest first), a window joins the open
-    run unless an earlier window of that run writes a row it reads.  A
-    window alone is a run of length 1.
-  - *Why it is exact.*  No window of a run reads or writes a row
-    another window of the run writes, so every read of the run sees
-    the pre-run state — exactly the state the window would see if the
-    run's earlier windows were applied first.  This is the same
-    independence argument the per-window update already relies on
-    (continuation reads come from the pre-window stash, never from
-    intra-window writes; two links of one window never chain).  Sources
-    are unique across a run, so all its row writes commit at once.
-  - *What breaks a run.*  Besides a conflict, a run never absorbs a
-    window where the scan must see the state between two windows: a
-    checkpoint capture position (``checkpoints=``), a resume candidate
-    (``resume=``), or any window of a scan feeding a state accumulator
-    (``close_run`` folds the state between every pair of windows, so
-    such scans run one window per run).  Runs are planned in blocks of
-    windows that double in size, and never span two blocks, so a
-    resumed scan that settles after a few windows plans only those.
-  - *The layout.*  Per block of windows, the planner sorts the hops by
-    (window descending, source), giving one *segment* per (window,
-    source) pair with its own departure step; a run is a contiguous
-    range of segments.  A run commits as one *group*, or — when its
-    staged ``(hops × width)`` working set would exceed the chunk budget
-    (``REPRO_SCAN_BATCH_CELLS``) — as several groups of whole segments,
-    which bounds memory (one state commit per group,
-    :data:`SCAN_BATCHES`).  Within a group the planner lays the
-    segments out largest first (stably by hop count), so the segments
-    with more than ``r`` hops are always a prefix, and precomputes
-    everything that does not depend on the state (:class:`_RunBlock`):
-    one gather index per group holding its hop targets rank-major (all
-    first hops, then all second hops, ...) followed by its sources; the
-    direct hops as flat positions in the group's candidate rows with
-    their keys ``step * K + 1`` (a ``targets=`` restriction drops the
-    hops outside it here); and per hop rank the prefix length to fold.
-  - *The step.*  The per-group body is a short, fixed sequence of
-    state-dependent numpy calls (:func:`_apply_run`): one gather yields
-    the continuation rows and the old rows; each further hop rank folds
-    into the segment minima with one in-place ``np.minimum`` on a
-    prefix; ``+ 1`` costs the continuation its hop; one flat write
-    scatters the direct hops; the strict-improvement mask and the
-    lexicographic minimum with the old rows are written straight into
-    the row buffer (``np.less``/``np.minimum`` with ``out=``), whose
-    rows commit to the state.  Accumulators see each group's old and
-    new rows as one batch (``observe_rows``).
-  - *The row buffer.*  Trips are not extracted per run: a scan-local
-    buffer (:class:`_RowBuffer`) holds the committed groups' masks and
-    new rows, consecutive laid-out segments of one block.  A flush
-    clears the diagonal of every buffered row at once (unless
-    ``include_self``), runs one C-order ``nonzero``, decodes the trips
-    (arrival, hops, duration) and delivers one ``record_batch`` per
-    collector; the flushes' counts are the scan's trip count.  The
-    scan flushes before a checkpoint capture hands the consumers off,
-    before a settled resume freezes them, and at its end; the buffer
-    flushes itself when a group comes from another block or would not
-    fit, and once it holds :data:`ROW_BUFFER_CELLS` cells (near
-    0.5 MiB, so a dense scan flushes while the rows are still in
-    cache).
-  - *Emission order.*  The buffer holds whole groups, and a group is
-    a contiguous range of segments laid out only within itself, so a
-    flush can restore legacy segment order by reindexing the buffered
-    mask rows.  Its C-order ``nonzero`` then walks segments in (window
-    descending, source) order and columns ascending within each —
-    exactly the legacy kernel's trip order — and flushes follow one
-    another in scan order, so a delivered batch may span many windows
-    but its rows are still in legacy order.
-  - *Fallbacks.*  Consumers without the batch methods get their
-    per-source/per-row protocol, in that same order, with the same
-    arguments.
-* ``legacy`` — the original per-source Python loop, kept selectable as
-  the in-tree oracle.
-
-Both kernels are bit-identical — same trips in the same order, same
-collector states, same accumulator sums — across directed/undirected
-input, ``targets`` shards, ``include_self``, checkpoints, resumes, and
-every backend, so the kernel is *not* part of any cache key.  Select
-it per call (``scan_series(series, kernel="legacy")``) or process-wide
-via ``REPRO_SCAN_KERNEL=batched|legacy``.  :data:`SCAN_ROWS`,
-:data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally how much work each
-kernel did (per process), next to the pass counter :data:`SCAN_COUNTS`.
+The kernel is bit-identical to the reference loop — same trips in the
+same order, same collector states, same accumulator sums — across
+directed/undirected input, ``targets`` shards, ``include_self``,
+checkpoints, resumes, and every backend.  :data:`SCAN_ROWS`,
+:data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally its work per scan
+kind (per process), next to the pass counter :data:`SCAN_COUNTS`.
 
 One scan, many measures
 -----------------------
@@ -192,31 +196,25 @@ HOP_INF = np.iinfo(np.int64).max // 4
 #: these counters; they are plain tallies with no behavioural effect
 #: (each worker process keeps its own).
 SCAN_COUNTS = {"series": 0, "stream": 0}
-#: Per-kernel work tallies (same no-behaviour caveats as
-#: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates,
-#: ``SCAN_WINDOWS`` nonempty windows processed, and ``SCAN_BATCHES``
-#: state commits — one per run for the batched kernel (a run of
+#: Work tallies per scan kind (same no-behaviour caveats as
+#: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates — one
+#: per (window, source) pair — ``SCAN_WINDOWS`` nonempty windows
+#: processed, and ``SCAN_BATCHES`` state commits: one per run (a run of
 #: conflict-free windows commits at once; one over the cell budget
-#: commits per chunk), one per row for the legacy loop.  Tests and
-#: benches assert how much work a scan did, not just that one happened:
-#: the two kernels must agree on rows and windows while ``batched``
-#: commits in far fewer batches.
-SCAN_ROWS = {"batched": 0, "legacy": 0}
-SCAN_WINDOWS = {"batched": 0, "legacy": 0}
-SCAN_BATCHES = {"batched": 0, "legacy": 0}
+#: commits per chunk).  Tests and benches assert how much work a scan
+#: did, not just that one happened.
+SCAN_ROWS = {"series": 0, "stream": 0}
+SCAN_WINDOWS = {"series": 0, "stream": 0}
+SCAN_BATCHES = {"series": 0, "stream": 0}
 
-#: The kernels selectable by ``scan_series(kernel=...)`` and the
-#: ``REPRO_SCAN_KERNEL`` environment variable.
-SCAN_KERNELS = ("batched", "legacy")
-
-#: Upper bound on the cells (hop rows × state width) the batched kernel
-#: stages per chunk; chunks always hold whole segments.  At int64 this
-#: bounds each staged continuation matrix near 8 MB.  Overridable via
-#: ``REPRO_SCAN_BATCH_CELLS`` (tests force tiny budgets to exercise the
-#: multi-chunk path; the value never affects results, only peak memory).
+#: Upper bound on the cells (hop rows × state width) the kernel stages
+#: per chunk; chunks always hold whole segments.  At int64 this bounds
+#: each staged continuation matrix near 8 MB.  The value never affects
+#: results, only peak memory (tests shrink it to exercise the
+#: multi-chunk path).
 BATCH_CELL_BUDGET = 1 << 20
 
-#: State cells (committed rows × state width) the batched kernel's row
+#: State cells (committed rows × state width) the kernel's row
 #: buffer holds before it flushes them into trips (it also flushes at
 #: checkpoint and settle boundaries, at a block change and at the end of
 #: the scan).  Sparse scans commit a few rows per run, so one flush
@@ -228,40 +226,11 @@ BATCH_CELL_BUDGET = 1 << 20
 #: seeds).
 ROW_BUFFER_CELLS = 1 << 16
 
-#: Windows in the batched kernel's first run-planning block; each later
+#: Windows in the kernel's first run-planning block; each later
 #: block doubles.  A resumed scan that settles after a few windows plans
 #: little more than those, and a full scan needs only ``O(log windows)``
 #: blocks (a run never spans two).
 FIRST_PLAN_BLOCK = 8
-
-
-def _resolve_kernel(kernel: str | None) -> str:
-    """Validate an explicit kernel choice or read ``REPRO_SCAN_KERNEL``."""
-    if kernel is None:
-        kernel = os.environ.get("REPRO_SCAN_KERNEL", "") or "batched"
-    if kernel not in SCAN_KERNELS:
-        raise ValidationError(
-            f"unknown scan kernel {kernel!r}; expected one of {SCAN_KERNELS}"
-        )
-    return kernel
-
-
-def _batch_cell_budget() -> int:
-    """The chunk budget, env-overridable (minimum one row's width)."""
-    override = os.environ.get("REPRO_SCAN_BATCH_CELLS", "")
-    if override:
-        try:
-            budget = int(override)
-        except ValueError:
-            raise ValidationError(
-                f"REPRO_SCAN_BATCH_CELLS must be an integer, got {override!r}"
-            ) from None
-        if budget < 1:
-            raise ValidationError(
-                f"REPRO_SCAN_BATCH_CELLS must be positive, got {budget}"
-            )
-        return budget
-    return BATCH_CELL_BUDGET
 
 
 @dataclass(frozen=True)
@@ -760,40 +729,43 @@ class ScanCheckpoint:
     pending departure run differs.
 
     The state is stored **packed**: one read-only copy of the scan's
-    int64 keys ``P = A * K + H`` (infinite cells at ``a_inf * K + K -
-    1``) together with that scan's ``K`` and ``a_inf``, so a capture is
-    one copy of the live state.  Packed keys depend on the series
-    length through ``K``, which an append changes.  A resumed scan
-    therefore compares packed keys directly when its ``K`` matches and
-    otherwise unpacks both states and compares them canonically.  The
-    legacy kernel packs its ``(A, H)`` with the scan's ``K`` before a
-    capture, so stored records never depend on the kernel.  The
-    canonical ``A``/``H`` (with the :data:`INT_INF`/:data:`HOP_INF`
-    sentinels) are unpacked on demand.
+    int64 keys ``P = A * K + H`` over rank steps (see the module
+    docstring's *The scan kernel*), so a capture is one copy of the live
+    state, together with a reference (not a copy) to the scan's rank →
+    window ``table``, which fixes ``a_inf = len(table)`` and
+    ``K = a_inf + 2``.  An append that adds windows changes ``K``, so a
+    resumed scan compares packed keys directly only when its ``K``
+    matches and otherwise compares the decoded states.  The canonical
+    ``A``/``H`` (real window indices, with the
+    :data:`INT_INF`/:data:`HOP_INF` sentinels) are decoded on demand.
     """
 
-    __slots__ = ("window", "last_processed", "P", "K", "a_inf")
+    __slots__ = ("window", "last_processed", "P", "table")
 
     def __init__(
-        self, window: int, last_processed: int, P: np.ndarray, K: int,
-        a_inf: int,
+        self, window: int, last_processed: int, P: np.ndarray,
+        table: np.ndarray,
     ) -> None:
         P.setflags(write=False)
         self.window = int(window)
         self.last_processed = int(last_processed)
         self.P = P
-        self.K = int(K)
-        self.a_inf = int(a_inf)
+        self.table = table
+
+    @property
+    def K(self) -> int:
+        """The packing radix: every packed hop count is below it."""
+        return int(self.table.size) + 2
 
     @property
     def A(self) -> np.ndarray:
-        """The canonical arrival matrix (unpacked on each access)."""
-        return _unpack_rows(self.P, self.K, self.a_inf)[0]
+        """The canonical arrival matrix (decoded on each access)."""
+        return _unpack_rows(self.P, self.table)[0]
 
     @property
     def H(self) -> np.ndarray:
-        """The canonical hop matrix (unpacked on each access)."""
-        return _unpack_rows(self.P, self.K, self.a_inf)[1]
+        """The canonical hop matrix (decoded on each access)."""
+        return _unpack_rows(self.P, self.table)[1]
 
     @property
     def nbytes(self) -> int:
@@ -845,17 +817,17 @@ class CheckpointRecorder:
         return (it >= 1) & (((it & (it - 1)) == 0) | (it % self._stride == 0))
 
     def capture(
-        self, window: int, last_processed: int, P: np.ndarray, K: int,
-        a_inf: int,
+        self, window: int, last_processed: int, P: np.ndarray,
+        table: np.ndarray,
     ) -> bool:
-        """Store a copy of the packed state ``P`` as one checkpoint;
-        ``False`` when the byte budget is spent (the scan then simply
-        keeps feeding the current span)."""
+        """Store a copy of the packed state ``P`` (decoded by ``table``)
+        as one checkpoint; ``False`` when the byte budget is spent (the
+        scan then simply keeps feeding the current span)."""
         cost = int(P.nbytes)
         if self._bytes + cost > self._max_bytes:
             return False
         self.checkpoints.append(
-            ScanCheckpoint(window, last_processed, P.copy(), K, a_inf)
+            ScanCheckpoint(window, last_processed, P.copy(), table)
         )
         self._bytes += cost
         return True
@@ -999,117 +971,6 @@ def _split_consumers(collector) -> tuple[list, list]:
     return trip_collectors, accumulators
 
 
-def _expand_undirected(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Turn undirected edges into both directed hops."""
-    return np.concatenate([u, v]), np.concatenate([v, u])
-
-
-def _process_group(
-    A: np.ndarray,
-    H: np.ndarray,
-    time_value,
-    us: np.ndarray,
-    vs: np.ndarray,
-    collectors: list,
-    include_self: bool,
-    duration_extra,
-    accumulators: list,
-    col_of: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
-) -> int:
-    """Apply one window's hops to the state; returns trips recorded.
-
-    The **legacy** kernel: one Python iteration per source row, kept
-    selectable (``kernel="legacy"``) as the in-tree oracle for the
-    batched run kernel (:func:`_apply_run`) and still used by
-    :func:`scan_stream`.
-
-    ``us``/``vs`` are directed hops (already expanded for undirected
-    input), deduplicated within the group.  All continuation reads come
-    from a pre-window stash so intra-window updates never chain.  Every
-    trip collector receives every batch; every accumulator sees every
-    row update.
-
-    When the scan is restricted to a destination subset, ``cols`` holds
-    the selected node ids (the state's column order) and ``col_of`` maps
-    node id -> column position (-1 for excluded nodes); both are ``None``
-    for a full scan.
-    """
-    order = np.argsort(us, kind="stable")
-    us = us[order]
-    vs = vs[order]
-    sources, starts = np.unique(us, return_index=True)
-    ends = np.append(starts[1:], us.size)
-    involved = np.unique(np.concatenate([sources, vs]))
-    stash_A = A[involved].copy()
-    stash_H = H[involved].copy()
-    trips_recorded = 0
-    SCAN_WINDOWS["legacy"] += 1
-    SCAN_ROWS["legacy"] += sources.size
-    SCAN_BATCHES["legacy"] += sources.size
-
-    for i in range(sources.size):
-        u = int(sources[i])
-        targets = vs[starts[i] : ends[i]]
-        w_pos = np.searchsorted(involved, targets)
-        cont_A = stash_A[w_pos]
-        cont_H = stash_H[w_pos]
-        if targets.size == 1:
-            arr = cont_A[0].copy()
-            hop = cont_H[0] + 1
-        else:
-            arr = cont_A.min(axis=0)
-            hop = np.where(cont_A == arr[None, :], cont_H, HOP_INF).min(axis=0) + 1
-        # A direct hop arrives at the current window itself, always earlier
-        # than any continuation (which departs at the *next* window).
-        if col_of is None:
-            arr[targets] = time_value
-            hop[targets] = 1
-        else:
-            tpos = col_of[targets]
-            tpos = tpos[tpos >= 0]
-            arr[tpos] = time_value
-            hop[tpos] = 1
-
-        u_pos = int(np.searchsorted(involved, u))
-        old_A = stash_A[u_pos]
-        old_H = stash_H[u_pos]
-        improved = arr < old_A
-        tie_better = (~improved) & (arr == old_A) & (hop < old_H)
-        new_A = np.where(improved, arr, old_A)
-        new_H = np.where(improved | tie_better, hop, old_H)
-        A[u] = new_A
-        H[u] = new_H
-
-        if accumulators:
-            self_col = u if col_of is None else int(col_of[u])
-            for accumulator in accumulators:
-                accumulator.observe_row(
-                    u, time_value, old_A, old_H, new_A, new_H, self_col
-                )
-
-        record = improved.copy()
-        if not include_self:
-            if col_of is None:
-                record[u] = False
-            else:
-                u_col = col_of[u]
-                if u_col >= 0:
-                    record[u_col] = False
-        chosen = np.nonzero(record)[0]
-        trips_recorded += chosen.size
-        if collectors and chosen.size:
-            arrivals = new_A[chosen]
-            node_targets = chosen if cols is None else cols[chosen]
-            hops = new_H[chosen]
-            durations = arrivals - time_value + duration_extra
-            for collector in collectors:
-                collector.record(
-                    u, time_value, node_targets, arrivals, hops, durations
-                )
-    return trips_recorded
-
-
 def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
     """Greedy chunking of a run's segments: as many whole segments per
     chunk as fit ``max_rows`` hop rows (always at least one).
@@ -1128,27 +989,27 @@ def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
 
 
 def _unpack_rows(
-    P_rows: np.ndarray, K: int, a_inf: int
+    P_rows: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unpack packed-key rows back into ``(A, H)`` with the sentinels
+    """Decode packed-key rows into canonical ``(A, H)``: arrivals as
+    ``table`` values (real window indices for a series), sentinels
     restored.  Committed infinite cells are always the canonical
     ``a_inf * K + (K - 1)`` (never the incremented ``(a_inf + 1) * K``
     candidate form, which loses every lexicographic minimum against it),
-    so the fixup mask is exactly ``A == a_inf``.
+    so the fixup mask is exactly ``rank == a_inf``.
     """
-    A = P_rows // K
-    H = P_rows - A * K
+    a_inf = table.size
+    A = P_rows // (a_inf + 2)
+    H = P_rows - A * (a_inf + 2)
     infinite = A == a_inf
+    if a_inf and (table[0] != 0 or table[-1] != a_inf - 1):
+        # Not the identity (a series with empty windows): decode.
+        # Infinite cells clip onto the last window; the fixup below
+        # overwrites them.
+        A = table.take(A, mode="clip")
     A[infinite] = INT_INF
     H[infinite] = HOP_INF
     return A, H
-
-
-def _pack_rows(A: np.ndarray, H: np.ndarray, K: int, a_inf: int) -> np.ndarray:
-    """The inverse of :func:`_unpack_rows`: canonical ``(A, H)`` rows as
-    packed keys, infinite cells at ``a_inf * K + (K - 1)``."""
-    finite = A < INT_INF
-    return np.where(finite, A, a_inf) * K + np.where(finite, H, K - 1)
 
 
 class _RowBuffer:
@@ -1163,33 +1024,37 @@ class _RowBuffer:
     :class:`_RunBlock`, and the buffer always holds whole groups.
 
     :meth:`flush` turns everything buffered into trips at once: it
-    clears the diagonal (unless ``include_self``), restores legacy
-    segment order (within a group the kernel lays segments out by size,
-    see :class:`_RunBlock`), runs one C-order ``nonzero``, decodes the
-    packed keys and feeds ``collectors`` (the scan swaps in the
-    successors at a checkpoint handoff) one ``record_batch`` each.  It
-    returns the number of trips, the scan's only trip count.  The
-    buffer flushes itself when a group comes from another block or
-    would not fit, and once it holds :data:`ROW_BUFFER_CELLS` cells;
-    the scan flushes it at its boundaries (see the module docstring's
-    *Scan kernels*).
+    clears the diagonal (unless ``include_self``), restores segment
+    order (within a group the kernel lays segments out by size, see
+    :class:`_RunBlock`), runs one C-order ``nonzero``, decodes the
+    packed keys through the rank → value ``table`` (durations are
+    ``arr - dep + extra``: ``extra`` is 1 for a series, 0 for a stream)
+    and feeds ``collectors`` (the scan swaps in the successors at a
+    checkpoint handoff) one ``record_batch`` each.  It returns the
+    number of trips, the scan's only trip count.  The buffer flushes
+    itself when a group comes from another block or would not fit, and
+    once it holds :data:`ROW_BUFFER_CELLS` cells; the scan flushes it at
+    its boundaries (see the module docstring's *The scan kernel*).
     """
 
     __slots__ = (
-        "collectors", "K", "cols", "include_self", "width", "cap",
-        "mask", "keys", "block", "lo", "rows",
+        "collectors", "table", "extra", "K", "cols", "include_self",
+        "width", "cap", "mask", "keys", "block", "lo", "rows",
     )
 
     def __init__(
         self,
         collectors: list,
-        K: int,
+        table: np.ndarray,
+        extra: int,
         cols: np.ndarray | None,
         include_self: bool,
         width: int,
     ) -> None:
         self.collectors = collectors
-        self.K = K
+        self.table = table
+        self.extra = extra
+        self.K = table.size + 2
         self.cols = cols
         self.include_self = include_self
         self.width = width
@@ -1235,33 +1100,33 @@ class _RowBuffer:
             mask.reshape(-1)[at] = False
         if not self.collectors:
             return int(np.count_nonzero(mask))
-        # C-order nonzero over rows in legacy segment order: segments in
+        # C-order nonzero over rows in segment order: segments in
         # (window descending, source) order, columns ascending within
-        # each — exactly the legacy window-by-window, source-by-source
-        # emission order.  (Flat indices: a 2-D nonzero is several
-        # times slower.)
+        # each — the reference loop's window-by-window,
+        # source-by-source emission order.  (Flat indices: a 2-D
+        # nonzero is several times slower.)
         width = self.width
         if block.laid_pos is None:
             flat = np.flatnonzero(mask)
             row_idx, col_idx = np.divmod(flat, width)
         else:
-            legacy = block.laid_pos[lo:lo + rows] - lo
-            row_idx, col_idx = np.divmod(np.flatnonzero(mask[legacy]), width)
-            row_idx = legacy[row_idx]
+            ordered = block.laid_pos[lo:lo + rows] - lo
+            row_idx, col_idx = np.divmod(np.flatnonzero(mask[ordered]), width)
+            row_idx = ordered[row_idx]
             flat = row_idx * width + col_idx
         if not flat.size:
             return 0
         # Recorded cells improved, hence are finite: decoding the keys
         # needs no sentinel fixup.
-        arrivals, hops = np.divmod(
-            self.keys[:rows].reshape(-1)[flat], self.K
-        )
+        ranks, hops = np.divmod(self.keys[:rows].reshape(-1)[flat], self.K)
         row_idx += lo
         sources = block.sources[row_idx]
-        deps = block.steps[row_idx]
+        deps = self.table[block.ranks[row_idx]]
+        arrivals = self.table[ranks]
         targets = col_idx if self.cols is None else self.cols[col_idx]
         durations = arrivals - deps
-        durations += 1
+        if self.extra:
+            durations += self.extra
         for collector in self.collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:
@@ -1279,7 +1144,7 @@ class _RunBlock:
 
     The block's hops (expanded for undirected input) sort by (scan
     position, source) — window descending, then source — so each
-    (window, source) pair is one contiguous **segment** in *legacy
+    (window, source) pair is one contiguous **segment** in *segment
     order* and every run of the block's windows is a contiguous range
     of segments.  The kernel commits a run as one **group**, or, when
     its hops exceed the chunk budget, as several groups of whole
@@ -1288,12 +1153,12 @@ class _RunBlock:
     than ``r`` hops are always a prefix; all per-segment arrays are in
     that laid-out order:
 
-    * ``sources`` (the row each segment writes), ``steps`` (its
-      departure window) and ``self_cols`` (its diagonal column, -1
+    * ``sources`` (the row each segment writes), ``ranks`` (the rank of
+      its departure window) and ``self_cols`` (its diagonal column, -1
       outside a ``targets=`` restriction);
-    * ``laid_pos``, each legacy segment's laid-out position (``None``
-      when every group is already in legacy order), which the row
-      buffer uses to restore legacy order;
+    * ``laid_pos``, the laid-out position of each segment in segment
+      order (``None`` when every group is already in segment order),
+      which the row buffer uses to restore segment order;
     * ``gather``, one index array holding per group its hop targets
       rank-major (every segment's first hop, then every second hop of
       the segments with two or more, ...) followed by its sources, so
@@ -1301,12 +1166,12 @@ class _RunBlock:
       old rows;
     * ``dpos``/``dkey``, per group the direct hops as flat positions in
       the group's candidate rows (``row * width + column``) with their
-      packed keys ``step * K + 1``; a ``targets=`` restriction drops
+      packed keys ``rank * K + 1``; a ``targets=`` restriction drops
       the hops whose target lies outside it.
     """
 
     __slots__ = (
-        "sources", "steps", "self_cols", "laid_pos", "gather", "dpos",
+        "sources", "ranks", "self_cols", "laid_pos", "gather", "dpos",
         "dkey",
     )
 
@@ -1428,7 +1293,7 @@ def _plan_block(
         np.diff(offsets[j_lo:j_hi + 1]),
     )
     if not series.directed:
-        u, v = _expand_undirected(u, v)
+        u, v = np.concatenate([u, v]), np.concatenate([v, u])
         pos = np.concatenate([pos, pos])
     key = pos * n + u
     order = np.argsort(key, kind="stable")
@@ -1443,7 +1308,8 @@ def _plan_block(
     nseg = starts.size
     seg_of = np.cumsum(head) - 1
     seg_pos, sources = np.divmod(key[starts], n)
-    steps = block_windows[seg_pos]
+    # Scan position p of the block is the window of rank j_hi - 1 - p.
+    ranks = j_hi - 1 - seg_pos
     sizes = np.diff(np.append(starts, nhops))
     # The sort temporaries are dead: free them before the layout's own.
     del u, pos, key, order, head
@@ -1489,7 +1355,7 @@ def _plan_block(
     block = _RunBlock()
     block.laid_pos = None
     block.sources = sources
-    block.steps = steps
+    block.ranks = ranks
     hop_group = g_of[seg_of]
     # Each hop's row in its group's candidate rows (its laid-out
     # segment's position in the group).
@@ -1501,7 +1367,7 @@ def _plan_block(
             block.laid_pos = np.empty(nseg, dtype=np.int64)
             block.laid_pos[lay] = np.arange(nseg)
             block.sources = sources[lay]
-            block.steps = steps[lay]
+            block.ranks = ranks[lay]
             seg_row = block.laid_pos[seg_of]
             seg_row -= group_segs[hop_group]
         rank = np.arange(nhops)
@@ -1520,12 +1386,12 @@ def _plan_block(
     block.gather[at] = v if hop_order is None else v[hop_order]
     del at, hop_order
     block.gather[np.arange(nseg) + group_hops[1:][g_of]] = block.sources
-    # Direct hops, in legacy order: flat positions in the candidate rows.
+    # Direct hops, in segment order: flat positions in the candidate rows.
     tcols = v if col_of is None else col_of[v]
     dpos = seg_row
     dpos *= width
     dpos += tcols
-    dkey = steps[seg_of]
+    dkey = ranks[seg_of]
     dkey *= K
     dkey += 1
     direct_at = group_hops
@@ -1580,8 +1446,8 @@ def _plan_block(
         zip(
             (run_pos[:-1] + first).tolist(),
             (run_pos[1:] + first).tolist(),
-            steps[run_segs[:-1]].tolist(),
-            steps[run_segs[1:] - 1].tolist(),
+            block_windows[run_pos[:-1]].tolist(),
+            block_windows[run_pos[1:] - 1].tolist(),
             captures[run_pos[:-1]].tolist(),
             [
                 (block, g0, g1, groups)
@@ -1595,26 +1461,28 @@ def _plan_block(
 
 def _apply_run(
     P: np.ndarray,
-    K: int,
-    a_inf: int,
+    rows: _RowBuffer,
+    accumulators: list,
+    step: int,
+    kind: str,
     block: _RunBlock,
     g0: int,
     g1: int,
     groups: tuple,
-    rows: _RowBuffer,
-    accumulators: list,
 ) -> int:
     """Apply one run of conflict-free windows to the packed state;
     returns the trips of the row-buffer flushes it triggered.
-    Bit-identical to :func:`_process_group` applied window by window
-    (see the module docstring's *Scan kernels* section for the run rule
-    and why it is exact).
+    Bit-identical to the reference loop
+    (:func:`repro.temporal.bruteforce.reference_scan`) applied window by
+    window (see the module docstring's *The scan kernel* for the run
+    rule and why it is exact).
 
-    ``P`` is the scan state with each ``(arrival, hop)`` pair packed
-    into a single int64 lexicographic key ``A * K + H`` — ``K`` above
-    every finite hop the scan can produce, ``a_inf`` above every window
-    index, infinite cells at the ``a_inf * K + (K - 1)`` sentinel.  The
-    run is ``block``'s gather section ``[g0, g1)``, committed as
+    ``P`` is the scan state with each ``(arrival rank, hop)`` pair
+    packed into a single int64 lexicographic key ``A * K + H`` (``K =
+    rows.K``), infinite cells at the ``a_inf * K + (K - 1)`` sentinel.
+    ``step`` is the run's first window (accumulator scans run one
+    window per run) and ``kind`` the tally key.  The run is
+    ``block``'s gather section ``[g0, g1)``, committed as
     ``groups``: per group ``(off, nhops, nseg, s0, d0, d1, folds)`` —
     its gather section offset, hop and segment counts, first laid-out
     segment, direct-hop range and its ``(offset, count)`` fold per hop
@@ -1644,10 +1512,11 @@ def _apply_run(
         # Fancy indexing copies: this is the pre-run stash.
         stash = P[involved]
         index = np.searchsorted(involved, index)
-    SCAN_BATCHES["batched"] += len(groups)
+    K = rows.K
+    SCAN_BATCHES[kind] += len(groups)
     flushed = 0
     for off, nhops, nseg, s0, d0, d1, folds in groups:
-        SCAN_ROWS["batched"] += nseg
+        SCAN_ROWS[kind] += nseg
         G = stash[index[off:off + nhops + nseg]]
         # Segment minima of the packed keys: arrival first, hop
         # tie-break for free.  Rank 0 holds every segment's first hop.
@@ -1658,7 +1527,7 @@ def _apply_run(
         # low digit, + 1 increments the hop component alone.  All-
         # infinite segments carry (a_inf * K + K - 1) + 1 = (a_inf + 1)
         # * K, which still sorts above every real candidate and the
-        # stashed infinity — exactly legacy's never-committed
+        # stashed infinity — the reference loop's never-committed
         # HOP_INF + 1.
         cand += 1
         # A direct hop arrives at its own window, always earlier than
@@ -1667,10 +1536,10 @@ def _apply_run(
         # never collides.
         cand.reshape(-1)[block.dpos[d0:d1]] = block.dkey[d0:d1]
         # Compare and commit entirely in key space: `candidate < floor`
-        # (floor = the old keys' arrival component alone) is legacy's
-        # `arr < old_A` — strict arrival improvement, the trip-record
-        # condition, independent of either hop count — and the
-        # lexicographic minimum with the old keys is legacy's
+        # (floor = the old keys' arrival component alone) is the
+        # reference loop's `arr < old_A` — strict arrival improvement,
+        # the trip-record condition, independent of either hop count —
+        # and the lexicographic minimum with the old keys is its
         # improved/tie-better selection: a tie on arrival resolves to
         # the smaller hop via the low digit.
         old = G[nhops:]
@@ -1686,8 +1555,8 @@ def _apply_run(
         if accumulators:
             # Scans with accumulators run one window per run.
             _observe(
-                accumulators, sources, int(block.steps[s0]), old, new, K,
-                a_inf, block.self_cols[s0:s0 + nseg],
+                accumulators, sources, step, old, new, rows.table,
+                block.self_cols[s0:s0 + nseg],
             )
         if rows.rows >= rows.cap:
             flushed += rows.flush()
@@ -1703,19 +1572,19 @@ def _observe(
     step: int,
     old: np.ndarray,
     new: np.ndarray,
-    K: int,
-    a_inf: int,
+    table: np.ndarray,
     self_cols: np.ndarray,
 ) -> None:
-    """Feed one committed group of a window to the state accumulators.
+    """Feed one committed group of a window to the state accumulators,
+    its rows decoded to real window indices through ``table``.
 
     Rows come in laid-out order (sources are unique within a window, so
     ``observe_rows`` sees the same rows in some order); the per-row
     adapter for third-party accumulators with only ``observe_row``
-    walks them in legacy (source) order.
+    walks them in source order, as the reference loop does.
     """
-    old_A, old_H = _unpack_rows(old, K, a_inf)
-    new_A, new_H = _unpack_rows(new, K, a_inf)
+    old_A, old_H = _unpack_rows(old, table)
+    new_A, new_H = _unpack_rows(new, table)
     for accumulator in accumulators:
         observe_rows = getattr(accumulator, "observe_rows", None)
         if observe_rows is not None:
@@ -1759,7 +1628,6 @@ def scan_series(
     *,
     include_self: bool = False,
     targets: np.ndarray | None = None,
-    kernel: str | None = None,
     checkpoints: CheckpointRecorder | None = None,
     resume: ResumePlan | None = None,
 ) -> ScanResult:
@@ -1791,12 +1659,6 @@ def scan_series(
         in ``targets`` — the primitive behind within-Δ sharding.  A
         restricted :class:`DistanceTotals` holds partial sums; merge the
         shards before calling :meth:`~DistanceTotals.stats`.
-    kernel:
-        ``"batched"`` (the default), ``"legacy"``, or ``None`` to read
-        ``REPRO_SCAN_KERNEL``.  Both kernels are bit-identical (see the
-        module docstring's *Scan kernels* section), so the choice never
-        enters a cache key; ``legacy`` is the in-tree oracle the batched
-        kernel is verified against.
     checkpoints:
         Optional :class:`CheckpointRecorder` capturing bounded scan-state
         snapshots plus per-span consumer contributions for later resume.
@@ -1816,7 +1678,28 @@ def scan_series(
     Both options change only how much work is redone, never any result.
     """
     SCAN_COUNTS["series"] += 1
-    batched = _resolve_kernel(kernel) == "batched"
+    return _scan(
+        series, collector, "series", series.nonempty_steps(), 1,
+        include_self=include_self, targets=targets,
+        checkpoints=checkpoints, resume=resume,
+    )
+
+
+def _scan(
+    series: GraphSeries,
+    collector,
+    kind: str,
+    table: np.ndarray,
+    extra: int,
+    *,
+    include_self: bool,
+    targets: np.ndarray | None = None,
+    checkpoints: CheckpointRecorder | None = None,
+    resume: ResumePlan | None = None,
+) -> ScanResult:
+    """The backward scan over ``series``'s nonempty windows, ranks
+    decoded through ``table`` (durations ``arr - dep + extra``) and work
+    tallied under ``kind``; see :func:`scan_series`."""
     n = series.num_nodes
     items = (
         []
@@ -1836,44 +1719,35 @@ def scan_series(
         begin = getattr(accumulator, "begin", None)
         if begin is not None:
             begin(n, series.num_steps, cols)
-    # Analytic packing caps: arrivals and window indices are <
-    # num_steps, and no minimal trip can take more than num_steps hops
-    # (each hop departs one window later).  Both caps are scan-wide
-    # constants, so the batched kernel's state stays packed for the
-    # whole scan, and checkpoints of either kernel store packed keys.
-    # Were the packed keys ever to overflow int64 (num_steps near
-    # 2**31), the whole scan falls back to the legacy kernel —
-    # bit-identical by contract — is tallied as legacy work, and
-    # records no checkpoints.
-    a_inf = max(int(series.num_steps), 1)
+    # Rank steps: arrivals are ranks < W and no minimal trip takes more
+    # than W hops (each hop departs one nonempty window later), so the
+    # packed keys stay below (W + 1) * (W + 2).
+    a_inf = int(table.size)
+    if a_inf >= 1 << 31:
+        raise ValidationError(
+            f"{a_inf} nonempty windows overflow the packed scan state "
+            "(at most 2**31 - 1)"
+        )
     K = a_inf + 2
-    packable = a_inf + 2 <= (1 << 62) // K
-    batched = batched and packable
-    if batched:
-        P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
-    else:
-        A = np.full((n, width), INT_INF, dtype=np.int64)
-        H = np.full((n, width), HOP_INF, dtype=np.int64)
+    P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
     recorder = checkpoints
     capture = None
-    if recorder is not None and packable:
-        num_windows = int(series.nonempty_steps().size)
-        recorder.begin(num_windows)
+    if recorder is not None:
+        recorder.begin(a_inf)
         # Capture positions by scan iteration, asked once per scan.
-        capture = recorder.wants(np.arange(num_windows, dtype=np.int64))
-
-    def packed_state() -> np.ndarray:
-        # The form checkpoints are stored in (a fresh copy for legacy).
-        return P if batched else _pack_rows(A, H, K, a_inf)
+        capture = recorder.wants(np.arange(a_inf, dtype=np.int64))
 
     def settles(ckpt: ScanCheckpoint) -> bool:
-        # Whether the current state equals a checkpoint's: packed keys
-        # compare directly under the same K; otherwise (the usual case
-        # after an append) both unpack to the canonical form.
+        # Whether the current state equals a checkpoint's.  Appends are
+        # in time order, so the ranks of windows at or below the straddle
+        # window never change and new windows rank above them: an equal
+        # K means no new window, hence equal tables, and packed keys
+        # compare directly.  Otherwise (the usual case after an append)
+        # both decode to real windows and compare canonically.
         if ckpt.K == K:
-            return np.array_equal(packed_state(), ckpt.P)
-        cur_A, cur_H = _unpack_rows(P, K, a_inf) if batched else (A, H)
-        ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.K, ckpt.a_inf)
+            return np.array_equal(P, ckpt.P)
+        cur_A, cur_H = _unpack_rows(P, table)
+        ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.table)
         return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
 
     num_trips = 0
@@ -1885,27 +1759,17 @@ def scan_series(
     #: frozen handoff spans from this scan, then (when settled) the
     #: reused cached tail, in scan order.
     assembly: list[tuple] = []
-    #: The run kernel's committed rows not yet turned into trips (see
-    #: *Scan kernels*).
-    rows = None
-
-    if batched:
-        rows = _RowBuffer(collectors, K, cols, include_self, width)
-        # Accumulators fold the state between every pair of windows
-        # (close_run), so their scans run one window per run.  The cell
-        # budget is read once per scan.
-        runs = _plan_runs(
-            series, K, col_of, capture,
-            None if resume is None else resume.windows,
-            single=bool(accumulators),
-            max_rows=max(_batch_cell_budget() // max(width, 1), 1),
-            width=width,
-        )
-    else:
-        runs = (
-            (i, i + 1, step, step, capture is not None and capture[i], (u, v))
-            for i, (step, u, v) in enumerate(series.edge_groups(reverse=True))
-        )
+    #: Committed rows not yet turned into trips (see *The scan kernel*).
+    rows = _RowBuffer(collectors, table, extra, cols, include_self, width)
+    # Accumulators fold the state between every pair of windows
+    # (close_run), so their scans run one window per run.
+    runs = _plan_runs(
+        series, K, col_of, capture,
+        None if resume is None else resume.windows,
+        single=bool(accumulators),
+        max_rows=max(BATCH_CELL_BUDGET // max(width, 1), 1),
+        width=width,
+    )
 
     for first, end, step, low_step, wanted, run in runs:
         if resume is not None and last_processed is not None:
@@ -1919,11 +1783,8 @@ def scan_series(
                 break
         # last_processed is never None at a capture: wants() skips
         # iteration 0.
-        if wanted and recorder.capture(
-            step, last_processed, packed_state(), K, a_inf
-        ):
-            if rows is not None:
-                num_trips += rows.flush()
+        if wanted and recorder.capture(step, last_processed, P, table):
+            num_trips += rows.flush()
             if captures:
                 recorder.store_span(items, num_trips - span_trip_base)
                 assembly.append(tuple(items))
@@ -1931,30 +1792,19 @@ def scan_series(
             span_trip_base = num_trips
             items = [item.segment_handoff() for item in items]
             collectors, accumulators = _split_consumers(items)
-            if rows is not None:
-                rows.collectors = collectors
+            rows.collectors = collectors
         if accumulators and last_processed is not None:
             # The current state (built from windows > step) is the exact
             # reachability picture for every departure step t in
             # [step + 1, last_processed]: no edges exist in between.
             for accumulator in accumulators:
                 accumulator.close_run(step + 1, last_processed)
-        if batched:
-            SCAN_WINDOWS["batched"] += end - first
-            num_trips += _apply_run(P, K, a_inf, *run, rows, accumulators)
-        else:
-            u, v = run
-            if not series.directed:
-                u, v = _expand_undirected(u, v)
-            num_trips += _process_group(
-                A, H, step, u, v, collectors, include_self, 1,
-                accumulators, col_of, cols,
-            )
+        SCAN_WINDOWS[kind] += end - first
+        num_trips += _apply_run(P, rows, accumulators, step, kind, *run)
         last_processed = low_step
 
-    if rows is not None:
-        # Before a settle freezes the consumers, or at the scan's end.
-        num_trips += rows.flush()
+    # Before a settle freezes the consumers, or at the scan's end.
+    num_trips += rows.flush()
 
     if settled_index is not None:
         # Settled: every window at and below the boundary is served from
@@ -2014,36 +1864,10 @@ def series_distance_stats(
     return totals.stats(series.num_nodes, series.num_steps)
 
 
-def _blocked_block_cols(n: int, block_cols: int | None) -> int:
-    """Resolve the destination-block width for blocked pair reachability.
-
-    Explicit argument wins; else ``REPRO_REACH_BLOCK_COLS``; else a width
-    sized so one block's working set (three int64 accumulator matrices
-    plus scan state, ~48 bytes per cell) stays near 64 MiB.
-    """
-    if block_cols is None:
-        raw = os.environ.get("REPRO_REACH_BLOCK_COLS")
-        if raw is not None:
-            try:
-                block_cols = int(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"REPRO_REACH_BLOCK_COLS must be an integer, got {raw!r}"
-                ) from None
-    if block_cols is None:
-        return max(1, min(n, (64 << 20) // (48 * max(n, 1))))
-    if block_cols < 1:
-        raise ValidationError(
-            f"block_cols must be a positive integer, got {block_cols}"
-        )
-    return int(block_cols)
-
-
 def blocked_pair_reachability(
     series: GraphSeries,
     *,
     block_cols: int | None = None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full per-pair reachability matrices, computed in destination blocks.
 
@@ -2058,18 +1882,25 @@ def blocked_pair_reachability(
     ``O(n * n)`` to ``O(n * block_cols)`` per block (the three output
     matrices still hold ``n * n``).
 
-    ``block_cols`` defaults to ``REPRO_REACH_BLOCK_COLS`` or an
-    automatic width targeting ~64 MiB of per-block working set.
+    ``block_cols`` defaults to a width sized so one block's working set
+    (three int64 accumulator matrices plus scan state, ~48 bytes per
+    cell) stays near 64 MiB.
     """
     n = series.num_nodes
-    width = _blocked_block_cols(n, block_cols)
+    if block_cols is None:
+        block_cols = max(1, min(n, (64 << 20) // (48 * max(n, 1))))
+    elif block_cols < 1:
+        raise ValidationError(
+            f"block_cols must be a positive integer, got {block_cols}"
+        )
+    width = int(block_cols)
     reach = np.zeros((n, n), dtype=np.int64)
     dist = np.zeros((n, n), dtype=np.int64)
     hops = np.zeros((n, n), dtype=np.int64)
     for lo in range(0, n, width):
         cols = np.arange(lo, min(lo + width, n), dtype=np.int64)
         accumulator = EarliestArrivalAccumulator()
-        scan_series(series, accumulator, targets=cols, kernel=kernel)
+        scan_series(series, accumulator, targets=cols)
         reach[:, cols] = accumulator.reach_steps
         dist[:, cols] = accumulator.dist_sum
         hops[:, cols] = accumulator.hops_sum
@@ -2078,31 +1909,6 @@ def blocked_pair_reachability(
     dist[idx, idx] = 0
     hops[idx, idx] = 0
     return reach, dist, hops
-
-
-def _stream_groups(stream: LinkStream) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """Yield ``(timestamp, u, v)`` per distinct timestamp, latest first.
-
-    Pairs are deduplicated within each timestamp group.
-    """
-    t = stream.timestamps
-    u = stream.sources
-    v = stream.targets
-    n = stream.num_nodes
-    if not t.size:
-        return
-    # Events are already time-sorted; find group boundaries.
-    boundaries = np.flatnonzero(t[1:] != t[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [t.size]])
-    for i in range(starts.size - 1, -1, -1):
-        lo, hi = starts[i], ends[i]
-        gu, gv = u[lo:hi], v[lo:hi]
-        if hi - lo > 1:
-            key = gu * n + gv
-            __, keep = np.unique(key, return_index=True)
-            gu, gv = gu[keep], gv[keep]
-        yield t[lo].item(), gu, gv
 
 
 def scan_stream(
@@ -2121,36 +1927,34 @@ def scan_stream(
     of them; state accumulators are series-only (the closed-form run
     folding assumes integer window indices).
 
-    Stream scans always run the legacy per-source kernel: float
-    timestamps make trip durations float, and a batched collector feed
-    would sum them in a different association order than per-source
-    ``record`` calls — the one case where batching is not bit-exact.
-    Series scans (integer window indices, integer durations) are where
-    the hot sweeps live; they default to the batched kernel.
+    The stream becomes its **rank series** — window ``r`` holds the
+    distinct pairs of the ``r``-th distinct timestamp — which the same
+    kernel as :func:`scan_series` scans, decoding ranks through the
+    distinct timestamps.  Trips arrive in the reference loop's order with
+    its values and dtypes.  On float timestamps
+    :attr:`~repro.temporal.collectors.TripListCollector.duration_total`
+    is summed once per delivered batch, so its last bits may differ from
+    a per-source sum; the trips themselves are exact.
     """
     SCAN_COUNTS["stream"] += 1
-    n = stream.num_nodes
-    collectors, accumulators = _split_consumers(collector)
-    if accumulators:
+    if _split_consumers(collector)[1]:
         raise ValidationError(
             "state accumulators (distance statistics) are defined on "
             "aggregated series; scan_stream only feeds trip collectors"
         )
-    float_time = stream.timestamps.dtype.kind == "f"
-    if float_time:
-        A = np.full((n, n), np.inf, dtype=np.float64)
-        duration_extra = 0.0
-    else:
-        A = np.full((n, n), INT_INF, dtype=np.int64)
-        duration_extra = 0
-    H = np.full((n, n), HOP_INF, dtype=np.int64)
-    num_trips = 0
-    num_groups = 0
-    for time_value, u, v in _stream_groups(stream):
-        num_groups += 1
-        if not stream.directed:
-            u, v = _expand_undirected(u, v)
-        num_trips += _process_group(
-            A, H, time_value, u, v, collectors, include_self, duration_extra, []
-        )
-    return ScanResult(num_trips=num_trips, num_steps=num_groups)
+    table = stream.distinct_timestamps()
+    if not table.size:
+        return ScanResult(num_trips=0, num_steps=0)
+    t, u, v = stream.timestamps, stream.sources, stream.targets
+    # Events are in (t, u, v) order with undirected pairs canonical, so
+    # repeated pairs of one timestamp are adjacent.
+    fresh = np.empty(t.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(t[1:], t[:-1], out=fresh[1:])
+    ranks = np.cumsum(fresh) - 1
+    fresh[1:] |= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    ranked = GraphSeries(
+        stream.num_nodes, table.size, ranks[fresh], u[fresh], v[fresh],
+        directed=stream.directed,
+    )
+    return _scan(ranked, collector, "stream", table, 0, include_self=include_self)

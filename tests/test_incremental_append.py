@@ -6,8 +6,8 @@ memo-staleness regression (a grown stream never inherits its base's
 memoized statistics), the checkpoint/resume scan machinery behind
 :class:`IncrementalScanSession`, blocked-column per-pair reachability
 against the brute-force oracle, and the headline property: extend +
-analyze is bit-identical to from-scratch analysis, on both scan
-kernels, including straddling-window and empty appends.
+analyze is bit-identical to from-scratch analysis, including
+straddling-window and empty appends.
 """
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.temporal import (
     TripListCollector,
     blocked_pair_reachability,
     bruteforce_pair_reachability,
+    reference_scan,
     scan_series,
 )
 from repro.utils.errors import (
@@ -334,9 +335,10 @@ class TestCheckpointResume:
 
 
 def _grown_pair(delta=100.0):
-    """A base series, the series of the base plus an append (longer, so
-    its packed keys use a different ``K``), and the first window the
-    append touches (checkpoints below it are settle candidates)."""
+    """A base series, the series of the base plus an append (with more
+    nonempty windows, so its packed keys use a different ``K``), and the
+    first window the append touches (checkpoints below it are settle
+    candidates)."""
     stream = small_stream(m=600, span=6000.0)
     u, v, t = append_batch(stream, m=40, span=300.0)
     origin = float(stream.t_min)
@@ -346,12 +348,12 @@ def _grown_pair(delta=100.0):
     return base, grown, limit
 
 
-def _resumed_scan(series, plan, kernel="batched"):
+def _resumed_scan(series, plan):
     """Resume ``series`` against ``plan``; returns (settled, consumers)."""
     consumers = _consumer_set()
-    before = SCAN_WINDOWS[kernel]
-    scan_series(series, consumers, resume=plan, kernel=kernel)
-    scanned = SCAN_WINDOWS[kernel] - before
+    before = SCAN_WINDOWS["series"]
+    scan_series(series, consumers, resume=plan)
+    scanned = SCAN_WINDOWS["series"] - before
     return scanned < series.nonempty_steps().size, consumers
 
 
@@ -364,10 +366,11 @@ def _fresh_state(series):
 class TestPackedCheckpoints:
     def test_base_checkpoint_settles_grown_series_across_K(self):
         base, grown, limit = _grown_pair()
-        assert grown.num_steps > base.num_steps
+        windows = base.nonempty_steps().size
+        assert grown.nonempty_steps().size > windows
         recorder = CheckpointRecorder()
         scan_series(base, _consumer_set(), checkpoints=recorder)
-        assert {c.K for c in recorder.checkpoints} == {base.num_steps + 2}
+        assert {c.K for c in recorder.checkpoints} == {windows + 2}
         plan = ResumePlan(
             recorder.checkpoints, recorder.spans, recorder.span_trips,
             limit=limit,
@@ -395,49 +398,16 @@ class TestPackedCheckpoints:
         assert resume_against(last)[0]
         P = np.array(last.P)
         A, H = P // last.K, P % last.K
-        cell = np.flatnonzero((A < last.a_inf) & (H + 1 < last.K))[0]
+        cell = np.flatnonzero((A < last.table.size) & (H + 1 < last.K))[0]
         P.flat[cell] += 1  # one more hop, same arrival
         tampered = ScanCheckpoint(
-            last.window, last.last_processed, P, last.K, last.a_inf
+            last.window, last.last_processed, P, last.table
         )
         assert np.array_equal(tampered.A, last.A)
         assert not np.array_equal(tampered.H, last.H)
         settled, consumers = resume_against(tampered)
         assert not settled
         assert _consumer_state(consumers) == _fresh_state(series)
-
-    @pytest.mark.parametrize(
-        "record_kernel, resume_kernel",
-        [("legacy", "batched"), ("batched", "legacy")],
-    )
-    def test_checkpoints_settle_across_kernels(
-        self, record_kernel, resume_kernel
-    ):
-        base, grown, limit = _grown_pair()
-        recorders = {}
-        for kernel in ("legacy", "batched"):
-            recorders[kernel] = CheckpointRecorder()
-            scan_series(
-                base, _consumer_set(), checkpoints=recorders[kernel],
-                kernel=kernel,
-            )
-        # Both kernels store the same packed keys.
-        pairs = zip(
-            recorders["legacy"].checkpoints, recorders["batched"].checkpoints
-        )
-        for left, right in pairs:
-            assert (left.window, left.last_processed, left.K) == (
-                right.window, right.last_processed, right.K,
-            )
-            assert np.array_equal(left.P, right.P)
-        recorder = recorders[record_kernel]
-        plan = ResumePlan(
-            recorder.checkpoints, recorder.spans, recorder.span_trips,
-            limit=limit,
-        )
-        settled, consumers = _resumed_scan(grown, plan, kernel=resume_kernel)
-        assert settled
-        assert _consumer_state(consumers) == _fresh_state(grown)
 
     def test_checkpoint_bytes_are_packed_bytes(self):
         series = aggregate(small_stream(), 40.0)
@@ -465,17 +435,21 @@ class TestBlockedPairReachability:
         for got_matrix, expected_matrix in zip(got, expected):
             assert np.array_equal(got_matrix, expected_matrix)
 
-    @pytest.mark.parametrize("kernel", ["batched", "legacy"])
-    def test_row_the_scan_never_touches(self, kernel):
+    @pytest.mark.parametrize(
+        "scan", [scan_series, reference_scan], ids=["batched", "legacy"]
+    )
+    def test_row_the_scan_never_touches(self, scan):
         # Node 4 is only ever a hop target, so the scan never updates
         # its row: finish must fold it to nothing, and fold every other
-        # row's pending run [0, row_hi] exactly as the oracle counts.
+        # row's pending run [0, row_hi] exactly as the oracle counts —
+        # fed in batches (observe_rows) by the run kernel, and row by
+        # row (observe_row) by the per-source reference loop.
         step = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
         u = np.array([0, 1, 2, 3, 0, 2], dtype=np.int64)
         v = np.array([1, 2, 4, 4, 3, 0], dtype=np.int64)
         series = GraphSeries(5, 7, step, u, v, directed=True)
         accumulator = EarliestArrivalAccumulator()
-        scan_series(series, accumulator, kernel=kernel)
+        scan(series, accumulator)
         expected = bruteforce_pair_reachability(series)
         off_diagonal = ~np.eye(5, dtype=bool)
         got = (
@@ -507,21 +481,10 @@ class TestBlockedPairReachability:
             assert np.array_equal(got_matrix[~diagonal], want[~diagonal])
             assert want[~diagonal].any()
 
-    def test_env_var_sets_block_width(self, monkeypatch):
-        series = aggregate(small_stream(n=6, m=60), 200.0)
-        monkeypatch.setenv("REPRO_REACH_BLOCK_COLS", "2")
-        got = blocked_pair_reachability(series)
-        expected = bruteforce_pair_reachability(series)
-        for got_matrix, expected_matrix in zip(got, expected):
-            assert np.array_equal(got_matrix, expected_matrix)
-
-    def test_invalid_block_width_rejected(self, monkeypatch):
+    def test_invalid_block_width_rejected(self):
         series = aggregate(small_stream(n=6, m=60), 200.0)
         with pytest.raises(ValidationError):
             blocked_pair_reachability(series, block_cols=0)
-        monkeypatch.setenv("REPRO_REACH_BLOCK_COLS", "many")
-        with pytest.raises(ValidationError):
-            blocked_pair_reachability(series)
 
 
 class TestIncrementalSession:
@@ -621,13 +584,12 @@ def append_scenarios(draw):
 @given(
     scenario=append_scenarios(),
     delta=st.sampled_from([1.0, 2.0, 5.0]),
-    kernel=st.sampled_from(["batched", "legacy"]),
 )
-def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta, kernel):
+def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta):
     """The headline property: warm append-then-analyze == from-scratch.
 
     Random base x random append batch (possibly empty, possibly landing
-    in the base's last window) x Δ grid x both scan kernels: recording a
+    in the base's last window) x Δ grid: recording a
     scan on the base, extending, and resuming must be bit-identical to a
     cold scan of the rebuilt stream — same trips in the same order, same
     accumulator matrices, same spliced series.
@@ -637,12 +599,12 @@ def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta, kernel):
     clear_aggregate_cache()
     warm_base = IncrementalScanSession(base, delta=delta)
     warm_base.series()
-    warm_base.scan(_consumer_set(), kernel=kernel)
+    warm_base.scan(_consumer_set())
     grown = base.extend(events)
     warm = IncrementalScanSession(grown, delta=delta)
     warm_series = warm.series()
     warm_consumers = _consumer_set()
-    warm.scan(warm_consumers, kernel=kernel)
+    warm.scan(warm_consumers)
 
     scratch = scratch_equivalent(grown)
     cold_series = aggregate(scratch, delta)
@@ -650,5 +612,5 @@ def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta, kernel):
     assert np.array_equal(warm_series.edge_sources, cold_series.edge_sources)
     assert np.array_equal(warm_series.edge_targets, cold_series.edge_targets)
     cold_consumers = _consumer_set()
-    scan_series(cold_series, cold_consumers, kernel=kernel)
+    scan_series(cold_series, cold_consumers)
     assert _consumer_state(warm_consumers) == _consumer_state(cold_consumers)

@@ -1,11 +1,12 @@
-"""Batched vs legacy scan-kernel equivalence.
+"""Run kernel vs the per-source reference loop.
 
-The batched kernel (PR 8) must be *bit-identical* to the legacy
-per-source loop — trips, collector states and accumulator outputs — on
-every input: directed and undirected series, destination-restricted
-scans, ``include_self``, and any chunking of the window working set.
-The legacy kernel is the in-tree oracle; these tests are the contract
-that lets both share one cache namespace (no EVAL_VERSION bump).
+The run kernel behind :func:`scan_series` and :func:`scan_stream` must
+be *bit-identical* to the per-source reference loop
+(:func:`repro.temporal.bruteforce.reference_scan`) — trips, collector
+states, accumulator outputs, call logs and checkpoint states — on every
+input: directed and undirected series, int and float streams,
+destination-restricted scans, ``include_self``, and any chunking of the
+window working set or bound of the row buffer.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.occupancy import OccupancyCollector
 from repro.generators import time_uniform_stream
 from repro.graphseries import GraphSeries, aggregate
+from repro.linkstream import LinkStream
 from repro.temporal import (
     SCAN_BATCHES,
     SCAN_ROWS,
@@ -24,30 +26,31 @@ from repro.temporal import (
     CountingCollector,
     ResumePlan,
     TripListCollector,
+    reference_scan,
     scan_series,
+    scan_stream,
 )
 from repro.temporal import reachability
 from repro.temporal.reachability import (
     DistanceTotals,
     EarliestArrivalAccumulator,
 )
-from repro.utils.errors import ValidationError
 from tests.strategies import link_streams
 
 
-def _scan_state(series, *, kernel, targets=None, include_self=False):
-    """Run one scan and snapshot every consumer's observable state."""
+def _scan_state(series, *, reference=False, targets=None, include_self=False):
+    """Run one scan (the run kernel, or the reference loop) and snapshot
+    every consumer's observable state."""
     trips = TripListCollector()
     counts = CountingCollector()
     occ = OccupancyCollector(bins=16, exact=True)
     totals = DistanceTotals()
     pairwise = EarliestArrivalAccumulator()
-    scan_series(
+    (reference_scan if reference else scan_series)(
         series,
         [trips, counts, occ, totals, pairwise],
         include_self=include_self,
         targets=targets,
-        kernel=kernel,
     )
     t = trips.trips()
     occ_values = (
@@ -134,7 +137,7 @@ class BatchTally:
         self.tally = tally
 
     def record(self, source, dep, targets, arrivals, hops, durations):
-        pass  # the legacy kernel's per-source feed: not a flush
+        pass  # the reference loop's per-source feed: not a flush
 
     def record_batch(self, sources, dep, targets, arrivals, hops, durations):
         self.tally[0] += 1
@@ -163,93 +166,110 @@ class TestKernelBitIdentity:
     ):
         series = aggregate(stream, delta)
         targets = _targets_for(target_mode, series.num_nodes)
-        batched = _scan_state(
-            series, kernel="batched", targets=targets, include_self=include_self
+        kwargs = dict(targets=targets, include_self=include_self)
+        _assert_identical(
+            _scan_state(series, **kwargs),
+            _scan_state(series, reference=True, **kwargs),
         )
-        legacy = _scan_state(
-            series, kernel="legacy", targets=targets, include_self=include_self
-        )
-        _assert_identical(batched, legacy)
 
     def test_chunking_never_changes_results(self, monkeypatch):
         # Chunks hold whole (independent) sources, so any cell budget —
         # down to one forcing a chunk per source — is bit-identical.
         stream = time_uniform_stream(60, 1, 300.0, seed=11)
         series = aggregate(stream, 4.0)
-        legacy = _scan_state(series, kernel="legacy")
+        oracle = _scan_state(series, reference=True)
         for cells in (1, 64, 1 << 20):
-            monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
-            _assert_identical(_scan_state(series, kernel="batched"), legacy)
+            monkeypatch.setattr(reachability, "BATCH_CELL_BUDGET", cells)
+            _assert_identical(_scan_state(series), oracle)
 
-    def test_packed_key_overflow_falls_back_to_legacy(self):
-        # num_steps near 2**32 makes a_inf * K overflow the int64
-        # packing headroom; the scan must detect this up front and run
-        # the (bit-identical) legacy kernel instead, tallied as legacy.
-        from repro.graphseries import GraphSeries
-
+    def test_huge_step_series_runs_on_the_run_kernel(self):
+        # num_steps near 2**32 would overflow keys packed over window
+        # indices; rank steps pack over the three nonempty windows.
         top = 1 << 32
         step = np.array([top - 3, top - 2, top - 1], dtype=np.int64)
         u = np.array([0, 1, 2], dtype=np.int64)
         v = np.array([1, 2, 3], dtype=np.int64)
         series = GraphSeries(5, top, step, u, v, directed=True)
-        windows = dict(SCAN_WINDOWS)
-        batched = _scan_state(series, kernel="batched")
-        assert SCAN_WINDOWS["batched"] == windows["batched"]
-        assert SCAN_WINDOWS["legacy"] == windows["legacy"] + 3
-        _assert_identical(batched, _scan_state(series, kernel="legacy"))
+        windows = SCAN_WINDOWS["series"]
+        state = _scan_state(series)
+        assert SCAN_WINDOWS["series"] == windows + 3
+        assert state["trips"][3].tolist() == [top - 1, top - 2, top - 1,
+                                               top - 3, top - 2, top - 1]
+        _assert_identical(state, _scan_state(series, reference=True))
 
-    def test_env_kernel_selection(self, monkeypatch):
-        stream = time_uniform_stream(20, 1, 60.0, seed=5)
-        series = aggregate(stream, 3.0)
-        monkeypatch.setenv("REPRO_SCAN_KERNEL", "legacy")
-        before = SCAN_WINDOWS["legacy"]
-        _scan_state(series, kernel=None)
-        assert SCAN_WINDOWS["legacy"] > before
 
-    def test_explicit_kernel_overrides_env(self, monkeypatch):
-        stream = time_uniform_stream(20, 1, 60.0, seed=5)
-        series = aggregate(stream, 3.0)
-        monkeypatch.setenv("REPRO_SCAN_KERNEL", "legacy")
-        before = SCAN_WINDOWS["batched"]
-        _scan_state(series, kernel="batched")
-        assert SCAN_WINDOWS["batched"] > before
+def _stream_calls(stream, scan, include_self=False):
+    """Call log, trips and trip count of one stream scan."""
+    log, trips = RecordLog(), TripListCollector()
+    result = scan(stream, [log, trips], include_self=include_self)
+    t = trips.trips()
+    return {
+        "result": result,
+        "calls": log.calls,
+        "trips": [
+            (a.dtype.str, a.tolist())
+            for a in (t.u, t.v, t.dep, t.arr, t.hops, t.durations)
+        ],
+        "totals": (trips.num_recorded, trips.hops_total),
+    }
+
+
+class TestStreamScan:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        stream=st.one_of(link_streams(), link_streams(float_time=True)),
+        include_self=st.booleans(),
+    )
+    def test_stream_scan_matches_reference_call_for_call(
+        self, stream, include_self
+    ):
+        # In order, not sorted: the rank series' trips reach record-only
+        # collectors in the reference loop's calls, and TripSet rows in
+        # its order, with its dtypes (float timestamps stay float).
+        assert _stream_calls(
+            stream, scan_stream, include_self
+        ) == _stream_calls(stream, reference_scan, include_self)
+
+    def test_record_only_collector_keeps_float_departures(self):
+        # A record-only collector on a float stream gets each call's
+        # departure as the reference loop passes it: a float, never an
+        # int cut from it.
+        stream = LinkStream(
+            [0, 1, 2, 0, 1], [1, 2, 3, 2, 3], [0.1, 0.1, 0.35, 0.7, 1.25]
+        )
+        got = _stream_calls(stream, scan_stream)["calls"]
+        assert got == _stream_calls(stream, reference_scan)["calls"]
+        assert {call[2] for call in got} == {float}
+        assert [call[3] for call in got][:2] == [1.25, 0.7]
+
+    def test_empty_and_duplicate_events(self):
+        empty = LinkStream([], [], [], num_nodes=3)
+        assert scan_stream(empty).num_steps == 0
+        repeated = LinkStream([0, 0, 1, 1], [1, 1, 2, 2], [5, 5, 5, 9])
+        assert _stream_calls(repeated, scan_stream) == _stream_calls(
+            repeated, reference_scan
+        )
 
 
 class TestKernelPlumbing:
-    def test_unknown_kernel_rejected(self, chain_stream):
-        series = aggregate(chain_stream, 2.0)
-        with pytest.raises(ValidationError):
-            scan_series(series, TripListCollector(), kernel="simd")
-
-    def test_unknown_env_kernel_rejected(self, chain_stream, monkeypatch):
-        series = aggregate(chain_stream, 2.0)
-        monkeypatch.setenv("REPRO_SCAN_KERNEL", "turbo")
-        with pytest.raises(ValidationError):
-            scan_series(series, TripListCollector())
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "many"])
-    def test_bad_cell_budget_rejected(self, chain_stream, monkeypatch, bad):
-        series = aggregate(chain_stream, 2.0)
-        monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", bad)
-        with pytest.raises(ValidationError):
-            scan_series(series, TripListCollector(), kernel="batched")
-
     def test_row_tallies_count_both_kernels(self):
         stream = time_uniform_stream(30, 1, 100.0, seed=9)
         series = aggregate(stream, 2.0)
-        rows = dict(SCAN_ROWS)
-        batches = dict(SCAN_BATCHES)
-        _scan_state(series, kernel="batched")
-        _scan_state(series, kernel="legacy")
-        grew_b = SCAN_ROWS["batched"] - rows["batched"]
-        grew_l = SCAN_ROWS["legacy"] - rows["legacy"]
-        # Same scan, same touched rows, under either kernel.
-        assert grew_b == grew_l > 0
-        # The batched kernel commits rows in multi-source batches, so it
-        # needs strictly fewer commits than the legacy one-row-per-batch
-        # loop on a stream with co-windowed sources.
-        assert SCAN_BATCHES["batched"] - batches["batched"] < grew_b
-        assert SCAN_BATCHES["legacy"] - batches["legacy"] == grew_l
+        rows = SCAN_ROWS["series"]
+        batches = SCAN_BATCHES["series"]
+        _scan_state(series)
+        grew = SCAN_ROWS["series"] - rows
+        # One row update per (window, source) pair, as the reference
+        # loop's per-source iterations.
+        pairs = sum(
+            np.unique(u if series.directed else np.concatenate([u, v])).size
+            for _, u, v in series.edge_groups()
+        )
+        assert grew == pairs > 0
+        # The run kernel commits rows in multi-source batches, so it
+        # needs strictly fewer commits than rows on a stream with
+        # co-windowed sources.
+        assert SCAN_BATCHES["series"] - batches < grew
 
     @pytest.mark.parametrize("cells", [None, 24])
     def test_row_only_accumulator_sees_the_legacy_calls(
@@ -257,17 +277,17 @@ class TestKernelPlumbing:
     ):
         # Within a window the run kernel lays segments out by size, so
         # the per-row adapter must put the rows back in source order:
-        # an observe_row-only accumulator sees legacy's exact calls.
+        # an observe_row-only accumulator sees the reference loop's
+        # exact calls.
         if cells is not None:
-            monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
+            monkeypatch.setattr(reachability, "BATCH_CELL_BUDGET", cells)
         stream = time_uniform_stream(12, 2, 60.0, seed=4)
         series = aggregate(stream, 6.0)
-        logs = {}
-        for kernel in ("batched", "legacy"):
-            logs[kernel] = RowLog()
-            scan_series(series, logs[kernel], kernel=kernel)
-        assert len(logs["legacy"].calls) > series.nonempty_steps().size
-        assert logs["batched"].calls == logs["legacy"].calls
+        via_kernel, via_reference = RowLog(), RowLog()
+        scan_series(series, via_kernel)
+        reference_scan(series, via_reference)
+        assert len(via_reference.calls) > series.nonempty_steps().size
+        assert via_kernel.calls == via_reference.calls
 
     def test_record_only_collector_works_under_batched_kernel(self):
         # Third-party registry collectors may only implement the
@@ -276,12 +296,11 @@ class TestKernelPlumbing:
         # scalar int arguments.
         stream = time_uniform_stream(25, 1, 80.0, seed=3)
         series = aggregate(stream, 2.0)
-        via_batched = RecordLog()
-        via_legacy = RecordLog()
-        scan_series(series, via_batched, kernel="batched")
-        scan_series(series, via_legacy, kernel="legacy")
-        assert via_batched.calls
-        assert via_batched.calls == via_legacy.calls
+        via_kernel, via_reference = RecordLog(), RecordLog()
+        scan_series(series, via_kernel)
+        reference_scan(series, via_reference)
+        assert via_kernel.calls
+        assert via_kernel.calls == via_reference.calls
 
 
 class RowLog:
@@ -308,16 +327,23 @@ def _series(num_nodes, num_steps, edges, directed=True):
     return GraphSeries(num_nodes, num_steps, step, u, v, directed=directed)
 
 
-def _commits(series, kernel="batched"):
-    """(windows, commits, trips) of one batched scan, plus its trips."""
-    windows, batches = SCAN_WINDOWS[kernel], SCAN_BATCHES[kernel]
+def _trip_list(series, scan=scan_series):
     trips = TripListCollector()
-    scan_series(series, trips, kernel=kernel)
+    scan(series, trips)
     t = trips.trips()
+    return list(zip(t.u.tolist(), t.v.tolist(), t.dep.tolist(), t.arr.tolist()))
+
+
+def _commits(series):
+    """(windows, commits, trips) of one run-kernel scan; the trips must
+    match the reference loop's."""
+    windows, batches = SCAN_WINDOWS["series"], SCAN_BATCHES["series"]
+    trips = _trip_list(series)
+    assert trips == _trip_list(series, reference_scan)
     return (
-        SCAN_WINDOWS[kernel] - windows,
-        SCAN_BATCHES[kernel] - batches,
-        list(zip(t.u.tolist(), t.v.tolist(), t.dep.tolist(), t.arr.tolist())),
+        SCAN_WINDOWS["series"] - windows,
+        SCAN_BATCHES["series"] - batches,
+        trips,
     )
 
 
@@ -329,15 +355,13 @@ class TestRunKernel:
         windows, commits, trips = _commits(series)
         assert (windows, commits) == (2, 2)
         assert (0, 2, 0, 1) in trips  # 0 -> 1 -> 2 chains across windows
-        assert trips == _commits(series, "legacy")[2]
 
     def test_window_rewriting_a_later_row_commits_separately(self):
         # Both windows write row 0 (source of both): the earlier window
         # must read the later one's update of its own row.
         series = _series(3, 2, [(1, 0, 1), (0, 0, 2)])
-        windows, commits, trips = _commits(series)
+        windows, commits, _ = _commits(series)
         assert (windows, commits) == (2, 2)
-        assert trips == _commits(series, "legacy")[2]
 
     def test_conflict_free_pair_commits_once(self):
         # Window 1 touches rows {2, 3}, window 0 rows {0, 1}: one run.
@@ -345,61 +369,53 @@ class TestRunKernel:
         windows, commits, trips = _commits(series)
         assert (windows, commits) == (2, 1)
         assert trips == [(2, 3, 1, 1), (0, 1, 0, 0)]
-        assert trips == _commits(series, "legacy")[2]
 
     def test_reading_an_earlier_windows_target_is_no_conflict(self):
         # Window 0 writes row 1, which window 1 (scanned first) only
         # reads: window 1 must see the pre-run row, which it does.
         series = _series(3, 2, [(1, 0, 1), (0, 1, 2)])
-        windows, commits, trips = _commits(series)
+        windows, commits, _ = _commits(series)
         assert (windows, commits) == (2, 1)
-        assert trips == _commits(series, "legacy")[2]
 
     def test_fallback_splits_a_source_firing_in_consecutive_windows(self):
         # Source 0 fires in windows 1 and 0.  The buffered feed delivers
         # both windows in one batch, so the record-only adapter must cut
         # on the departure too: two calls, each with its own dep.
         series = _series(3, 2, [(1, 0, 1), (0, 0, 2)])
-        via_batched, via_legacy = RecordLog(), RecordLog()
-        scan_series(series, via_batched, kernel="batched")
-        scan_series(series, via_legacy, kernel="legacy")
-        assert [call[1:4] for call in via_batched.calls] == [
+        via_kernel, via_reference = RecordLog(), RecordLog()
+        scan_series(series, via_kernel)
+        reference_scan(series, via_reference)
+        assert [call[1:4] for call in via_kernel.calls] == [
             (0, int, 1), (0, int, 0),
         ]
-        assert via_batched.calls == via_legacy.calls
+        assert via_kernel.calls == via_reference.calls
 
     @pytest.mark.parametrize("bound", ["cell", "rows", "default"])
     def test_row_buffer_bound_never_changes_the_feed(self, bound, monkeypatch):
         # Flushes at any row-buffer bound — one cell (a flush per
         # commit), a few rows, the default — crossed with chunk budgets
         # that put flushes mid-run, at block changes and inside the
-        # chunked path, reach every collector in the legacy call order,
-        # between checkpoint captures too.
+        # chunked path, reach every collector in the reference loop's
+        # call order, between checkpoint captures too.
         stream = time_uniform_stream(25, 1, 80.0, seed=3)
         series = aggregate(stream, 2.0)
         cells = {"cell": 1, "rows": 3 * series.num_nodes, "default": None}
 
-        def observe(kernel):
+        def observe(scan=scan_series, **kwargs):
             log, trips, tally = RecordLog(), TripListCollector(), [0]
-            scan_series(
-                series, [log, trips, BatchTally(tally)], kernel=kernel,
-                checkpoints=CheckpointRecorder(),
-            )
+            scan(series, [log, trips, BatchTally(tally)], **kwargs)
             t = trips.trips()
             feed = (log.calls, [a.tolist() for a in (t.u, t.v, t.dep)])
             return feed, tally[0]
 
-        oracle, _ = observe("legacy")
+        oracle, _ = observe(reference_scan)
         assert oracle[0]
-        default_flushes = observe("batched")[1]
+        default_flushes = observe(checkpoints=CheckpointRecorder())[1]
         if cells[bound] is not None:
             monkeypatch.setattr(reachability, "ROW_BUFFER_CELLS", cells[bound])
-        for budget in (1, 24, None):
-            if budget is None:
-                monkeypatch.delenv("REPRO_SCAN_BATCH_CELLS", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SCAN_BATCH_CELLS", str(budget))
-            feed, flushes = observe("batched")
+        for budget in (1, 24, reachability.BATCH_CELL_BUDGET):
+            monkeypatch.setattr(reachability, "BATCH_CELL_BUDGET", budget)
+            feed, flushes = observe(checkpoints=CheckpointRecorder())
             assert feed == oracle, budget
             if bound != "default":
                 # The patched bound is live: it flushes more often.
@@ -407,9 +423,9 @@ class TestRunKernel:
 
     def test_accumulators_run_one_window_per_commit(self):
         series = _series(4, 2, [(1, 2, 3), (0, 0, 1)])
-        batches = SCAN_BATCHES["batched"]
-        scan_series(series, DistanceTotals(), kernel="batched")
-        assert SCAN_BATCHES["batched"] - batches == 2
+        batches = SCAN_BATCHES["series"]
+        scan_series(series, DistanceTotals())
+        assert SCAN_BATCHES["series"] - batches == 2
 
     def test_checkpoint_positions_cut_runs(self):
         # Four conflict-free windows; a recorder wants iterations 1, 2
@@ -417,12 +433,11 @@ class TestRunKernel:
         series = _series(
             8, 4, [(3, 0, 1), (2, 2, 3), (1, 4, 5), (0, 6, 7)]
         )
-        batches = SCAN_BATCHES["batched"]
+        batches = SCAN_BATCHES["series"]
         scan_series(
-            series, TripListCollector(), kernel="batched",
-            checkpoints=CheckpointRecorder(),
+            series, TripListCollector(), checkpoints=CheckpointRecorder(),
         )
-        assert SCAN_BATCHES["batched"] - batches == 3
+        assert SCAN_BATCHES["series"] - batches == 3
 
 
 @st.composite
@@ -465,53 +480,67 @@ def window_series(draw):
     return base_series, grown, limit
 
 
-def _observe(
-    series, kernel, *, targets, include_self, totals, record=True,
-    resume_from=None,
-):
-    """Scan, optionally with a checkpoint recorder and optionally
-    resuming a recorded base scan; snapshot the call log, the trips and
-    the checkpoints."""
-    log, trips = RecordLog(), TripListCollector()
-    consumers = [log, trips] + ([DistanceTotals()] if totals else [])
+def _snapshot(result, consumers):
+    """Results of one scan: trip count, call log, trips and totals."""
+    t = consumers[1].trips()
+    state = {
+        "num_trips": result.num_trips,
+        "calls": consumers[0].calls,
+        "trips": [
+            (a.dtype.str, a.tolist())
+            for a in (t.u, t.v, t.dep, t.arr, t.hops, t.durations)
+        ],
+    }
+    if len(consumers) > 2:
+        d = consumers[2]
+        state["totals"] = (d.dist_sum, d.hops_sum, d.count_sum)
+    return state
+
+
+def _consumers(totals):
+    return [RecordLog(), TripListCollector()] + (
+        [DistanceTotals()] if totals else []
+    )
+
+
+def _observe(series, *, targets, include_self, totals, record, resume_from=None):
+    """Scan on the run kernel, optionally with a checkpoint recorder and
+    optionally resuming a recorded base scan; returns the results and
+    the recorder."""
     recorder = CheckpointRecorder() if record else None
     resume = None
     if resume_from is not None:
         base, limit = resume_from
         base_recorder = CheckpointRecorder()
         scan_series(
-            base,
-            [RecordLog(), TripListCollector()]
-            + ([DistanceTotals()] if totals else []),
-            include_self=include_self, targets=targets, kernel=kernel,
-            checkpoints=base_recorder,
+            base, _consumers(totals), include_self=include_self,
+            targets=targets, checkpoints=base_recorder,
         )
         resume = ResumePlan(
             base_recorder.checkpoints, base_recorder.spans,
             base_recorder.span_trips, limit=limit,
         )
+    consumers = _consumers(totals)
     result = scan_series(
         series, consumers, include_self=include_self, targets=targets,
-        kernel=kernel, checkpoints=recorder, resume=resume,
+        checkpoints=recorder, resume=resume,
     )
-    t = trips.trips()
-    state = {
-        "num_trips": result.num_trips,
-        "calls": log.calls,
-        "trips": [
-            (a.dtype.str, a.tolist())
-            for a in (t.u, t.v, t.dep, t.arr, t.hops, t.durations)
-        ],
-        "checkpoints": [
-            (c.window, c.last_processed, c.A.tolist(), c.H.tolist())
-            for c in (recorder.checkpoints if record else ())
-        ],
-        "span_trips": recorder.span_trips if record else None,
-    }
-    if totals:
-        d = consumers[2]
-        state["totals"] = (d.dist_sum, d.hops_sum, d.count_sum)
-    return state
+    return _snapshot(result, consumers), recorder
+
+
+def _assert_record(recorder, snapshots, deps):
+    """Every checkpoint holds the reference loop's incoming state at its
+    window, and every span the trips departing from its window down to
+    the next checkpoint's."""
+    windows = [c.window for c in recorder.checkpoints]
+    for ckpt in recorder.checkpoints:
+        last, A, H = snapshots[ckpt.window]
+        assert ckpt.last_processed == last
+        assert np.array_equal(ckpt.A, A) and np.array_equal(ckpt.H, H)
+    assert recorder.span_trips == [
+        int(((deps <= hi) & (deps > lo)).sum())
+        for hi, lo in zip(windows, windows[1:] + [-1])
+    ]
 
 
 class TestRunKernelProperty:
@@ -531,26 +560,31 @@ class TestRunKernelProperty:
     ):
         base, grown, limit = data
         targets = _targets_for(target_mode, grown.num_nodes)
+        consumers = _consumers(totals)
+        snapshots = {}
+        oracle = _snapshot(
+            reference_scan(
+                grown, consumers, include_self=include_self,
+                targets=targets, snapshots=snapshots,
+            ),
+            consumers,
+        )
+        deps = consumers[1].trips().dep
         kwargs = dict(
             targets=targets, include_self=include_self, totals=totals,
             record=record,
         )
-        oracle = _observe(grown, "legacy", **kwargs)
-        oracle_resumed = _observe(
-            grown, "legacy", resume_from=(base, limit), **kwargs
-        )
-        # A resumed record adopts the base scan's checkpoint tail, so
-        # only its results (not its record) match a from-scratch scan.
-        recording = ("checkpoints", "span_trips")
-        for key in oracle.keys() - set(recording):
-            assert oracle_resumed[key] == oracle[key], key
         with pytest.MonkeyPatch.context() as mp:
             if cells is not None:
-                mp.setenv("REPRO_SCAN_BATCH_CELLS", str(cells))
+                mp.setattr(reachability, "BATCH_CELL_BUDGET", cells)
             if flush_cells is not None:
                 mp.setattr(reachability, "ROW_BUFFER_CELLS", flush_cells)
-            assert _observe(grown, "batched", **kwargs) == oracle
-            resumed = _observe(
-                grown, "batched", resume_from=(base, limit), **kwargs
-            )
-        assert resumed == oracle_resumed
+            # A resumed record adopts the base scan's checkpoint tail,
+            # which holds the same states as a from-scratch record.
+            for resume_from in (None, (base, limit)):
+                state, recorder = _observe(
+                    grown, resume_from=resume_from, **kwargs
+                )
+                assert state == oracle
+                if record:
+                    _assert_record(recorder, snapshots, deps)

@@ -583,15 +583,10 @@ class TestRoundTripProperty:
             reopened = open_dataset("prop", root=root)
             assert reopened.fingerprint() == stream.fingerprint()
             assert reopened == stream
-            for kernel in ("legacy", "batched"):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setenv("REPRO_SCAN_KERNEL", kernel)
-                    report_mem = analyze_stream(stream, num_deltas=5)
-                    report_disk = analyze_stream(reopened, num_deltas=5)
-                assert render_analysis(report_mem) == render_analysis(
-                    report_disk
-                )
-                assert report_mem.gamma == report_disk.gamma
+            report_mem = analyze_stream(stream, num_deltas=5)
+            report_disk = analyze_stream(reopened, num_deltas=5)
+            assert render_analysis(report_mem) == render_analysis(report_disk)
+            assert report_mem.gamma == report_disk.gamma
 
     @settings(max_examples=10, deadline=None)
     @given(stream=link_streams(min_events=3, max_events=12))
