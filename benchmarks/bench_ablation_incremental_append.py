@@ -5,9 +5,12 @@ that grows by a ~10% suffix:
 
 * **work** — a warm ``extend`` + analyze re-aggregates by splicing (one
   ``incremental`` aggregation, zero full ones) and re-scans only the
-  unsettled window suffix: the appended windows plus at most one
-  checkpoint stride of head windows, never the whole series.  Asserted
-  on the ``AGGREGATION_COUNTS`` / ``SCAN_WINDOWS`` counter deltas.
+  unsettled window suffix: the appended windows plus at most
+  ``isqrt(windows) + 2`` head windows, never the whole series.  Asserted
+  on the ``AGGREGATION_COUNTS`` / ``SCAN_WINDOWS`` counter deltas.  The
+  base scan's record holds at most ``⌊log₂(W − 1)⌋ + 1`` checkpoints
+  (captures at power-of-two scan iterations), asserted on the store's
+  checkpoint count.
 * **wall clock** — the warm path beats the cold path by at least
   ``MIN_SPEEDUP``, best-of-``ROUNDS``, with bit-identity of every
   per-measure result gating the timings (a fast wrong answer fails
@@ -107,7 +110,10 @@ def test_incremental_append_ablation(benchmark, capsys):
         # from the *base* stream's checkpoints (the append scenario), not
         # from an exact-fingerprint re-analysis hit.
         clear_incremental_store()
+        windows_before = _windows_scanned()
         task.evaluate(base)  # warm the base record
+        base_windows = _windows_scanned() - windows_before
+        base_store = incremental_stats()
         clear_aggregate_cache()  # the splice, not the memo, must serve
         agg_before = dict(AGGREGATION_COUNTS)
         windows_before = _windows_scanned()
@@ -125,16 +131,22 @@ def test_incremental_append_ablation(benchmark, capsys):
         assert agg_delta == {"aggregate": 0, "incremental": 1}, (
             f"warm aggregation was not a pure prefix splice: {agg_delta}"
         )
-        stride = max(int(math.sqrt(cold_windows)), 1)
-        unsettled_bound = (cold_windows - suffix_start) + stride + 2
+        max_checkpoints = int(math.log2(base_windows - 1)) + 1
+        assert base_store["checkpoints"] <= max_checkpoints, (
+            f"the base scan recorded {base_store['checkpoints']} "
+            f"checkpoints over {base_windows} windows; the power-of-two "
+            f"schedule keeps at most {max_checkpoints}"
+        )
+        head = max(int(math.sqrt(cold_windows)), 1)
+        unsettled_bound = (cold_windows - suffix_start) + head + 2
         assert warm_windows < cold_windows, (
             f"warm scan visited {warm_windows} windows, no fewer than the "
             f"{cold_windows} a from-scratch scan visits"
         )
         assert warm_windows <= unsettled_bound, (
             f"warm scan visited {warm_windows} windows; only the appended "
-            f"suffix plus one checkpoint stride ({unsettled_bound}) is "
-            f"justified"
+            f"suffix plus isqrt(windows) + 2 head windows "
+            f"({unsettled_bound}) is justified"
         )
 
         # -- wall clock ----------------------------------------------------
@@ -172,9 +184,9 @@ def test_incremental_append_ablation(benchmark, capsys):
             ["zero-event append", 0.0, 0, 0, 0],
             ["speedup", best["cold"] / best["warm"], "", "", ""],
         ]
-        return rows, best, warm_windows, cold_windows
+        return rows, best, warm_windows, cold_windows, base_store
 
-    rows, best, warm_windows, cold_windows = benchmark.pedantic(
+    rows, best, warm_windows, cold_windows, base_store = benchmark.pedantic(
         compare, rounds=1, iterations=1
     )
     speedup = best["cold"] / best["warm"]
@@ -202,6 +214,8 @@ def test_incremental_append_ablation(benchmark, capsys):
             "warm_scan_windows": warm_windows,
             "cold_scan_windows": cold_windows,
             "suffix_start_window": suffix_start,
+            "base_checkpoints": base_store["checkpoints"],
+            "base_store_bytes": base_store["nbytes"],
             "incremental_store": incremental_stats(),
         },
     )

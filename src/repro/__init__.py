@@ -252,14 +252,15 @@ untouched.  The append pipeline makes growth incremental end to end:
   re-windows only the appended suffix and splices it onto the cached
   prefix — bit-identical to aggregating the grown stream whole.
 * **Settled-boundary scan resume.**  The backward scan checkpoints its
-  packed per-window state at ~``sqrt(num_windows)`` boundaries (memory
-  capped, ``REPRO_CHECKPOINT_MAX_BYTES``).  On re-analysis after an
+  packed per-window state, narrowed to the smallest integer dtype, at
+  scan iterations 1, 2, 4, 8, … from the stream's end (~``log2``
+  of the window count).  On re-analysis after an
   append, the scan restarts from the new end and stops at the first
   checkpoint whose incoming state matches the recorded one — the
   *settled boundary* — splicing every earlier window's collector and
-  accumulator contributions from the recorded segment spans.  Dense
-  appends settle after roughly the appended windows plus one
-  checkpoint stride; a zero-event append performs zero scans.
+  accumulator contributions from the recorded segment spans.  A resume
+  scans at most twice its settle depth below the appended windows; a
+  zero-event append performs zero scans.
 
 The engine drives all of this through
 :class:`~repro.engine.IncrementalScanSession`, a process-wide

@@ -22,11 +22,12 @@ are bit-identical to from-scratch computation (property-tested across
 sharding and straddling-window appends), which is why cache
 keys never distinguish warm from cold evaluation.
 
-The store is process-global and bounded (``REPRO_INCREMENTAL_MAX_BYTES``,
-default 512 MiB, LRU over streams): a long-lived service process keeps
-records warm across appends, short CLI runs pay nothing.  Set
-``REPRO_INCREMENTAL=0`` to disable all reuse (every scan runs cold and
-nothing is recorded) — results are identical either way.
+The store is process-global and bounded by one byte budget
+(``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB, LRU over streams),
+which also caps a single scan's checkpoint record: a long-lived
+service process keeps records warm across appends, short CLI runs pay
+nothing.  Set ``REPRO_INCREMENTAL=0`` to disable all reuse (every scan
+runs cold and nothing is recorded) — results are identical either way.
 
 Keys are content-derived: ``(stream fingerprint, Δ, origin)`` addresses
 a stream entry, and ``(include_self, shard, consumer tokens)`` a scan
@@ -174,11 +175,16 @@ def _evict_locked() -> None:
 
 
 def incremental_stats() -> dict:
-    """Snapshot of the store: entry/record counts, bytes, and counters."""
+    """Snapshot of the store: entry/record/checkpoint counts, bytes, and
+    counters."""
     with _STORE_LOCK:
         return {
             "streams": len(_STORE),
             "scan_records": sum(len(e.scans) for e in _STORE.values()),
+            "checkpoints": sum(
+                len(r.checkpoints) for e in _STORE.values()
+                for r in e.scans.values()
+            ),
             "nbytes": sum(e.nbytes for e in _STORE.values()),
             "max_bytes": _max_bytes(),
             "counts": dict(INCREMENTAL_COUNTS),
@@ -380,7 +386,7 @@ class IncrementalScanSession:
                 targets=targets,
             )
         plan = self._resume_plan(series)
-        recorder = CheckpointRecorder()
+        recorder = CheckpointRecorder(max_bytes=_max_bytes())
         result = scan_series(
             series,
             items,

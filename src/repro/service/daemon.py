@@ -680,6 +680,9 @@ class ServiceServer(ThreadingHTTPServer):
     engine anyway), bound to one :class:`AnalysisService`."""
 
     daemon_threads = True
+    #: Listen backlog.  ``socketserver``'s default of 5 makes a burst of
+    #: concurrent connects wait out the kernel's SYN retransmit (~1 s).
+    request_queue_size = 128
 
     def __init__(self, address, service: AnalysisService, *, verbose: bool = False):
         super().__init__(address, _ServiceHandler)

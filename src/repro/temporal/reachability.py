@@ -174,7 +174,6 @@ its columns.  Sharded scans therefore merge back bit-identically for
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -688,35 +687,6 @@ class ScanResult:
     num_steps: int
 
 
-#: Default byte budget for one scan's checkpointed state copies
-#: (overridable via ``REPRO_CHECKPOINT_MAX_BYTES``).  It counts the
-#: packed bytes a :class:`ScanCheckpoint` holds (one int64 key per
-#: state cell).  When a scan's planned checkpoints would exceed it,
-#: later (deeper) captures are skipped — keeping the near-end
-#: checkpoints, which are the ones a future append actually settles
-#: against.
-CHECKPOINT_MAX_BYTES = 256 * 1024 * 1024
-
-
-def _checkpoint_max_bytes() -> int:
-    """The checkpoint byte budget, env-overridable."""
-    override = os.environ.get("REPRO_CHECKPOINT_MAX_BYTES", "")
-    if override:
-        try:
-            budget = int(override)
-        except ValueError:
-            raise ValidationError(
-                "REPRO_CHECKPOINT_MAX_BYTES must be an integer, got "
-                f"{override!r}"
-            ) from None
-        if budget < 0:
-            raise ValidationError(
-                f"REPRO_CHECKPOINT_MAX_BYTES must be non-negative, got {budget}"
-            )
-        return budget
-    return CHECKPOINT_MAX_BYTES
-
-
 class ScanCheckpoint:
     """One frozen window-boundary state of a backward scan.
 
@@ -728,19 +698,23 @@ class ScanCheckpoint:
     settle here when its own previous window matches, otherwise the
     pending departure run differs.
 
-    The state is stored **packed**: one read-only copy of the scan's
-    int64 keys ``P = A * K + H`` over rank steps (see the module
-    docstring's *The scan kernel*), so a capture is one copy of the live
-    state, together with a reference (not a copy) to the scan's rank →
-    window ``table``, which fixes ``a_inf = len(table)`` and
-    ``K = a_inf + 2``.  An append that adds windows changes ``K``, so a
+    The state is stored **packed** and **narrow**: one read-only copy of
+    the scan's keys ``P = A * K + H`` over rank steps (see the module
+    docstring's *The scan kernel*) in the narrowest integer dtype that
+    holds every committed key (``np.min_scalar_type(K * K - 1)``; the
+    largest is the infinite cell ``a_inf * K + K - 1``), together with a
+    reference (not a copy) to the scan's rank → window ``table``, which
+    fixes ``a_inf = len(table)`` and ``K = a_inf + 2``.  ``finite``
+    counts the state's finite cells (``P < a_inf * K``): equal canonical
+    states have equal counts, so a resumed scan rejects most candidates
+    on the count alone.  An append that adds windows changes ``K``, so a
     resumed scan compares packed keys directly only when its ``K``
     matches and otherwise compares the decoded states.  The canonical
     ``A``/``H`` (real window indices, with the
     :data:`INT_INF`/:data:`HOP_INF` sentinels) are decoded on demand.
     """
 
-    __slots__ = ("window", "last_processed", "P", "table")
+    __slots__ = ("window", "last_processed", "P", "table", "finite")
 
     def __init__(
         self, window: int, last_processed: int, P: np.ndarray,
@@ -751,6 +725,7 @@ class ScanCheckpoint:
         self.last_processed = int(last_processed)
         self.P = P
         self.table = table
+        self.finite = _finite_cells(P, table.size)
 
     @property
     def K(self) -> int:
@@ -773,7 +748,7 @@ class ScanCheckpoint:
 
 
 class CheckpointRecorder:
-    """Collects bounded checkpoints and consumer spans during one scan.
+    """Collects checkpoints and consumer spans during one scan.
 
     Pass one to :func:`scan_series` (``checkpoints=``) to capture resume
     state: at selected window boundaries the scan snapshots its state as
@@ -786,27 +761,22 @@ class CheckpointRecorder:
     checkpoint (the caller's own objects) are never stored — they become
     the assembled result.
 
-    Capture points are chosen by iteration index from the scan's start
-    (descending windows, so early iterations sit near the stream's end —
-    where future appends settle): every power of two, plus every
-    multiple of a stride ≈ √(nonempty windows), subject to the byte
-    budget (packed bytes, :attr:`ScanCheckpoint.nbytes`).
+    Captures happen at scan iterations 1, 2, 4, 8, … counted from the
+    scan's start (descending windows, so they sit at the stream's newest
+    end, where future appends settle): a scan of ``W`` nonempty windows
+    keeps ``⌊log₂(W − 1)⌋ + 1`` checkpoints, and a resume that settles
+    ``d`` iterations below the appended suffix scans at most ``2d``.
+    Each holds its narrow packed state (:attr:`ScanCheckpoint.nbytes`).
+    ``max_bytes`` caps their total (``None``: unbounded); a capture that
+    would exceed it is skipped, keeping the near-end checkpoints.
     """
 
     def __init__(self, *, max_bytes: int | None = None) -> None:
         self.checkpoints: list[ScanCheckpoint] = []
         self.spans: list[tuple] = []
         self.span_trips: list[int] = []
-        self._max_bytes = (
-            _checkpoint_max_bytes() if max_bytes is None else int(max_bytes)
-        )
+        self._max_bytes = None if max_bytes is None else int(max_bytes)
         self._bytes = 0
-        self._stride = 1
-
-    def begin(self, num_windows: int) -> None:
-        """Size the capture stride for a scan of ``num_windows`` nonempty
-        windows (keeps the checkpoint count near ``O(√num_windows)``)."""
-        self._stride = max(int(np.sqrt(max(num_windows, 1))), 1)
 
     def wants(self, iterations: np.ndarray) -> np.ndarray:
         """Which iterations the scan should capture before (0-based from
@@ -814,20 +784,22 @@ class CheckpointRecorder:
         all-infinite and never worth storing).  The scan asks once, for
         every iteration, and carries the answer in its run plan."""
         it = np.asarray(iterations)
-        return (it >= 1) & (((it & (it - 1)) == 0) | (it % self._stride == 0))
+        return (it >= 1) & ((it & (it - 1)) == 0)
 
     def capture(
         self, window: int, last_processed: int, P: np.ndarray,
         table: np.ndarray,
     ) -> bool:
-        """Store a copy of the packed state ``P`` (decoded by ``table``)
-        as one checkpoint; ``False`` when the byte budget is spent (the
-        scan then simply keeps feeding the current span)."""
-        cost = int(P.nbytes)
-        if self._bytes + cost > self._max_bytes:
+        """Store a narrow copy of the packed state ``P`` (decoded by
+        ``table``) as one checkpoint; ``False`` when the byte budget is
+        spent (the scan then simply keeps feeding the current span)."""
+        K = table.size + 2
+        dtype = np.min_scalar_type(K * K - 1)
+        cost = P.size * dtype.itemsize
+        if self._max_bytes is not None and self._bytes + cost > self._max_bytes:
             return False
         self.checkpoints.append(
-            ScanCheckpoint(window, last_processed, P.copy(), table)
+            ScanCheckpoint(window, last_processed, P.astype(dtype), table)
         )
         self._bytes += cost
         return True
@@ -988,6 +960,13 @@ def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
     return np.asarray(bounds, dtype=np.int64)
 
 
+def _finite_cells(P: np.ndarray, a_inf: int) -> int:
+    """How many cells of packed state ``P`` (``a_inf`` nonempty
+    windows, radix ``K = a_inf + 2``) hold a finite arrival: every key
+    below ``a_inf * K``."""
+    return int(np.count_nonzero(P < a_inf * (a_inf + 2)))
+
+
 def _unpack_rows(
     P_rows: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -996,9 +975,11 @@ def _unpack_rows(
     restored.  Committed infinite cells are always the canonical
     ``a_inf * K + (K - 1)`` (never the incremented ``(a_inf + 1) * K``
     candidate form, which loses every lexicographic minimum against it),
-    so the fixup mask is exactly ``rank == a_inf``.
+    so the fixup mask is exactly ``rank == a_inf``.  Narrow checkpoint
+    copies widen to int64 first, so the sentinels fit.
     """
     a_inf = table.size
+    P_rows = P_rows.astype(np.int64, copy=False)
     A = P_rows // (a_inf + 2)
     H = P_rows - A * (a_inf + 2)
     infinite = A == a_inf
@@ -1251,6 +1232,11 @@ def _plan_runs(
     offsets = np.append(
         np.searchsorted(series.edge_steps, windows), series.edge_steps.size
     )
+    # Scan positions where the scan must see the state between two
+    # windows: a run may start there but never absorb them.
+    stops = np.zeros(nw, dtype=bool) if capture is None else capture.copy()
+    if resume_windows is not None:
+        stops |= np.isin(windows[::-1], resume_windows)
     first = 0
     size = FIRST_PLAN_BLOCK
     while first < nw:
@@ -1258,7 +1244,7 @@ def _plan_runs(
         size *= 2
         yield from _plan_block(
             series, windows, offsets, first, end, K, col_of, capture,
-            resume_windows, single, max_rows, width,
+            stops, single, max_rows, width,
         )
         first = end
 
@@ -1272,7 +1258,7 @@ def _plan_block(
     K: int,
     col_of: np.ndarray | None,
     capture: np.ndarray | None,
-    resume_windows: np.ndarray | None,
+    stops: np.ndarray,
     single: bool,
     max_rows: int,
     width: int,
@@ -1321,11 +1307,7 @@ def _plan_block(
         run_starts = list(range(count))
     else:
         writer = _previous_writers(sources, seg_pos, v, seg_pos[seg_of], count)
-        # Positions where the scan must see the state between two
-        # windows: a run may start there but never absorb them.
-        writer[captures] = count
-        if resume_windows is not None:
-            writer[np.isin(block_windows, resume_windows)] = count
+        writer[stops[first:end]] = count
         run_starts = _greedy_runs(writer)
     run_segs = np.append(np.searchsorted(seg_pos, run_starts), nseg)
     # Groups: a run commits at once unless its hops exceed the chunk
@@ -1732,20 +1714,28 @@ def _scan(
     P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
     recorder = checkpoints
     capture = None
+    resume_at = frozenset() if resume is None else frozenset(
+        resume.windows.tolist()
+    )
     if recorder is not None:
-        recorder.begin(a_inf)
         # Capture positions by scan iteration, asked once per scan.
         capture = recorder.wants(np.arange(a_inf, dtype=np.int64))
 
     def settles(ckpt: ScanCheckpoint) -> bool:
-        # Whether the current state equals a checkpoint's.  Appends are
-        # in time order, so the ranks of windows at or below the straddle
-        # window never change and new windows rank above them: an equal
-        # K means no new window, hence equal tables, and packed keys
-        # compare directly.  Otherwise (the usual case after an append)
-        # both decode to real windows and compare canonically.
+        # Whether the current state equals a checkpoint's.  Equal states
+        # have equal finite-cell counts, so most candidates fail on the
+        # count before any decode.  Appends are in time order, so the
+        # ranks of windows at or below the straddle window never change
+        # and new windows rank above them: an equal K means no new
+        # window, hence equal tables, and packed keys compare directly,
+        # in the checkpoint's dtype (it holds every committed key; numpy
+        # 1.x compares int64 with uint64 through float64).
+        # Otherwise (the usual case after an append) both decode to real
+        # windows and compare canonically.
+        if _finite_cells(P, a_inf) != ckpt.finite:
+            return False
         if ckpt.K == K:
-            return np.array_equal(P, ckpt.P)
+            return np.array_equal(P.astype(ckpt.P.dtype), ckpt.P)
         cur_A, cur_H = _unpack_rows(P, table)
         ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.table)
         return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
@@ -1772,14 +1762,10 @@ def _scan(
     )
 
     for first, end, step, low_step, wanted, run in runs:
-        if resume is not None and last_processed is not None:
-            found = resume.candidate(step)
-            if (
-                found is not None
-                and found[1].last_processed == last_processed
-                and settles(found[1])
-            ):
-                settled_index = found[0]
+        if step in resume_at and last_processed is not None:
+            index, ckpt = resume.candidate(step)
+            if ckpt.last_processed == last_processed and settles(ckpt):
+                settled_index = index
                 break
         # last_processed is never None at a capture: wants() skips
         # iteration 0.

@@ -29,6 +29,7 @@ from repro.graphseries.aggregation import (
     window_index,
 )
 from repro.linkstream import LinkStream
+from repro.temporal import reachability
 from repro.temporal import (
     CheckpointRecorder,
     CountingCollector,
@@ -411,7 +412,10 @@ class TestPackedCheckpoints:
 
     def test_checkpoint_bytes_are_packed_bytes(self):
         series = aggregate(small_stream(), 40.0)
-        cell_bytes = series.num_nodes * series.num_nodes * 8
+        K = series.nonempty_steps().size + 2
+        itemsize = np.min_scalar_type(K * K - 1).itemsize
+        assert itemsize < 8
+        cell_bytes = series.num_nodes * series.num_nodes * itemsize
         recorder = CheckpointRecorder()
         scan_series(series, _consumer_set(), checkpoints=recorder)
         assert len(recorder.checkpoints) > 2
@@ -423,6 +427,184 @@ class TestPackedCheckpoints:
         scan_series(series, _consumer_set(), checkpoints=bounded)
         assert len(bounded.checkpoints) == 2
         assert bounded.nbytes == 2 * cell_bytes
+
+
+def _snapshots(series):
+    """Every window's incoming ``(last_processed, A, H)`` from the
+    reference loop, keyed by window."""
+    snapshots = {}
+    reference_scan(series, snapshots=snapshots)
+    return snapshots
+
+
+def _same_snapshot(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(
+        a[2], b[2]
+    )
+
+
+class _UnpackSpy:
+    """Counts :func:`_unpack_rows` calls while delegating to it."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = reachability._unpack_rows
+
+        def spy(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(reachability, "_unpack_rows", spy)
+
+
+class TestCheckpointContract:
+    @pytest.mark.parametrize("delta", [15.0, 40.0, 100.0, 700.0])
+    def test_checkpoints_sit_at_power_of_two_iterations(self, delta):
+        series = aggregate(small_stream(), delta)
+        windows = series.nonempty_steps()[::-1]  # scan order
+        W = windows.size
+        recorder = CheckpointRecorder()
+        scan_series(series, _consumer_set(), checkpoints=recorder)
+        expected = [int(windows[1 << k]) for k in range((W - 1).bit_length())]
+        assert [c.window for c in recorder.checkpoints] == expected
+        assert len(recorder.checkpoints) == int(np.log2(W - 1)) + 1
+
+    def test_narrow_dtype_decodes_to_reference_snapshots(self):
+        series = aggregate(small_stream(m=600, span=6000.0), 100.0)
+        K = series.nonempty_steps().size + 2
+        recorder = CheckpointRecorder()
+        scan_series(series, _consumer_set(), checkpoints=recorder)
+        snapshots = _snapshots(series)
+        for ckpt in recorder.checkpoints:
+            assert ckpt.P.dtype == np.min_scalar_type(K * K - 1)
+            assert _same_snapshot(
+                (ckpt.last_processed, ckpt.A, ckpt.H), snapshots[ckpt.window]
+            )
+
+    def test_huge_step_series_records_and_settles(self):
+        # Window indices near 2**32 decode from one-byte checkpoint keys;
+        # the append's reach (4 -> 5) is superseded at top - 4, so the
+        # grown scan settles at the iteration-4 checkpoint across K.
+        top = 1 << 32
+        base = GraphSeries(
+            6, top - 1,
+            np.array([top - 6, top - 5, top - 4, top - 3, top - 2]),
+            np.array([0, 2, 4, 1, 0]), np.array([2, 3, 5, 2, 1]),
+            directed=True,
+        )
+        grown = GraphSeries(
+            6, top,
+            np.append(base.edge_steps, top - 1),
+            np.append(base.edge_sources, 4), np.append(base.edge_targets, 5),
+            directed=True,
+        )
+        recorder = CheckpointRecorder()
+        scan_series(base, _consumer_set(), checkpoints=recorder)
+        assert [c.window for c in recorder.checkpoints] == [
+            top - 3, top - 4, top - 6
+        ]
+        assert {c.P.dtype for c in recorder.checkpoints} == {np.dtype(np.uint8)}
+        snapshots = _snapshots(base)
+        for ckpt in recorder.checkpoints:
+            assert _same_snapshot(
+                (ckpt.last_processed, ckpt.A, ckpt.H), snapshots[ckpt.window]
+            )
+        plan = ResumePlan(
+            recorder.checkpoints, recorder.spans, recorder.span_trips,
+            limit=top - 1,
+        )
+        before = SCAN_WINDOWS["series"]
+        consumers = _consumer_set()
+        scan_series(grown, consumers, resume=plan)
+        assert SCAN_WINDOWS["series"] - before == 5
+        assert _consumer_state(consumers) == _fresh_state(grown)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        size=st.integers(1, 80),
+        span=st.sampled_from([50.0, 300.0, 1200.0]),
+    )
+    def test_resume_overscans_at_most_twice_the_settle_depth(
+        self, seed, size, span
+    ):
+        delta = 100.0
+        stream = small_stream(m=600, span=6000.0)
+        u, v, t = append_batch(stream, seed=seed, m=size, span=span)
+        if not t.size:
+            return
+        origin = float(stream.t_min)
+        base = aggregate(stream, delta, origin=origin)
+        grown = aggregate(stream.extend(u, v, t), delta, origin=origin)
+        limit = int(window_index(t[:1], delta, origin)[0])
+        # d*: the first base iteration whose incoming state the grown
+        # scan reaches unchanged.
+        base_snaps, grown_snaps = _snapshots(base), _snapshots(grown)
+        settle_depth = None
+        for depth, window in enumerate(base.nonempty_steps()[::-1].tolist()):
+            if window < limit and window in base_snaps and _same_snapshot(
+                base_snaps[window], grown_snaps[window]
+            ):
+                settle_depth = depth
+                break
+        recorder = CheckpointRecorder()
+        scan_series(base, _consumer_set(), checkpoints=recorder)
+        plan = ResumePlan(
+            recorder.checkpoints, recorder.spans, recorder.span_trips,
+            limit=limit,
+        )
+        before = SCAN_WINDOWS["series"]
+        consumers = _consumer_set()
+        scan_series(grown, consumers, resume=plan)
+        visited = SCAN_WINDOWS["series"] - before
+        grown_windows = grown.nonempty_steps()
+        if settle_depth is None:
+            assert visited == grown_windows.size
+        else:
+            at_or_above = int(np.count_nonzero(grown_windows >= limit))
+            assert visited <= at_or_above + 2 * settle_depth
+        assert _consumer_state(consumers) == _fresh_state(grown)
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["same-K", "cross-K"])
+    def test_finite_count_mismatch_rejects_before_any_decode(
+        self, grow, monkeypatch
+    ):
+        base, grown, limit = _grown_pair()
+        series = grown if grow else base
+        recorder = CheckpointRecorder()
+        scan_series(base, _consumer_set(), checkpoints=recorder)
+        last = recorder.checkpoints[-1]
+        a_inf, K = last.table.size, last.K
+        P = np.array(last.P)
+        cell = np.flatnonzero(P < a_inf * K)[0]
+        P.flat[cell] = a_inf * K + K - 1  # one finite cell made infinite
+        tampered = ScanCheckpoint(last.window, last.last_processed, P, last.table)
+        assert tampered.finite == last.finite - 1
+        def resume_against(ckpt):
+            spy = _UnpackSpy(monkeypatch)
+            plan = ResumePlan(
+                [ckpt], recorder.spans[-1:], recorder.span_trips[-1:],
+                limit=limit if grow else base.num_steps,
+            )
+            # Trip collectors only: accumulators decode the rows they watch.
+            consumers = [CountingCollector(), TripListCollector()]
+            before = SCAN_WINDOWS["series"]
+            scan_series(series, consumers, resume=plan)
+            scanned = SCAN_WINDOWS["series"] - before
+            monkeypatch.undo()
+            return scanned < series.nonempty_steps().size, spy.calls
+
+        assert resume_against(tampered) == (False, 0)
+        # The one-hop tamper keeps the count, so it takes the full
+        # compare (a decode across K) and is still rejected.
+        hop = np.array(last.P)
+        A, H = hop // K, hop % K
+        hop.flat[np.flatnonzero((A < a_inf) & (H + 1 < K))[0]] += 1
+        one_hop = ScanCheckpoint(last.window, last.last_processed, hop, last.table)
+        assert one_hop.finite == last.finite
+        settled, calls = resume_against(one_hop)
+        assert not settled
+        assert calls == (2 if grow else 0)
 
 
 class TestBlockedPairReachability:

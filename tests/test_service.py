@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -439,6 +440,28 @@ class TestHTTPDaemon:
         finally:
             server.server_close()
             service.close()
+
+    def test_listen_backlog_takes_a_connect_burst(self, service):
+        # Nothing accepts: every connect must complete from the backlog
+        # alone, well inside the kernel's 1 s SYN retransmit.
+        server = ServiceServer(("127.0.0.1", 0), service)
+        sockets = []
+        try:
+            connected = 0
+            for _ in range(16):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sockets.append(sock)
+                sock.settimeout(0.5)
+                try:
+                    sock.connect(server.server_address)
+                    connected += 1
+                except OSError:
+                    pass
+            assert connected == 16
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.server_close()
 
     def test_unreachable_daemon_is_service_error(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=2)
