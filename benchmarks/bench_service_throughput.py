@@ -13,7 +13,10 @@ request regimes:
 Reported per regime: requests/second, p50/p99 latency, wall-clock.
 Whatever the timings, two invariants must hold: a warm request is
 faster than a cold one at the median, and the N-request coalesced burst
-finishes in far less than N times a single cold request.  The run also
+finishes in far less than N times a single cold request.  The warm
+phase is also gated on work counters, not clocks: it performs zero
+scans and zero ``inter_contact_times`` passes (the stream summary is
+computed once per stream, on its first analysis).  The run also
 smoke-tests the daemon lifecycle end to end: start, upload, submit,
 poll, fetch, shutdown.
 """
@@ -26,10 +29,11 @@ from time import perf_counter
 from _harness import emit
 
 from repro.generators import time_uniform_stream
-from repro.linkstream import write_tsv
+from repro.linkstream import statistics, write_tsv
 from repro.reporting import render_table
 from repro.service import AnalysisService, ServiceClient
 from repro.service.daemon import ServiceServer
+from repro.temporal.reachability import SCAN_COUNTS
 
 N_COLD = 10
 N_COALESCED = 8
@@ -67,7 +71,7 @@ def _run_requests(client, fingerprint, grids, *, concurrent=False):
     return latencies, perf_counter() - wall_start
 
 
-def test_service_throughput(benchmark, capsys, tmp_path):
+def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
     cold_file = tmp_path / "cold.tsv"
     burst_file = tmp_path / "burst.tsv"
     write_tsv(time_uniform_stream(24, 8, 12000.0, seed=7), cold_file)
@@ -82,23 +86,38 @@ def test_service_throughput(benchmark, capsys, tmp_path):
     client = ServiceClient(
         f"http://127.0.0.1:{server.server_address[1]}", timeout=300
     )
+    gap_passes = [0]
+    gaps = statistics.inter_contact_times
+
+    def counted_gaps(stream):
+        gap_passes[0] += 1
+        return gaps(stream)
+
+    monkeypatch.setattr(statistics, "inter_contact_times", counted_gaps)
 
     def scenario():
         fingerprint = client.upload_stream(str(cold_file))
         grids = [8 + i for i in range(N_COLD)]
         cold, cold_wall = _run_requests(client, fingerprint, grids)
+        scans, passes = sum(SCAN_COUNTS.values()), gap_passes[0]
         warm, warm_wall = _run_requests(client, fingerprint, grids)
+        warm_work = {
+            "scans": sum(SCAN_COUNTS.values()) - scans,
+            "inter_contact_passes": gap_passes[0] - passes,
+        }
         burst_fp = client.upload_stream(str(burst_file))
         burst, burst_wall = _run_requests(
             client, burst_fp, [12] * N_COALESCED, concurrent=True
         )
         stats = client.health()["queue"]
-        return cold, cold_wall, warm, warm_wall, burst, burst_wall, stats
+        return (
+            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall, stats
+        )
 
     try:
-        cold, cold_wall, warm, warm_wall, burst, burst_wall, stats = (
-            benchmark.pedantic(scenario, rounds=1, iterations=1)
-        )
+        (
+            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall, stats
+        ) = benchmark.pedantic(scenario, rounds=1, iterations=1)
         shutdown = client.shutdown()
         server_thread.join(timeout=30)
     finally:
@@ -145,6 +164,8 @@ def test_service_throughput(benchmark, capsys, tmp_path):
                 },
                 "warm": {
                     "requests": len(warm),
+                    "scans": warm_work["scans"],
+                    "inter_contact_passes": warm_work["inter_contact_passes"],
                     "wall_seconds": float(warm_wall),
                     "p50_ms": float(_percentile(warm, 50) * 1e3),
                     "p99_ms": float(_percentile(warm, 99) * 1e3),
@@ -164,8 +185,10 @@ def test_service_throughput(benchmark, capsys, tmp_path):
     assert shutdown["status"] == "shutting down"
     assert not server_thread.is_alive()
     assert stats["failed"] == 0 and stats["cancelled"] == 0
-    # A warm request never recomputes: it must beat cold at the median.
+    # A warm request never recomputes: it must beat cold at the median,
+    # and it does no scan and no inter-contact pass (counter-gated).
     assert _percentile(warm, 50) < _percentile(cold, 50)
+    assert warm_work == {"scans": 0, "inter_contact_passes": 0}
     # Coalescing: N identical concurrent requests cost one computation,
     # not N — far under N times a single cold request.
     assert burst_wall < N_COALESCED * _percentile(cold, 50)

@@ -310,6 +310,12 @@ def _cache_prewarm(args: argparse.Namespace) -> int:
         f"cache directory: {store.directory} — {stats['entries']} entries, "
         f"{stats['bytes']} bytes"
     )
+    if stats["put_errors"]:
+        print(
+            f"warning: {stats['put_errors']} cache writes failed "
+            "(disk full or not writable?)",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -149,6 +149,8 @@ class DiskStore(CacheStore):
         #: a put costs one stat-free addition in the common case.
         self._approx_bytes: int | None = None
         self._size_lock = threading.Lock()
+        #: Writes dropped on an ``OSError`` by this instance (see put).
+        self._put_errors = 0
 
     @property
     def directory(self) -> Path:
@@ -219,12 +221,21 @@ class DiskStore(CacheStore):
         return value
 
     def put(self, key: str, value: Any, *, weight: float = 1.0) -> None:
+        """Write an entry atomically.
+
+        A failed write (a full disk, a read-only or vanished directory:
+        any ``OSError``) leaves no file behind, is counted in
+        :meth:`stats` as ``put_errors`` and is otherwise dropped: the
+        caller already holds the value, and a cache that cannot store
+        it only costs a later recomputation.
+        """
         path = self._path(key, weight)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stale = [p for p in self._variants(key) if p != path]
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp_name = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            stale = [p for p in self._variants(key) if p != path]
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(_HEADER)
                 handle.write(_digest(payload))
@@ -235,12 +246,17 @@ class DiskStore(CacheStore):
             # trigger spurious eviction sweeps.
             replaced = self._safe_size(path) if self._max_bytes is not None else 0
             os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            tmp_name = None
+        except OSError:
+            with self._size_lock:
+                self._put_errors += 1
+            return
+        finally:
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
         # One key, one file: a re-put under a different weight replaces
         # the old variant instead of duplicating the entry.
         removed = 0
@@ -297,12 +313,14 @@ class DiskStore(CacheStore):
             return 0
 
     def stats(self) -> dict[str, int | None]:
-        """Entry count and total bytes currently on disk (plus the cap)."""
+        """Entry count and total bytes currently on disk (plus the cap),
+        and the writes this instance dropped on an ``OSError``."""
         entries = self._entries()
         return {
             "entries": len(entries),
             "bytes": sum(self._safe_size(p) for p in entries),
             "max_bytes": self._max_bytes,
+            "put_errors": self._put_errors,
         }
 
     def clear(self) -> int:

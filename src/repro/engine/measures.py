@@ -163,6 +163,16 @@ class MeasureSpec(ABC):
     #: disk store's LRU sweep evicts lighter (cheaper) entries first.
     cache_weight = 1.0
 
+    def __post_init__(self) -> None:
+        # List parameters are stored as tuples: the spec stays hashable,
+        # and a caller mutating its list later cannot change the spec
+        # (nor its memoised token()).  Subclasses that define their own
+        # __post_init__ call this one first.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, _freeze(value))
+
     def params(self) -> dict[str, Any]:
         """The declarative parameter mapping — the dataclass fields."""
         return {
@@ -175,10 +185,19 @@ class MeasureSpec(ABC):
         Sorted ``(field, value)`` pairs of every dataclass field —
         automatically part of the measure's cache key, so a plugin
         measure never has to hand-roll key material for its parameters.
+
+        Memoised on the instance at first use (one spec instance is
+        shared by every Δ of a sweep), so a spec's parameters must not
+        be mutated after its first ``token()`` call: specs are frozen,
+        and list parameters are stored as tuples on construction.
         """
-        return tuple(
-            sorted((key, _freeze(value)) for key, value in self.params().items())
-        )
+        memo = self.__dict__.get("_token")
+        if memo is None:
+            memo = tuple(
+                sorted((key, _freeze(value)) for key, value in self.params().items())
+            )
+            self.__dict__["_token"] = memo
+        return memo
 
     def collector_token(self) -> tuple:
         """Scan-collector identity — :meth:`token` minus the
@@ -773,6 +792,7 @@ class TripsMeasure(MeasureSpec):
     cache_weight = 4.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_samples < 1:
             raise EngineError("max_samples must be a positive integer")
 

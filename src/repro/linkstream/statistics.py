@@ -124,6 +124,11 @@ def burstiness(stream: LinkStream) -> float:
     gaps = inter_contact_times(stream)
     if not gaps.size:
         raise LinkStreamError("stream has no node with two events")
+    return _burstiness_of(gaps)
+
+
+def _burstiness_of(gaps: np.ndarray) -> float:
+    """The burstiness formula over a non-empty array of gaps."""
     mu = gaps.mean()
     sigma = gaps.std()
     if sigma + mu == 0:
@@ -156,20 +161,28 @@ class StreamSummary:
 
 
 def stream_summary(stream: LinkStream) -> StreamSummary:
-    """Compute a :class:`StreamSummary` (used by the dataset table bench).
+    """The stream's :class:`StreamSummary`, computed once per stream object.
 
     Statistics that need repeat contacts (inter-contact time,
     burstiness) come out as ``nan`` when no node has two events.
+
+    The first call stores the summary on the stream and later calls
+    return it.  It is never stale: the event arrays are frozen, and
+    every derived stream (``extend``, ``copy``, ``slice_time``, ...) is
+    a new object whose summary starts unset.
     """
+    if stream._summary is not None:
+        return stream._summary
     pair_u, __, __ = pair_event_counts(stream)
+    # One gaps array feeds both repeat-contact statistics.
     gaps = inter_contact_times(stream)
     if gaps.size:
         inter_contact = float(gaps.mean())
-        bursty = burstiness(stream)
+        bursty = _burstiness_of(gaps)
     else:
         inter_contact = float("nan")
         bursty = float("nan")
-    return StreamSummary(
+    stream._summary = StreamSummary(
         num_nodes=stream.num_nodes,
         num_events=stream.num_events,
         span_seconds=float(stream.span),
@@ -178,3 +191,4 @@ def stream_summary(stream: LinkStream) -> StreamSummary:
         mean_inter_contact_seconds=inter_contact,
         burstiness=bursty,
     )
+    return stream._summary

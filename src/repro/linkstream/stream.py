@@ -58,6 +58,7 @@ class LinkStream:
         "_distinct_t",
         "_resolution",
         "_fingerprint",
+        "_summary",
         "_chain",
     )
 
@@ -122,13 +123,15 @@ class LinkStream:
         else:
             self._labels = None
         self._label_index = None
-        # Lazy caches: the event arrays are frozen, so these never go
-        # stale.  extend() never mutates them either — it builds a *new*
-        # stream (whose caches start empty), so staleness cannot leak
-        # across an append.
+        # Lazy caches (distinct times, resolution, fingerprint and the
+        # statistics module's stream summary): the event arrays are
+        # frozen, so these never go stale.  extend() never mutates them
+        # either — it builds a *new* stream (whose caches start empty),
+        # so staleness cannot leak across an append.
         self._distinct_t = None
         self._resolution = None
         self._fingerprint = None
+        self._summary = None
         # Prefix-fingerprint chain: ``(event_count, fingerprint)`` pairs
         # recorded by extend(), oldest first.  Content-derived streams
         # start with an empty chain.
@@ -205,6 +208,7 @@ class LinkStream:
         stream._distinct_t = None
         stream._resolution = None
         stream._fingerprint = fingerprint
+        stream._summary = None
         stream._chain = tuple(storage.fingerprint_chain())
         return stream
 

@@ -3,8 +3,10 @@ cache`` CLI subcommand."""
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
+import tempfile
 import time
 
 import pytest
@@ -13,7 +15,7 @@ from repro.cli import main
 from repro.engine import MISS, DiskStore, SweepCache, SweepEngine
 from repro.engine.cache import ENTRY_MAGIC
 from repro.generators import time_uniform_stream
-from repro.core import occupancy_method
+from repro.core import analyze_stream, occupancy_method
 from repro.utils.errors import EngineError
 
 #: An entry's header: magic, 2-byte format version, BLAKE2b-256 digest.
@@ -67,7 +69,9 @@ class TestDiskEviction:
         for i in range(5):
             put_sized(store, key(i), 128)
         assert store.clear() == 5
-        assert store.stats() == {"entries": 0, "bytes": 0, "max_bytes": 1 << 20}
+        assert store.stats() == {
+            "entries": 0, "bytes": 0, "max_bytes": 1 << 20, "put_errors": 0
+        }
         assert store.get(key(0)) is MISS
 
     def test_capped_engine_sweep_stays_correct(self, tmp_path):
@@ -308,3 +312,63 @@ class TestEntryIntegrity:
             store.put(key(2), lambda: None)
         assert not list(tmp_path.rglob("*.tmp"))
         assert store.get(key(2)) is MISS
+
+
+class TestFailedWrites:
+    """A cache that cannot store a value (disk full, unwritable directory)
+    drops the write: the finished analysis still returns its result."""
+
+    @staticmethod
+    def _no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def test_disk_full_analysis_succeeds_bit_identical(self, tmp_path, monkeypatch):
+        stream = time_uniform_stream(8, 4, 3000.0, seed=5)
+        reference = analyze_stream(
+            stream, validate=False, num_deltas=6, engine=SweepEngine(cache=None)
+        )
+        cache = SweepCache.build(disk_dir=tmp_path)
+        disk = cache.stores[-1]
+        monkeypatch.setattr(tempfile, "mkstemp", self._no_space)
+        report = analyze_stream(
+            stream, validate=False, num_deltas=6, engine=SweepEngine(cache=cache)
+        )
+        assert report.gamma == reference.gamma
+        assert [p.scores for p in report.saturation.points] == [
+            p.scores for p in reference.saturation.points
+        ]
+        assert report.to_text() == reference.to_text()
+        stats = disk.stats()
+        assert stats["put_errors"] == len(report.saturation.points)
+        assert stats["entries"] == 0
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path, max_bytes=1 << 20)
+        monkeypatch.setattr(os, "replace", self._no_space)
+        store.put(key(1), b"x" * 64)
+        assert store.get(key(1)) is MISS
+        assert store.stats()["put_errors"] == 1
+        assert not list(tmp_path.glob("??/*.tmp"))
+        monkeypatch.undo()
+        # The byte estimate skipped the failed write: a later put that
+        # fits is not evicted.
+        store.put(key(2), b"x" * 64)
+        assert store.get(key(2)) == b"x" * 64
+        assert store.stats() == {
+            "entries": 1,
+            "bytes": DiskStore(tmp_path).stats()["bytes"],
+            "max_bytes": 1 << 20,
+            "put_errors": 1,
+        }
+
+    def test_interrupt_still_propagates(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            store.put(key(1), b"x")
+        assert not list(tmp_path.glob("??/*.tmp"))
+        assert store.stats()["put_errors"] == 0

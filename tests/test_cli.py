@@ -316,6 +316,28 @@ class TestCachePrewarm:
         assert "<-- gamma" in capsys.readouterr().out
         assert SCAN_COUNTS["series"] - before == 0
 
+    def test_prewarm_on_a_full_disk_warns(self, events_file, tmp_path, capsys, monkeypatch):
+        import errno
+        import tempfile
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_space)
+        cache_dir = tmp_path / "cache"
+        code = main(
+            [
+                "cache", "prewarm", str(events_file),
+                "--cache-dir", str(cache_dir),
+                "--num-deltas", "6",
+                "--undirected",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "0 entries" in captured.out
+        assert "warning: 6 cache writes failed" in captured.err
+
     def test_prewarm_requires_events(self, tmp_path, capsys):
         code = main(["cache", "prewarm", "--cache-dir", str(tmp_path)])
         assert code == 2

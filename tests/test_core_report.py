@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_stream
+from repro.engine import MeasureSpec, SweepCache, SweepEngine
 from repro.generators import time_uniform_stream
-from repro.linkstream import LinkStream
+from repro.linkstream import LinkStream, statistics
+from repro.temporal.reachability import SCAN_COUNTS, SCAN_WINDOWS
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +51,63 @@ class TestAnalyzeStream:
         stream = time_uniform_stream(8, 4, 2000.0, seed=2)
         report = analyze_stream(stream, validate=False, num_deltas=8, method="cre")
         assert report.saturation.method == "cre"
+
+
+class TestWarmPathWork:
+    """A warm analysis does only cache lookups: counted, not timed."""
+
+    NUM_DELTAS = 10
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"inter_contact_times": 0, "params": 0}
+        gaps = statistics.inter_contact_times
+        params = MeasureSpec.params
+
+        def counted_gaps(stream):
+            calls["inter_contact_times"] += 1
+            return gaps(stream)
+
+        def counted_params(spec):
+            calls["params"] += 1
+            return params(spec)
+
+        monkeypatch.setattr(statistics, "inter_contact_times", counted_gaps)
+        monkeypatch.setattr(MeasureSpec, "params", counted_params)
+        return calls
+
+    def _work(self, spies, run):
+        before = dict(spies)
+        scans = dict(SCAN_COUNTS)
+        windows = dict(SCAN_WINDOWS)
+        result = run()
+        done = {key: spies[key] - before[key] for key in spies}
+        done["scans"] = sum(SCAN_COUNTS[k] - scans[k] for k in scans)
+        done["windows"] = sum(SCAN_WINDOWS[k] - windows[k] for k in windows)
+        return result, done
+
+    def test_warm_repeat_computes_no_stream_fact(self, spies):
+        stream = time_uniform_stream(10, 5, 4000.0, seed=6)
+        engine = SweepEngine("serial", cache=SweepCache())
+
+        def analyze():
+            return analyze_stream(
+                stream, validate=False, engine=engine,
+                num_deltas=self.NUM_DELTAS, bins=512,
+            )
+
+        cold, cold_work = self._work(spies, analyze)
+        assert cold_work["inter_contact_times"] == 1
+        assert cold_work["scans"] == self.NUM_DELTAS
+        warm, warm_work = self._work(spies, analyze)
+        assert warm_work["inter_contact_times"] == 0
+        assert warm_work["scans"] == 0 and warm_work["windows"] == 0
+        # The occupancy spec is shared by every task of the sweep: its
+        # token is built once per analysis, not once per Δ.
+        assert warm_work["params"] == 1
+        assert warm.summary == cold.summary
+        assert warm.gamma == cold.gamma
+        assert [p.scores for p in warm.saturation.points] == [
+            p.scores for p in cold.saturation.points
+        ]
+        assert warm.to_text() == cold.to_text()

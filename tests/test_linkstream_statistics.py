@@ -1,8 +1,15 @@
 """Unit tests for stream statistics."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import link_streams
 
+from repro.datasets import ingest_stream, open_dataset
 from repro.linkstream import (
     LinkStream,
     activity_profile,
@@ -124,3 +131,102 @@ class TestSummary:
         assert summary.span_seconds == medium_stream.span
         assert summary.distinct_pairs > 0
         assert summary.as_dict()["num_events"] == medium_stream.num_events
+
+
+def fresh_summary(stream):
+    """The summary of a newly built stream with the same content (no memo)."""
+    rebuilt = LinkStream(
+        stream.sources,
+        stream.targets,
+        stream.timestamps,
+        directed=stream.directed,
+        num_nodes=stream.num_nodes,
+    )
+    return stream_summary(rebuilt)
+
+
+def assert_same_summary(actual, expected):
+    """Field-by-field equality, NaN equal to NaN."""
+    for key, value in expected.as_dict().items():
+        got = actual.as_dict()[key]
+        assert got == value or (math.isnan(got) and math.isnan(value)), key
+
+
+class TestSummaryMemo:
+    """``stream_summary`` computes once per stream object and is never
+    stale: every derived stream starts with an empty slot."""
+
+    def test_second_call_returns_the_stored_summary(self, medium_stream, monkeypatch):
+        from repro.linkstream import statistics
+
+        first = stream_summary(medium_stream)
+        monkeypatch.setattr(
+            statistics,
+            "inter_contact_times",
+            lambda stream: pytest.fail("summary recomputed"),
+        )
+        assert stream_summary(medium_stream) is first
+
+    def test_extend_with_events(self, medium_stream):
+        parent = stream_summary(medium_stream)
+        t = medium_stream.t_max
+        grown = medium_stream.extend([(0, 1, t + 1), (2, 3, t + 7), (0, 2, t + 30)])
+        assert_same_summary(stream_summary(grown), fresh_summary(grown))
+        assert stream_summary(grown).num_events == parent.num_events + 3
+        assert stream_summary(grown).mean_inter_contact_seconds != (
+            parent.mean_inter_contact_seconds
+        )
+
+    def test_extend_with_empty_batch(self, medium_stream):
+        stream_summary(medium_stream)
+        grown = medium_stream.extend([])
+        assert_same_summary(stream_summary(grown), fresh_summary(medium_stream))
+
+    def test_copy(self, medium_stream):
+        stream_summary(medium_stream)
+        copied = medium_stream.copy()
+        assert copied._summary is None
+        assert_same_summary(stream_summary(copied), fresh_summary(medium_stream))
+
+    def test_derived_streams_start_empty(self, medium_stream):
+        stream_summary(medium_stream)
+        half = medium_stream.t_min + medium_stream.span / 2
+        sliced = medium_stream.slice_time(medium_stream.t_min, half)
+        shifted = medium_stream.shift_time(10)
+        for derived in (sliced, shifted):
+            assert_same_summary(stream_summary(derived), fresh_summary(derived))
+        assert stream_summary(sliced).num_events < medium_stream.num_events
+
+    def test_catalog_stream(self, medium_stream, tmp_path):
+        ingest_stream(medium_stream, "memo", root=str(tmp_path), partition_events=64)
+        reopened = open_dataset("memo", root=str(tmp_path))
+        assert reopened._summary is None
+        assert_same_summary(stream_summary(reopened), fresh_summary(medium_stream))
+        assert stream_summary(reopened) is stream_summary(reopened)
+
+    def test_pickle_round_trip(self, medium_stream):
+        unset = pickle.loads(pickle.dumps(medium_stream))
+        assert_same_summary(stream_summary(unset), fresh_summary(medium_stream))
+        stream_summary(medium_stream)
+        carried = pickle.loads(pickle.dumps(medium_stream))
+        assert_same_summary(stream_summary(carried), fresh_summary(medium_stream))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=st.booleans().flatmap(
+            lambda float_time: link_streams(min_events=2, float_time=float_time)
+        )
+    )
+    def test_repeat_contact_fields_equal_the_public_functions(self, stream):
+        assume(stream.span > 0)
+        summary = stream_summary(stream)
+        if not inter_contact_times(stream).size:
+            assert math.isnan(summary.mean_inter_contact_seconds)
+            assert math.isnan(summary.burstiness)
+            with pytest.raises(LinkStreamError):
+                mean_inter_contact_time(stream)
+            with pytest.raises(LinkStreamError):
+                burstiness(stream)
+            return
+        assert summary.mean_inter_contact_seconds == mean_inter_contact_time(stream)
+        assert summary.burstiness == burstiness(stream)

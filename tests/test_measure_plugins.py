@@ -24,6 +24,7 @@ from repro.engine import (
     ClassicalMeasure,
     ComponentsMeasure,
     MeasureSpec,
+    OccupancyMeasure,
     ProcessBackend,
     ReachabilityMeasure,
     SweepCache,
@@ -202,6 +203,21 @@ class TestRegistry:
             HopHistogramMeasure(max_hops=4).token()
             != HopHistogramMeasure(max_hops=5).token()
         )
+
+    def test_token_is_memoised_and_list_parameters_are_frozen(self):
+        # token() is built once per spec instance; a list parameter the
+        # caller mutates after first use must not leave it stale, so
+        # lists are stored as tuples on construction.
+        methods = ["mk", "ks"]
+        spec = OccupancyMeasure(methods=methods)
+        token = spec.token()
+        assert spec.token() is token
+        assert spec.methods == ("mk", "ks")
+        methods.append("cre")
+        assert spec.methods == ("mk", "ks")
+        assert spec.token() == OccupancyMeasure(methods=("mk", "ks")).token()
+        assert spec == OccupancyMeasure(methods=("mk", "ks"))
+        assert hash(spec) == hash(OccupancyMeasure(methods=("mk", "ks")))
 
 
 class TestSpecParsing:
