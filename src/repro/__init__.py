@@ -252,9 +252,11 @@ untouched.  The append pipeline makes growth incremental end to end:
   re-windows only the appended suffix and splices it onto the cached
   prefix — bit-identical to aggregating the grown stream whole.
 * **Settled-boundary scan resume.**  The backward scan checkpoints its
-  packed per-window state, narrowed to the smallest integer dtype, at
-  scan iterations 1, 2, 4, 8, … from the stream's end (~``log2``
-  of the window count).  On re-analysis after an
+  per-window state at scan iterations 1, 2, 4, 8, … from the stream's
+  end (~``log2`` of the window count).  A checkpoint keeps only the
+  finite cells: a packed bitmask of which pairs are reachable plus
+  their packed keys in the smallest integer dtype, so sparse states
+  (most pairs still unreachable) cost little.  On re-analysis after an
   append, the scan restarts from the new end and stops at the first
   checkpoint whose incoming state matches the recorded one — the
   *settled boundary* — splicing every earlier window's collector and
@@ -264,9 +266,9 @@ untouched.  The append pipeline makes growth incremental end to end:
 
 The engine drives all of this through
 :class:`~repro.engine.IncrementalScanSession`, a process-wide
-content-keyed store (``REPRO_INCREMENTAL_MAX_BYTES`` caps it;
-``REPRO_INCREMENTAL=0`` disables reuse entirely, ``repro cache stats``
-reports it) — so a warm sweep on a grown stream re-scans only the
+content-keyed store (always on; ``REPRO_INCREMENTAL_MAX_BYTES`` caps
+it, ``0`` stores no checkpoints; ``repro cache stats`` reports it, the
+checkpoint states apart) — so a warm sweep on a grown stream re-scans only the
 unsettled windows of each Δ, sharded or not,
 with results bit-identical to a cold run
 (``benchmarks/bench_ablation_incremental_append.py`` pins the >= 3x

@@ -270,6 +270,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"{inc['scan_records']} scan records, {inc['nbytes']} bytes "
             f"(cap {inc['max_bytes']})"
         )
+        print(
+            f"incremental checkpoints: {inc['checkpoints']} states, "
+            f"{inc['checkpoint_bytes']} bytes (the rest is series and "
+            "consumer spans)"
+        )
     else:  # clear
         removed = store.clear()
         clear_incremental_store()

@@ -24,10 +24,12 @@ keys never distinguish warm from cold evaluation.
 
 The store is process-global and bounded by one byte budget
 (``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB, LRU over streams),
-which also caps a single scan's checkpoint record: a long-lived
-service process keeps records warm across appends, short CLI runs pay
-nothing.  Set ``REPRO_INCREMENTAL=0`` to disable all reuse (every scan
-runs cold and nothing is recorded) — results are identical either way.
+which also caps a single scan's checkpoint record.  Reuse is always on:
+every scan records, offline analyses included.  A checkpoint keeps only
+its finite cells (a packed bitmask plus narrow keys), so a cold sweep of
+the four paper replicas keeps ~20 MB of records, and a long-lived
+service process keeps them warm across appends.  ``REPRO_INCREMENTAL_MAX_BYTES=0`` stores no checkpoints (every
+resume finds nothing to settle on); results are identical either way.
 
 Keys are content-derived: ``(stream fingerprint, Δ, origin)`` addresses
 a stream entry, and ``(include_self, shard, consumer tokens)`` a scan
@@ -72,13 +74,6 @@ INCREMENTAL_COUNTS = {"records": 0, "resumes": 0, "splices": 0}
 
 _STORE: "OrderedDict[tuple, _StreamEntry]" = OrderedDict()
 _STORE_LOCK = threading.Lock()
-
-
-def _enabled() -> bool:
-    raw = os.environ.get("REPRO_INCREMENTAL")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "off", "no")
 
 
 def _max_bytes() -> int:
@@ -129,15 +124,16 @@ def _approx_nbytes(obj, depth: int = 3) -> int:
 class _ScanRecord:
     """One scan's reusable state: checkpoints plus per-span contributions."""
 
-    __slots__ = ("checkpoints", "spans", "span_trips", "nbytes")
+    __slots__ = (
+        "checkpoints", "spans", "span_trips", "checkpoint_bytes", "nbytes"
+    )
 
     def __init__(self, checkpoints, spans, span_trips) -> None:
         self.checkpoints = tuple(checkpoints)
         self.spans = tuple(spans)
         self.span_trips = tuple(span_trips)
-        self.nbytes = sum(c.nbytes for c in self.checkpoints) + _approx_nbytes(
-            self.spans
-        )
+        self.checkpoint_bytes = sum(c.nbytes for c in self.checkpoints)
+        self.nbytes = self.checkpoint_bytes + _approx_nbytes(self.spans)
 
 
 class _StreamEntry:
@@ -176,15 +172,16 @@ def _evict_locked() -> None:
 
 def incremental_stats() -> dict:
     """Snapshot of the store: entry/record/checkpoint counts, bytes, and
-    counters."""
+    counters.  ``nbytes`` is everything the budget counts (series,
+    checkpoint states and consumer spans); ``checkpoint_bytes`` is the
+    checkpoint states alone."""
     with _STORE_LOCK:
+        records = [r for e in _STORE.values() for r in e.scans.values()]
         return {
             "streams": len(_STORE),
-            "scan_records": sum(len(e.scans) for e in _STORE.values()),
-            "checkpoints": sum(
-                len(r.checkpoints) for e in _STORE.values()
-                for r in e.scans.values()
-            ),
+            "scan_records": len(records),
+            "checkpoints": sum(len(r.checkpoints) for r in records),
+            "checkpoint_bytes": sum(r.checkpoint_bytes for r in records),
             "nbytes": sum(e.nbytes for e in _STORE.values()),
             "max_bytes": _max_bytes(),
             "counts": dict(INCREMENTAL_COUNTS),
@@ -218,7 +215,7 @@ class IncrementalScanSession:
     every consumer's construction parameters in list order (the engine
     passes each measure's ``(name, collector_token())``).
 
-    Everything degrades gracefully: disabled store, unknown ancestry,
+    Everything degrades gracefully: a spent byte budget, unknown ancestry,
     changed node count, or consumers without ``segment_handoff`` all
     fall back to plain cold evaluation with identical results.
     """
@@ -304,7 +301,7 @@ class IncrementalScanSession:
         series = lookup_memoized_series(
             self._stream, self._delta, origin=self._origin
         )
-        if series is None and _enabled():
+        if series is None:
             series = self._splice_series()
             if series is not None:
                 memoize_series(
@@ -314,10 +311,9 @@ class IncrementalScanSession:
             series = aggregate_cached(
                 self._stream, self._delta, origin=self._origin
             )
-        if _enabled():
-            with _STORE_LOCK:
-                self._touch_entry_locked(series)
-                _evict_locked()
+        with _STORE_LOCK:
+            self._touch_entry_locked(series)
+            _evict_locked()
         self._series = series
         return series
 
@@ -378,7 +374,7 @@ class IncrementalScanSession:
         supported = all(
             hasattr(item, "segment_handoff") for item in items
         )
-        if not _enabled() or not supported:
+        if not supported:
             return scan_series(
                 series,
                 items,

@@ -698,39 +698,61 @@ class ScanCheckpoint:
     settle here when its own previous window matches, otherwise the
     pending departure run differs.
 
-    The state is stored **packed** and **narrow**: one read-only copy of
-    the scan's keys ``P = A * K + H`` over rank steps (see the module
-    docstring's *The scan kernel*) in the narrowest integer dtype that
-    holds every committed key (``np.min_scalar_type(K * K - 1)``; the
-    largest is the infinite cell ``a_inf * K + K - 1``), together with a
-    reference (not a copy) to the scan's rank → window ``table``, which
-    fixes ``a_inf = len(table)`` and ``K = a_inf + 2``.  ``finite``
-    counts the state's finite cells (``P < a_inf * K``): equal canonical
-    states have equal counts, so a resumed scan rejects most candidates
-    on the count alone.  An append that adds windows changes ``K``, so a
-    resumed scan compares packed keys directly only when its ``K``
-    matches and otherwise compares the decoded states.  The canonical
-    ``A``/``H`` (real window indices, with the
-    :data:`INT_INF`/:data:`HOP_INF` sentinels) are decoded on demand.
+    Built from the scan's packed keys ``P = A * K + H`` over rank steps
+    (see the module docstring's *The scan kernel*), it keeps only the
+    **finite cells**: ``mask`` packs the C-order bitmap
+    ``P < a_inf * K`` with :func:`numpy.packbits`, and ``keys`` holds
+    those cells' keys in C order, in the narrowest integer dtype that
+    holds every key (``np.min_scalar_type(K * K - 1)``).  Both arrays
+    are read-only; ``shape`` is the state's ``(nodes, width)`` and
+    ``finite`` the number of keys.  A sparse state (most pairs still
+    unreachable) costs little more than its finite keys; a fully finite
+    one ``⌈nodes · width / 8⌉`` bytes more than a dense narrow copy.
+    ``table`` is a reference (not a copy) to the scan's rank → window
+    table, which fixes ``a_inf = len(table)`` and ``K = a_inf + 2``; an
+    append that adds windows changes ``K``, so a resumed scan compares
+    keys directly only when its ``K`` matches and otherwise compares
+    the decoded finite cells.  The dense packed keys ``P`` and the
+    canonical ``A``/``H`` (real window indices, with the
+    :data:`INT_INF`/:data:`HOP_INF` sentinels) are rebuilt on demand.
     """
 
-    __slots__ = ("window", "last_processed", "P", "table", "finite")
+    __slots__ = (
+        "window", "last_processed", "mask", "keys", "shape", "finite",
+        "table",
+    )
 
     def __init__(
         self, window: int, last_processed: int, P: np.ndarray,
         table: np.ndarray,
     ) -> None:
-        P.setflags(write=False)
+        a_inf = int(table.size)
+        K = a_inf + 2
+        finite = P < a_inf * K
         self.window = int(window)
         self.last_processed = int(last_processed)
-        self.P = P
+        self.mask = np.packbits(finite)
+        self.keys = P[finite].astype(np.min_scalar_type(K * K - 1))
+        self.mask.setflags(write=False)
+        self.keys.setflags(write=False)
+        self.shape = P.shape
+        self.finite = int(self.keys.size)
         self.table = table
-        self.finite = _finite_cells(P, table.size)
 
     @property
     def K(self) -> int:
         """The packing radix: every packed hop count is below it."""
         return int(self.table.size) + 2
+
+    @property
+    def P(self) -> np.ndarray:
+        """The dense int64 packed keys (rebuilt on each access)."""
+        a_inf = int(self.table.size)
+        K = a_inf + 2
+        P = np.full(self.shape, a_inf * K + K - 1, dtype=np.int64)
+        finite = np.unpackbits(self.mask, count=P.size).view(bool)
+        P.reshape(-1)[finite] = self.keys
+        return P
 
     @property
     def A(self) -> np.ndarray:
@@ -744,7 +766,7 @@ class ScanCheckpoint:
 
     @property
     def nbytes(self) -> int:
-        return int(self.P.nbytes)
+        return int(self.mask.nbytes + self.keys.nbytes)
 
 
 class CheckpointRecorder:
@@ -766,9 +788,10 @@ class CheckpointRecorder:
     end, where future appends settle): a scan of ``W`` nonempty windows
     keeps ``⌊log₂(W − 1)⌋ + 1`` checkpoints, and a resume that settles
     ``d`` iterations below the appended suffix scans at most ``2d``.
-    Each holds its narrow packed state (:attr:`ScanCheckpoint.nbytes`).
-    ``max_bytes`` caps their total (``None``: unbounded); a capture that
-    would exceed it is skipped, keeping the near-end checkpoints.
+    Each holds its finite-cell bitmask and narrow finite keys
+    (:attr:`ScanCheckpoint.nbytes`).  ``max_bytes`` caps their total
+    (``None``: unbounded); a capture that would exceed it is skipped,
+    keeping the near-end checkpoints.
     """
 
     def __init__(self, *, max_bytes: int | None = None) -> None:
@@ -790,17 +813,16 @@ class CheckpointRecorder:
         self, window: int, last_processed: int, P: np.ndarray,
         table: np.ndarray,
     ) -> bool:
-        """Store a narrow copy of the packed state ``P`` (decoded by
+        """Store the finite cells of the packed state ``P`` (decoded by
         ``table``) as one checkpoint; ``False`` when the byte budget is
-        spent (the scan then simply keeps feeding the current span)."""
-        K = table.size + 2
-        dtype = np.min_scalar_type(K * K - 1)
-        cost = P.size * dtype.itemsize
+        spent (the scan then simply keeps feeding the current span).
+        The cost depends on the finite count, so the checkpoint is built
+        before the budget decides."""
+        ckpt = ScanCheckpoint(window, last_processed, P, table)
+        cost = ckpt.nbytes
         if self._max_bytes is not None and self._bytes + cost > self._max_bytes:
             return False
-        self.checkpoints.append(
-            ScanCheckpoint(window, last_processed, P.astype(dtype), table)
-        )
+        self.checkpoints.append(ckpt)
         self._bytes += cost
         return True
 
@@ -960,23 +982,17 @@ def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
     return np.asarray(bounds, dtype=np.int64)
 
 
-def _finite_cells(P: np.ndarray, a_inf: int) -> int:
-    """How many cells of packed state ``P`` (``a_inf`` nonempty
-    windows, radix ``K = a_inf + 2``) hold a finite arrival: every key
-    below ``a_inf * K``."""
-    return int(np.count_nonzero(P < a_inf * (a_inf + 2)))
-
-
 def _unpack_rows(
     P_rows: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode packed-key rows into canonical ``(A, H)``: arrivals as
-    ``table`` values (real window indices for a series), sentinels
-    restored.  Committed infinite cells are always the canonical
-    ``a_inf * K + (K - 1)`` (never the incremented ``(a_inf + 1) * K``
-    candidate form, which loses every lexicographic minimum against it),
-    so the fixup mask is exactly ``rank == a_inf``.  Narrow checkpoint
-    copies widen to int64 first, so the sentinels fit.
+    """Decode packed keys (state rows, or a checkpoint's finite keys)
+    into canonical ``(A, H)``: arrivals as ``table`` values (real window
+    indices for a series), sentinels restored.  Committed infinite cells
+    are always the canonical ``a_inf * K + (K - 1)`` (never the
+    incremented ``(a_inf + 1) * K`` candidate form, which loses every
+    lexicographic minimum against it), so the fixup mask is exactly
+    ``rank == a_inf``.  Narrow checkpoint keys widen to int64 first, so
+    the sentinels fit.
     """
     a_inf = table.size
     P_rows = P_rows.astype(np.int64, copy=False)
@@ -1723,21 +1739,26 @@ def _scan(
 
     def settles(ckpt: ScanCheckpoint) -> bool:
         # Whether the current state equals a checkpoint's.  Equal states
-        # have equal finite-cell counts, so most candidates fail on the
-        # count before any decode.  Appends are in time order, so the
-        # ranks of windows at or below the straddle window never change
-        # and new windows rank above them: an equal K means no new
-        # window, hence equal tables, and packed keys compare directly,
-        # in the checkpoint's dtype (it holds every committed key; numpy
-        # 1.x compares int64 with uint64 through float64).
-        # Otherwise (the usual case after an append) both decode to real
-        # windows and compare canonically.
-        if _finite_cells(P, a_inf) != ckpt.finite:
+        # have equal finite-cell counts and equal finite-cell masks, so
+        # most candidates fail on the count, the rest mostly on the
+        # packed mask, before any key is compared.  Appends are in time
+        # order, so the ranks of windows at or below the straddle window
+        # never change and new windows rank above them: an equal K means
+        # no new window, hence equal tables, and the finite keys compare
+        # directly, in the checkpoint's dtype (it holds every committed
+        # key; numpy 1.x compares int64 with uint64 through float64).
+        # Otherwise (the usual case after an append) both sides' finite
+        # keys decode through their own tables and compare canonically.
+        finite = P < a_inf * K
+        if np.count_nonzero(finite) != ckpt.finite:
             return False
+        if not np.array_equal(np.packbits(finite), ckpt.mask):
+            return False
+        keys = P[finite]
         if ckpt.K == K:
-            return np.array_equal(P.astype(ckpt.P.dtype), ckpt.P)
-        cur_A, cur_H = _unpack_rows(P, table)
-        ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.table)
+            return np.array_equal(keys.astype(ckpt.keys.dtype), ckpt.keys)
+        cur_A, cur_H = _unpack_rows(keys, table)
+        ck_A, ck_H = _unpack_rows(ckpt.keys, ckpt.table)
         return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
 
     num_trips = 0

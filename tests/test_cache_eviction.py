@@ -111,17 +111,34 @@ class TestDiskEviction:
 
 class TestCacheCli:
     def test_stats_and_clear(self, tmp_path, capsys):
+        from repro.engine import incremental_stats
+        from repro.engine.incremental import IncrementalScanSession
+        from repro.generators import time_uniform_stream
+        from repro.temporal import CountingCollector
+
         store = DiskStore(tmp_path)
         for i in range(3):
             put_sized(store, key(i), 64)
+        # One recorded scan in this process's incremental store.
+        IncrementalScanSession(
+            time_uniform_stream(8, 2, 400.0, seed=1), delta=10.0
+        ).scan(CountingCollector())
+        inc = incremental_stats()
+        assert inc["checkpoint_bytes"] > 0
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries: 3" in out
         assert "size cap: none" in out
+        assert (
+            f"incremental checkpoints: {inc['checkpoints']} states, "
+            f"{inc['checkpoint_bytes']} bytes" in out
+        )
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 3" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "entries: 0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "entries: 0" in out
+        assert "incremental checkpoints: 0 states, 0 bytes" in out
 
     def test_env_var_default_dir_and_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -267,18 +267,21 @@ def _consumer_set():
     ]
 
 
+def _trip_lists(collector):
+    trip_set = collector.trips()
+    return [
+        column.tolist()
+        for column in (
+            trip_set.u, trip_set.v, trip_set.dep, trip_set.arr, trip_set.hops
+        )
+    ]
+
+
 def _consumer_state(consumers):
     totals, trips, counting, acc = consumers
-    trip_set = trips.trips()
     return (
         (totals.dist_sum, totals.hops_sum, totals.count_sum),
-        (
-            trip_set.u.tolist(),
-            trip_set.v.tolist(),
-            trip_set.dep.tolist(),
-            trip_set.arr.tolist(),
-            trip_set.hops.tolist(),
-        ),
+        _trip_lists(trips),
         counting.num_trips,
         (
             acc.reach_steps.tolist(),
@@ -335,13 +338,19 @@ class TestCheckpointResume:
         assert _consumer_state(consumers) == _consumer_state(plain)
 
 
-def _grown_pair(delta=100.0):
+def _grown_pair(delta=100.0, spare_nodes=0):
     """A base series, the series of the base plus an append (with more
     nonempty windows, so its packed keys use a different ``K``), and the
     first window the append touches (checkpoints below it are settle
-    candidates)."""
+    candidates).  ``spare_nodes`` adds nodes no event touches, whose
+    cells stay infinite in every state."""
     stream = small_stream(m=600, span=6000.0)
     u, v, t = append_batch(stream, m=40, span=300.0)
+    if spare_nodes:
+        stream = LinkStream(
+            stream.sources, stream.targets, stream.timestamps,
+            num_nodes=stream.num_nodes + spare_nodes,
+        )
     origin = float(stream.t_min)
     base = aggregate(stream, delta, origin=origin)
     grown = aggregate(stream.extend(u, v, t), delta, origin=origin)
@@ -412,21 +421,72 @@ class TestPackedCheckpoints:
 
     def test_checkpoint_bytes_are_packed_bytes(self):
         series = aggregate(small_stream(), 40.0)
+        n = series.num_nodes
         K = series.nonempty_steps().size + 2
-        itemsize = np.min_scalar_type(K * K - 1).itemsize
-        assert itemsize < 8
-        cell_bytes = series.num_nodes * series.num_nodes * itemsize
+        dtype = np.min_scalar_type(K * K - 1)
+        assert dtype.itemsize < 8
+        mask_bytes = -(-n * n // 8)
         recorder = CheckpointRecorder()
         scan_series(series, _consumer_set(), checkpoints=recorder)
-        assert len(recorder.checkpoints) > 2
-        for ckpt in recorder.checkpoints:
-            assert ckpt.nbytes == ckpt.P.nbytes == cell_bytes
-            assert not ckpt.P.flags.writeable
-        assert recorder.nbytes == len(recorder.checkpoints) * cell_bytes
-        bounded = CheckpointRecorder(max_bytes=2 * cell_bytes)
+        checkpoints = recorder.checkpoints
+        assert len(checkpoints) > 2
+        costs = []
+        for ckpt in checkpoints:
+            assert ckpt.shape == (n, n)
+            assert ckpt.keys.dtype == dtype
+            assert ckpt.mask.nbytes == mask_bytes
+            assert ckpt.nbytes == mask_bytes + ckpt.finite * dtype.itemsize
+            assert not ckpt.mask.flags.writeable
+            assert not ckpt.keys.flags.writeable
+            costs.append(ckpt.nbytes)
+        assert 0 < checkpoints[0].finite < n * n
+        assert recorder.nbytes == sum(costs)
+        # Finite cells never become infinite as the scan goes back, so
+        # captures cost no less than the ones before them and a budget
+        # keeps exactly the first captures that fit.
+        assert costs == sorted(costs)
+        budget = costs[0] + costs[1] + costs[2] - 1
+        bounded = CheckpointRecorder(max_bytes=budget)
         scan_series(series, _consumer_set(), checkpoints=bounded)
-        assert len(bounded.checkpoints) == 2
-        assert bounded.nbytes == 2 * cell_bytes
+        assert [c.window for c in bounded.checkpoints] == [
+            c.window for c in checkpoints[:2]
+        ]
+        assert bounded.nbytes == costs[0] + costs[1]
+
+    def test_target_restricted_checkpoints_and_resume(self):
+        base, grown, limit = _grown_pair()
+        n = base.num_nodes
+        cols = np.array([1, 4, 6, 9], dtype=np.int64)
+        recorder = CheckpointRecorder()
+        scan_series(
+            base, _consumer_set(), targets=cols, checkpoints=recorder
+        )
+        assert recorder.checkpoints
+        restricted = {}
+        reference_scan(base, targets=cols, snapshots=restricted)
+        full = _snapshots(base)
+        for ckpt in recorder.checkpoints:
+            assert ckpt.shape == (n, cols.size)
+            assert ckpt.mask.nbytes == -(-n * cols.size // 8)
+            assert _same_snapshot(
+                (ckpt.last_processed, ckpt.A, ckpt.H), restricted[ckpt.window]
+            )
+            last, A, H = full[ckpt.window]
+            assert _same_snapshot(
+                (ckpt.last_processed, ckpt.A, ckpt.H),
+                (last, A[:, cols], H[:, cols]),
+            )
+        plan = ResumePlan(
+            recorder.checkpoints, recorder.spans, recorder.span_trips,
+            limit=limit,
+        )
+        consumers = _consumer_set()
+        before = SCAN_WINDOWS["series"]
+        scan_series(grown, consumers, targets=cols, resume=plan)
+        assert SCAN_WINDOWS["series"] - before < grown.nonempty_steps().size
+        fresh = _consumer_set()
+        scan_series(grown, fresh, targets=cols)
+        assert _consumer_state(consumers) == _consumer_state(fresh)
 
 
 def _snapshots(series):
@@ -476,7 +536,7 @@ class TestCheckpointContract:
         scan_series(series, _consumer_set(), checkpoints=recorder)
         snapshots = _snapshots(series)
         for ckpt in recorder.checkpoints:
-            assert ckpt.P.dtype == np.min_scalar_type(K * K - 1)
+            assert ckpt.keys.dtype == np.min_scalar_type(K * K - 1)
             assert _same_snapshot(
                 (ckpt.last_processed, ckpt.A, ckpt.H), snapshots[ckpt.window]
             )
@@ -503,7 +563,9 @@ class TestCheckpointContract:
         assert [c.window for c in recorder.checkpoints] == [
             top - 3, top - 4, top - 6
         ]
-        assert {c.P.dtype for c in recorder.checkpoints} == {np.dtype(np.uint8)}
+        assert {c.keys.dtype for c in recorder.checkpoints} == {
+            np.dtype(np.uint8)
+        }
         snapshots = _snapshots(base)
         for ckpt in recorder.checkpoints:
             assert _same_snapshot(
@@ -569,10 +631,14 @@ class TestCheckpointContract:
     def test_finite_count_mismatch_rejects_before_any_decode(
         self, grow, monkeypatch
     ):
-        base, grown, limit = _grown_pair()
+        base, grown, limit = _grown_pair(spare_nodes=1)
         series = grown if grow else base
         recorder = CheckpointRecorder()
-        scan_series(base, _consumer_set(), checkpoints=recorder)
+        # Trip collectors only: accumulators decode the rows they watch.
+        scan_series(
+            base, [CountingCollector(), TripListCollector()],
+            checkpoints=recorder,
+        )
         last = recorder.checkpoints[-1]
         a_inf, K = last.table.size, last.K
         P = np.array(last.P)
@@ -580,23 +646,42 @@ class TestCheckpointContract:
         P.flat[cell] = a_inf * K + K - 1  # one finite cell made infinite
         tampered = ScanCheckpoint(last.window, last.last_processed, P, last.table)
         assert tampered.finite == last.finite - 1
+        fresh = [CountingCollector(), TripListCollector()]
+        scan_series(series, fresh)
+
         def resume_against(ckpt):
             spy = _UnpackSpy(monkeypatch)
             plan = ResumePlan(
                 [ckpt], recorder.spans[-1:], recorder.span_trips[-1:],
                 limit=limit if grow else base.num_steps,
             )
-            # Trip collectors only: accumulators decode the rows they watch.
             consumers = [CountingCollector(), TripListCollector()]
             before = SCAN_WINDOWS["series"]
             scan_series(series, consumers, resume=plan)
             scanned = SCAN_WINDOWS["series"] - before
             monkeypatch.undo()
+            assert consumers[0].num_trips == fresh[0].num_trips
+            assert _trip_lists(consumers[1]) == _trip_lists(fresh[1])
             return scanned < series.nonempty_steps().size, spy.calls
 
+        # The untampered checkpoint settles (decoding across K only).
+        assert resume_against(last) == (True, 2 if grow else 0)
         assert resume_against(tampered) == (False, 0)
-        # The one-hop tamper keeps the count, so it takes the full
-        # compare (a decode across K) and is still rejected.
+        # One finite cell moved to the infinite position next to it
+        # keeps the count and the key sequence but not the mask, so it
+        # too is rejected before any decode.
+        moved = np.array(last.P).reshape(-1)
+        finite = moved < a_inf * K
+        cell = np.flatnonzero(finite[:-1] & ~finite[1:])[0]
+        moved[[cell, cell + 1]] = moved[[cell + 1, cell]]
+        moved = moved.reshape(last.shape)
+        shifted = ScanCheckpoint(last.window, last.last_processed, moved, last.table)
+        assert shifted.finite == last.finite
+        assert np.array_equal(shifted.keys, last.keys)
+        assert not np.array_equal(shifted.mask, last.mask)
+        assert resume_against(shifted) == (False, 0)
+        # The one-hop tamper keeps the count and the mask, so it takes
+        # the key compare (a decode across K) and is still rejected.
         hop = np.array(last.P)
         A, H = hop // K, hop % K
         hop.flat[np.flatnonzero((A < a_inf) & (H + 1 < K))[0]] += 1
@@ -712,13 +797,29 @@ class TestIncrementalSession:
         assert after["resumes"] == before["resumes"] + 1
         assert after["records"] == before["records"] + 1
 
-    def test_disabled_store_records_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        session = IncrementalScanSession(small_stream(), delta=100.0)
-        session.scan(_consumer_set())
+    def test_zero_budget_stores_no_checkpoints(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_BYTES", "0")
+        stream = small_stream()
+        consumers = _consumer_set()
+        IncrementalScanSession(stream, delta=100.0).scan(consumers)
         stats = incremental.incremental_stats()
-        assert stats["streams"] == 0
-        assert stats["scan_records"] == 0
+        assert stats["checkpoints"] == 0
+        assert stats["checkpoint_bytes"] == 0
+        assert _consumer_state(consumers) == _fresh_state(
+            aggregate(stream, 100.0)
+        )
+
+    def test_stats_split_checkpoint_states_from_spans(self):
+        series = aggregate(small_stream(), 100.0)
+        recorder = CheckpointRecorder()
+        scan_series(series, _consumer_set(), checkpoints=recorder)
+        IncrementalScanSession(small_stream(), delta=100.0).scan(
+            _consumer_set()
+        )
+        stats = incremental.incremental_stats()
+        assert stats["checkpoints"] == len(recorder.checkpoints) > 0
+        assert stats["checkpoint_bytes"] == recorder.nbytes > 0
+        assert stats["nbytes"] > stats["checkpoint_bytes"]
 
     def test_byte_budget_bounds_the_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_INCREMENTAL_MAX_BYTES", "1")
