@@ -16,7 +16,10 @@ faster than a cold one at the median, and the N-request coalesced burst
 finishes in far less than N times a single cold request.  The warm
 phase is also gated on work counters, not clocks: it performs zero
 scans and zero ``inter_contact_times`` passes (the stream summary is
-computed once per stream, on its first analysis).  The run also
+computed once per stream, on its first analysis), and the daemon accepts
+zero new connections during it (read from ``/v1/health``: the client's
+keep-alive connection carries every request).  The coalesced burst
+opens exactly one connection per client thread.  The run also
 smoke-tests the daemon lifecycle end to end: start, upload, submit,
 poll, fetch, shutdown.
 """
@@ -95,10 +98,15 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(statistics, "inter_contact_times", counted_gaps)
 
+    def accepted() -> int:
+        return client.health()["connections"]["accepted"]
+
     def scenario():
         fingerprint = client.upload_stream(str(cold_file))
         grids = [8 + i for i in range(N_COLD)]
+        before_cold = accepted()
         cold, cold_wall = _run_requests(client, fingerprint, grids)
+        before_warm = accepted()
         scans, passes = sum(SCAN_COUNTS.values()), gap_passes[0]
         warm, warm_wall = _run_requests(client, fingerprint, grids)
         warm_work = {
@@ -106,21 +114,30 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
             "inter_contact_passes": gap_passes[0] - passes,
         }
         burst_fp = client.upload_stream(str(burst_file))
+        before_burst = accepted()
         burst, burst_wall = _run_requests(
             client, burst_fp, [12] * N_COALESCED, concurrent=True
         )
-        stats = client.health()["queue"]
+        health = client.health()
+        connections = {
+            "cold": before_warm - before_cold,
+            "warm": before_burst - before_warm,
+            "coalesced": health["connections"]["accepted"] - before_burst,
+        }
         return (
-            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall, stats
+            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall,
+            health["queue"], connections,
         )
 
     try:
         (
-            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall, stats
+            cold, cold_wall, warm, warm_wall, warm_work, burst, burst_wall, stats,
+            connections,
         ) = benchmark.pedantic(scenario, rounds=1, iterations=1)
         shutdown = client.shutdown()
         server_thread.join(timeout=30)
     finally:
+        client.close()
         server.server_close()
         service.close()
 
@@ -132,15 +149,21 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
             _percentile(latencies, 50) * 1e3,
             _percentile(latencies, 99) * 1e3,
             wall,
+            connections[key],
         ]
-        for label, latencies, wall in (
-            ("cold (distinct grids)", cold, cold_wall),
-            ("warm (cache hits)", warm, warm_wall),
-            (f"coalesced ({N_COALESCED} identical, concurrent)", burst, burst_wall),
+        for key, label, latencies, wall in (
+            ("cold", "cold (distinct grids)", cold, cold_wall),
+            ("warm", "warm (cache hits)", warm, warm_wall),
+            (
+                "coalesced",
+                f"coalesced ({N_COALESCED} identical, concurrent)",
+                burst,
+                burst_wall,
+            ),
         )
     ]
     table = render_table(
-        ["regime", "requests", "req_per_s", "p50_ms", "p99_ms", "wall_s"],
+        ["regime", "requests", "req_per_s", "p50_ms", "p99_ms", "wall_s", "connections"],
         rows,
         title=(
             f"Ablation — service throughput (runners=4, "
@@ -158,12 +181,14 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
             "regimes": {
                 "cold": {
                     "requests": len(cold),
+                    "connections_accepted": connections["cold"],
                     "wall_seconds": float(cold_wall),
                     "p50_ms": float(_percentile(cold, 50) * 1e3),
                     "p99_ms": float(_percentile(cold, 99) * 1e3),
                 },
                 "warm": {
                     "requests": len(warm),
+                    "connections_accepted": connections["warm"],
                     "scans": warm_work["scans"],
                     "inter_contact_passes": warm_work["inter_contact_passes"],
                     "wall_seconds": float(warm_wall),
@@ -172,6 +197,7 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
                 },
                 "coalesced": {
                     "requests": len(burst),
+                    "connections_accepted": connections["coalesced"],
                     "wall_seconds": float(burst_wall),
                     "p50_ms": float(_percentile(burst, 50) * 1e3),
                     "p99_ms": float(_percentile(burst, 99) * 1e3),
@@ -189,6 +215,10 @@ def test_service_throughput(benchmark, capsys, tmp_path, monkeypatch):
     # and it does no scan and no inter-contact pass (counter-gated).
     assert _percentile(warm, 50) < _percentile(cold, 50)
     assert warm_work == {"scans": 0, "inter_contact_passes": 0}
+    # Keep-alive, counter-gated: one client's requests ride its one open
+    # connection (no new connection in the cold or warm phase), and the
+    # burst's threads open one connection each.
+    assert connections == {"cold": 0, "warm": 0, "coalesced": N_COALESCED}
     # Coalescing: N identical concurrent requests cost one computation,
     # not N — far under N times a single cold request.
     assert burst_wall < N_COALESCED * _percentile(cold, 50)

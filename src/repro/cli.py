@@ -475,25 +475,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
-    fingerprint = client.upload_stream(
-        args.events,
-        columns=args.columns,
-        fmt=args.format,
-        directed=not args.undirected,
-    )
-    job = client.analyze(
-        fingerprint,
-        measures=args.measures,
-        num_deltas=args.num_deltas,
-        method=args.method,
-        refine=args.refine,
-        validate=args.validate,
-        timeout=args.timeout,
-    )
-    if args.wait is not None:
-        print(client.fetch(job["job_id"], wait=args.wait)["text"])
-        return 0
+    with ServiceClient(args.url) as client:
+        fingerprint = client.upload_stream(
+            args.events,
+            columns=args.columns,
+            fmt=args.format,
+            directed=not args.undirected,
+        )
+        job = client.analyze(
+            fingerprint,
+            measures=args.measures,
+            num_deltas=args.num_deltas,
+            method=args.method,
+            refine=args.refine,
+            validate=args.validate,
+            timeout=args.timeout,
+        )
+        if args.wait is not None:
+            print(client.fetch(job["job_id"], wait=args.wait)["text"])
+            return 0
     coalesced = " (coalesced onto an in-flight request)" if job["coalesced"] else ""
     print(f"job {job['job_id']}: {job['state']}{coalesced}")
     print(f"stream {fingerprint}")
@@ -541,7 +541,8 @@ def _cmd_append(args: argparse.Namespace) -> int:
             events.append(
                 [node(record["u"]), node(record["v"]), timestamp(record["t"])]
             )
-    response = ServiceClient(args.url).append(args.fingerprint, events)
+    with ServiceClient(args.url) as client:
+        response = client.append(args.fingerprint, events)
     print(f"stream {response['fingerprint']}")
     print(f"parent {response['parent']}")
     print(
@@ -556,14 +557,15 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
-    payload = client.status(args.job) if args.job else {"jobs": client.jobs()}
+    with ServiceClient(args.url) as client:
+        payload = client.status(args.job) if args.job else {"jobs": client.jobs()}
     print(json.dumps(payload, indent=2))
     return 0
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    result = ServiceClient(args.url).fetch(args.job, wait=args.wait)
+    with ServiceClient(args.url) as client:
+        result = client.fetch(args.job, wait=args.wait)
     if result.get("kind") == "analyze":
         # The same bytes `repro analyze` would print for this stream.
         print(result["text"])

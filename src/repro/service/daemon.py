@@ -10,7 +10,9 @@ Two layers, deliberately separable:
   per-request deadlines, and coalesces identical in-flight requests.
   Tests drive this object directly — no sockets required.
 * the HTTP handler + :func:`serve` — a thin JSON wire over the core
-  (stdlib :mod:`http.server`; the daemon adds no dependencies).
+  (stdlib :mod:`http.server`; the daemon adds no dependencies).  It
+  speaks HTTP/1.1 keep-alive: one handler thread per open connection,
+  which an idle connection releases after :data:`IDLE_TIMEOUT` seconds.
 
 API sketch (all JSON unless noted)::
 
@@ -58,7 +60,9 @@ at), invalid request → 400 (a ``Content-Length`` that is not a
 non-negative integer included), request body above
 :data:`MAX_BODY_BYTES` → 413, anything else → 500.  Bodies are
 ``{"error": message, "kind": ...}``; a rejected body is never read, so
-its connection closes after the error response.
+its connection closes after the error response.  Every other request's
+body is read in full before routing, so an error response leaves the
+keep-alive connection ready for the next request.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -439,6 +444,8 @@ class AnalysisService:
         return self.describe_job(job)
 
     def stats(self) -> dict:
+        """Liveness and queue/engine statistics (``/v1/health`` adds the
+        HTTP server's ``connections``)."""
         return {
             "status": "ok",
             "api": API_VERSION,
@@ -476,6 +483,11 @@ _ERROR_KINDS = {
 #: few million events fits); larger bodies are refused with 413 unread.
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
+#: Socket timeout of every daemon connection, in seconds: a keep-alive
+#: connection idle this long between requests (or a request stalled this
+#: long mid-transfer) is closed, releasing the handler thread serving it.
+IDLE_TIMEOUT = 30.0
+
 
 def _content_length(header: str | None) -> int:
     """Validate a request's ``Content-Length`` (absent means 0): 400
@@ -504,11 +516,33 @@ def _content_length(header: str | None) -> int:
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """JSON wire over :class:`AnalysisService` (one instance per request,
-    many at once — the server is threading)."""
+    """JSON wire over :class:`AnalysisService`.
+
+    One instance per connection, on its own thread, serving that
+    connection's requests in turn (HTTP/1.1 keep-alive) until the client
+    closes it, an error response closes it, or it sits idle for
+    :data:`IDLE_TIMEOUT` seconds.  Nagle's algorithm is off: a response
+    goes out as two writes (headers, then body), and on a kept-alive
+    connection Nagle would hold the body back until the client's delayed
+    ACK of the headers — tens of milliseconds per request.
+    """
 
     server_version = "repro-serve/" + API_VERSION
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT
+        super().setup()
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client hung up mid-exchange (say, gave up on a
+            # long-poll): nobody is left to answer, and nothing is wrong
+            # with the daemon.
+            self.close_connection = True
 
     @property
     def service(self) -> AnalysisService:
@@ -544,8 +578,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             raise
         return self.rfile.read(length) if length else b""
 
-    def _read_json(self) -> dict:
-        body = self._read_body()
+    @staticmethod
+    def _parse_json(body: bytes) -> dict:
         if not body:
             return {}
         try:
@@ -561,12 +595,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         query = {key: values[-1] for key, values in parse_qs(url.query).items()}
         parts = [part for part in url.path.split("/") if part]
         try:
+            # Read the body whatever the route: left unread, it would be
+            # parsed as the connection's next request.
+            body = self._read_body()
             if not parts or parts[0] != API_VERSION:
                 raise ServiceError(
                     f"unknown path {url.path!r} (API is under /{API_VERSION}/)",
                     status=404,
                 )
-            self._route(method, parts[1:], query)
+            self._route(method, parts[1:], query, body)
+        except ConnectionError:
+            raise  # the client is gone; handle() drops the connection
         except AdmissionError as exc:
             self._send_error(429, str(exc))
         except JobCancelled as exc:
@@ -578,15 +617,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._send_error(500, f"{type(exc).__name__}: {exc}")
 
-    def _route(self, method: str, parts: list[str], query: dict) -> None:
+    def _route(
+        self, method: str, parts: list[str], query: dict, body: bytes
+    ) -> None:
         service = self.service
         route = (method, *parts[:1])
         if route == ("GET", "health"):
-            self._send_json(200, service.stats())
+            stats = service.stats()
+            stats["connections"] = self.server.connection_stats()  # type: ignore
+            self._send_json(200, stats)
         elif route == ("GET", "streams"):
             self._send_json(200, {"streams": service.list_streams()})
         elif route == ("POST", "streams"):
-            text = self._read_body().decode("utf-8")
+            text = body.decode("utf-8")
             fingerprint = service.register_stream_text(
                 text,
                 columns=query.get("columns", "u v t"),
@@ -595,7 +638,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
             self._send_json(201, {"fingerprint": fingerprint})
         elif route == ("POST", "datasets"):
-            payload = self._read_json()
+            payload = self._parse_json(body)
             name = payload.get("name")
             if not name:
                 raise ServiceError(
@@ -608,7 +651,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
             self._send_json(201, {"fingerprint": fingerprint, "name": name})
         elif route == ("POST", "append"):
-            payload = self._read_json()
+            payload = self._parse_json(body)
             fingerprint = payload.get("fingerprint")
             if not fingerprint:
                 raise ServiceError("missing 'fingerprint'", status=400)
@@ -620,7 +663,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 )
             self._send_json(200, service.append_events(fingerprint, events))
         elif route in (("POST", "analyze"), ("POST", "sweep")):
-            payload = self._read_json()
+            payload = self._parse_json(body)
             fingerprint = payload.get("fingerprint")
             if not fingerprint:
                 raise ServiceError("missing 'fingerprint'", status=400)
@@ -675,9 +718,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """The daemon's HTTP server: threading (each request handled on its
-    own thread; the heavy lifting is delegated to the shared queue and
-    engine anyway), bound to one :class:`AnalysisService`."""
+    """The daemon's HTTP server, bound to one :class:`AnalysisService`.
+
+    Threading: each accepted connection gets its own handler thread,
+    which serves the connection's keep-alive requests in turn (the heavy
+    lifting is delegated to the shared queue and engine anyway).  An
+    idle connection gives its thread back after :data:`IDLE_TIMEOUT`
+    seconds.  The server counts the connections it accepted and keeps
+    the open ones, so ``/v1/health`` can report both and
+    :meth:`server_close` can shut the open ones down, waking every
+    handler thread that waits on its client.
+    """
 
     daemon_threads = True
     #: Listen backlog.  ``socketserver``'s default of 5 makes a burst of
@@ -688,6 +739,35 @@ class ServiceServer(ThreadingHTTPServer):
         super().__init__(address, _ServiceHandler)
         self.service = service
         self.verbose = verbose
+        self._connections: set[socket.socket] = set()
+        self._accepted = 0
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+            self._accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def connection_stats(self) -> dict:
+        """``{"open": connections now open, "accepted": ever accepted}``."""
+        with self._connections_lock:
+            return {"open": len(self._connections), "accepted": self._accepted}
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
 
 
 def serve(

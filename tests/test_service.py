@@ -10,6 +10,7 @@ cancel pending work naming the task the plan stopped at.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import re
@@ -35,6 +36,7 @@ from repro.generators import time_uniform_stream
 from repro.linkstream import read_tsv, write_tsv
 from repro.reporting import render_analysis
 from repro.service import AnalysisService, ServiceClient
+from repro.service import daemon as daemon_module
 from repro.service.daemon import MAX_BODY_BYTES, ServiceServer
 from repro.temporal.reachability import SCAN_COUNTS
 from repro.utils.errors import (
@@ -524,3 +526,207 @@ class TestRequestBodyLimits:
         _raw_post(daemon, "/v1/analyze", "-1")
         _raw_post(daemon, "/v1/streams", str(MAX_BODY_BYTES + 1))
         assert daemon.health()["status"] == "ok"
+
+
+@contextlib.contextmanager
+def live_daemon(**service_kwargs):
+    """A private daemon on an ephemeral port: (server, service, url)."""
+    service_kwargs.setdefault("runners", 2)
+    service = AnalysisService(jobs=2, **service_kwargs)
+    server = ServiceServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, service, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _handler_threads(exclude=()) -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.endswith("(process_request_thread)") and thread not in exclude
+    ]
+
+
+class TestKeepAlive:
+    def test_requests_on_one_client_share_one_connection(self, stream):
+        with live_daemon() as (server, service, url):
+            fingerprint = service.register_stream(stream)
+            with ServiceClient(url) as client:
+                for _ in range(5):
+                    client.health()
+                job = client.analyze(fingerprint, num_deltas=6)
+                client.status(job["job_id"])
+                client.fetch(job["job_id"], wait=60)
+                client.jobs()
+                assert client.health()["connections"] == {"open": 1, "accepted": 1}
+            # Leaving the block closed the connection; its handler ends.
+            assert wait_until(lambda: server.connection_stats()["open"] == 0)
+
+    def test_threads_get_their_own_connection(self, stream):
+        with live_daemon() as (server, service, url):
+            fingerprint = service.register_stream(stream)
+            client = ServiceClient(url)
+            job = client.analyze(
+                fingerprint, measures="occupancy,snail:pause=0.5", num_deltas=8
+            )
+            results = []
+            poller = threading.Thread(
+                target=lambda: results.append(client.fetch(job["job_id"], wait=60))
+            )
+            poller.start()
+            assert wait_until(lambda: server.connection_stats()["accepted"] == 2)
+            # The long-poll holds its own thread's connection, not this one.
+            start = time.monotonic()
+            health = client.health()
+            assert time.monotonic() - start < 1.0
+            assert poller.is_alive()
+            poller.join(60)
+            assert results and results[0]["kind"] == "analyze"
+            assert health["connections"]["accepted"] == 2
+            assert client.health()["connections"]["accepted"] == 2
+            client.close()
+
+    def test_connection_closed_while_idle_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "IDLE_TIMEOUT", 0.2)
+        with live_daemon() as (server, _, url):
+            with ServiceClient(url) as client:
+                client.health()
+                time.sleep(0.5)
+                # The daemon timed the idle connection out and freed its
+                # thread; the next request notices and reconnects.
+                assert wait_until(lambda: server.connection_stats()["open"] == 0)
+                assert client.health()["connections"] == {"open": 1, "accepted": 2}
+
+    def test_error_responses_keep_the_connection(self, stream):
+        with live_daemon(runners=1, max_pending=1) as (server, service, url):
+            fingerprint = service.register_stream(stream)
+            with ServiceClient(url) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.status("nope")
+                assert excinfo.value.status == 404
+                # A body sent to an unknown path is read, not left behind
+                # to be parsed as the next request.
+                with pytest.raises(ServiceError, match="API is under"):
+                    client._request("POST", "/v2/analyze", json_body={"x": 1})
+                slow = client.analyze(
+                    fingerprint, measures="occupancy,snail:pause=0.3", num_deltas=4
+                )
+                with pytest.raises(ServiceError, match="not done yet") as excinfo:
+                    client.fetch(slow["job_id"])
+                assert excinfo.value.status == 409
+                wait_for_running(service.queue.job(slow["job_id"]))
+                queued = client.analyze(fingerprint, num_deltas=5)
+                with pytest.raises(AdmissionError):
+                    client.analyze(fingerprint, num_deltas=7)
+                client.fetch(slow["job_id"], wait=60)
+                client.fetch(queued["job_id"], wait=60)
+                cut = client.analyze(
+                    fingerprint,
+                    measures="occupancy,snail:pause=0.1",
+                    num_deltas=12,
+                    timeout=0.25,
+                )
+                with pytest.raises(JobCancelled, match="task at delta="):
+                    client.fetch(cut["job_id"], wait=60)
+                assert client.health()["connections"] == {"open": 1, "accepted": 1}
+
+    def test_bad_content_length_closes_then_client_reconnects(self):
+        with live_daemon() as (_, _, url):
+            with ServiceClient(url) as client:
+                client.health()
+                connection = client._local.connection
+                connection.putrequest("POST", "/v1/append")
+                connection.putheader("Content-Length", "-5")
+                connection.endheaders()
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 400
+                assert response.getheader("Connection") == "close"
+                assert client.health()["connections"]["accepted"] == 2
+
+    def test_accepted_sockets_disable_nagle(self):
+        with live_daemon() as (server, _, url):
+            with ServiceClient(url) as client:
+                client.health()
+                with server._connections_lock:
+                    sockets = list(server._connections)
+                assert len(sockets) == 1
+                assert sockets[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_server_close_releases_idle_handler_threads(self):
+        before = set(threading.enumerate())
+        with live_daemon() as (server, _, url):
+            client = ServiceClient(url)
+            client.health()
+            handlers = _handler_threads(exclude=before)
+            assert len(handlers) == 1
+            server.shutdown()
+            server.server_close()
+            # The idle timeout is far off: only server_close can have
+            # woken the handler blocked reading the idle connection.
+            for thread in handlers:
+                thread.join(5)
+                assert not thread.is_alive()
+            assert server.connection_stats()["open"] == 0
+            client.close()
+
+
+class TestLongPoll:
+    def test_long_poll_outlives_the_socket_timeout(self, stream):
+        with live_daemon() as (_, service, url):
+            fingerprint = service.register_stream(stream)
+            client = ServiceClient(url, timeout=0.5)
+            job = client.analyze(
+                fingerprint, measures="occupancy,snail:pause=0.3", num_deltas=6
+            )
+            start = time.monotonic()
+            result = client.fetch(job["job_id"], wait=30)
+            assert time.monotonic() - start > 0.5
+            assert result["kind"] == "analyze"
+
+    def test_transport_timeout_is_service_error(self):
+        # A listener that never answers: connects complete from the
+        # backlog, the response never comes.
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()
+            client = ServiceClient(
+                f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2
+            )
+            with pytest.raises(ServiceError, match="timed out") as excinfo:
+                client.health()
+            assert excinfo.value.status is None
+
+    def test_client_gone_mid_long_poll_leaves_no_traceback(self, stream, capsys):
+        before = set(threading.enumerate())
+        with live_daemon() as (_, service, url):
+            fingerprint = service.register_stream(stream)
+            job = service.submit_analyze(
+                fingerprint, measures="occupancy,snail:pause=0.3", num_deltas=6
+            )
+            parsed = urlparse(url)
+            conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=0.2)
+            with pytest.raises(TimeoutError):
+                conn.request("GET", f"/v1/jobs/{job.id}/result?wait=30")
+                conn.getresponse()
+            conn.close()
+            job.result(60)
+            # The handler answers into the closed connection, then ends.
+            for thread in _handler_threads(exclude=before):
+                thread.join(10)
+                assert not thread.is_alive()
+        assert "Traceback" not in capsys.readouterr().err
