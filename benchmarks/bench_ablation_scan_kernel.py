@@ -22,6 +22,14 @@ a handful of vectorized passes (see *The scan kernel* in
   be at most ``MAX_DELIVERY_RATIO`` per state commit.  The record also
   carries the row-buffer flush count.  Wall times land in the bench
   record ungated.
+* **stacked** (the same replica and grid): a cold sweep through a
+  serial engine scans its Δ as stacks, one kernel step committing a run
+  of every Δ of a stack (*Stacked sweeps* in
+  ``repro.temporal.reachability``).  Another counter gate: the sweep
+  may make at most ``MAX_STACKED_RATIO`` of the state commits
+  (``SCAN_BATCHES``) of the same scans run one Δ at a time through
+  ``scan_series``, with exactly the same ``SCAN_ROWS`` and
+  ``SCAN_WINDOWS``.
 
 Both regimes gate on bit-identity first — the full collector and
 accumulator state on the dense stream, every trip of every Δ on the
@@ -37,13 +45,17 @@ from _harness import dataset_stream, emit, sweep_size
 
 from repro.core.occupancy import OccupancyCollector
 from repro.core.sweep import log_delta_grid
+from repro.engine import SweepCache, SweepEngine, plan_occupancy_sweep
+from repro.engine.incremental import clear_incremental_store
 from repro.generators import time_uniform_stream
 from repro.graphseries import aggregate
+from repro.graphseries.aggregation import clear_aggregate_cache
 from repro.reporting import render_table
 from repro.temporal import (
     SCAN_BATCHES,
     SCAN_ROWS,
     SCAN_WINDOWS,
+    CheckpointRecorder,
     CountingCollector,
     TripListCollector,
     reference_scan,
@@ -70,6 +82,9 @@ MAX_COMMIT_RATIO = 0.5
 #: Trip deliveries per state commit: the scan buffers committed rows
 #: and extracts their trips per flush, not per run.
 MAX_DELIVERY_RATIO = 0.25
+#: State commits of the stacked cold sweep over those of the same scans
+#: one Δ at a time (irvine makes ~1.9k against ~14.7k).
+MAX_STACKED_RATIO = 0.25
 
 
 class DeliveryCounter:
@@ -92,7 +107,7 @@ class DeliveryCounter:
 
 
 #: The two scans compared, under the labels the bench records keep.
-SCANS = {"batched": scan_series, "legacy": reference_scan}
+SCANS = {"batched": scan_series, "reference": reference_scan}
 
 
 def _consumer_state(series, kernel):
@@ -119,27 +134,27 @@ def test_scan_kernel_ablation(benchmark, capsys):
 
     def compare():
         # Full consumer state first: the oracle check gates the timings.
-        states = {k: _consumer_state(series, k) for k in ("batched", "legacy")}
-        assert states["batched"] == states["legacy"], (
+        states = {k: _consumer_state(series, k) for k in ("batched", "reference")}
+        assert states["batched"] == states["reference"], (
             "run kernel diverged from the reference loop: "
-            f"{states['batched']} != {states['legacy']}"
+            f"{states['batched']} != {states['reference']}"
         )
 
-        timings = {"batched": [], "legacy": []}
+        timings = {"batched": [], "reference": []}
         trips = {}
         for _ in range(ROUNDS):
-            for kernel in ("batched", "legacy"):
+            for kernel in ("batched", "reference"):
                 start = perf_counter()
                 result = SCANS[kernel](series, [])
                 timings[kernel].append(perf_counter() - start)
                 trips[kernel] = result.num_trips
-        assert trips["batched"] == trips["legacy"]
+        assert trips["batched"] == trips["reference"]
         best = {kernel: min(elapsed) for kernel, elapsed in timings.items()}
         rows = [
             [kernel, best[kernel], trips[kernel]]
-            for kernel in ("legacy", "batched")
+            for kernel in ("reference", "batched")
         ]
-        rows.append(["speedup", best["legacy"] / best["batched"], ""])
+        rows.append(["speedup", best["reference"] / best["batched"], ""])
         return rows, best
 
     rows, best = benchmark.pedantic(compare, rounds=1, iterations=1)
@@ -151,7 +166,7 @@ def test_scan_kernel_ablation(benchmark, capsys):
             f"{series.num_steps} windows, {stream.num_events} events)"
         ),
     )
-    speedup = best["legacy"] / best["batched"]
+    speedup = best["reference"] / best["batched"]
     emit(
         capsys,
         "ablation_scan_kernel",
@@ -161,14 +176,14 @@ def test_scan_kernel_ablation(benchmark, capsys):
             "num_events": stream.num_events,
             "num_windows": series.num_steps,
             "delta": DELTA,
-            "legacy_seconds": float(best["legacy"]),
+            "reference_seconds": float(best["reference"]),
             "batched_seconds": float(best["batched"]),
             "speedup": float(speedup),
         },
     )
     assert speedup >= MIN_SPEEDUP, (
         f"run kernel only {speedup:.2f}x faster than the reference loop "
-        f"({best['batched']:.3f}s vs {best['legacy']:.3f}s); "
+        f"({best['batched']:.3f}s vs {best['reference']:.3f}s); "
         f"need >= {MIN_SPEEDUP}x"
     )
 
@@ -189,6 +204,47 @@ def _sparse_scan(series, kernel):
     return state, occupancy.deliveries
 
 
+def _work() -> dict:
+    return {
+        "windows": SCAN_WINDOWS["series"],
+        "rows": SCAN_ROWS["series"],
+        "commits": SCAN_BATCHES["series"],
+    }
+
+
+def _since(before: dict) -> dict:
+    return {key: value - before[key] for key, value in _work().items()}
+
+
+def _stacked_sweep_counts(stream, deltas, series_list) -> dict:
+    """The scan work of a cold serial-engine sweep of ``deltas`` (its Δ
+    scanned as stacks) and of the same scans one Δ at a time: each with
+    the sweep's occupancy collector and a checkpoint recorder."""
+    before = _work()
+    start = perf_counter()
+    for series in series_list:
+        scan_series(
+            series, OccupancyCollector(), checkpoints=CheckpointRecorder()
+        )
+    solo_seconds = perf_counter() - start
+    solo = _since(before)
+    clear_incremental_store()
+    clear_aggregate_cache()
+    before = _work()
+    start = perf_counter()
+    with SweepEngine("serial", cache=SweepCache()) as engine:
+        engine.run(stream, plan_occupancy_sweep(deltas, methods=("mk",)))
+    stacked_seconds = perf_counter() - start
+    stacked = _since(before)
+    return {
+        "solo": solo,
+        "stacked": stacked,
+        "ratio": stacked["commits"] / solo["commits"],
+        "solo_seconds": solo_seconds,
+        "stacked_seconds": stacked_seconds,
+    }
+
+
 def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
     stream = dataset_stream(SPARSE_REPLICA)
     deltas = log_delta_grid(stream, num=sweep_size())
@@ -204,7 +260,7 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
     monkeypatch.setattr(reachability._RowBuffer, "flush", counted_flush)
 
     def compare():
-        seconds = {"batched": 0.0, "legacy": 0.0}
+        seconds = {"batched": 0.0, "reference": 0.0}
         windows = SCAN_WINDOWS["series"]
         rows = SCAN_ROWS["series"]
         commits = SCAN_BATCHES["series"]
@@ -212,13 +268,13 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
         deliveries = 0
         for delta, series in zip(deltas, series_list):
             states = {}
-            for kernel in ("batched", "legacy"):
+            for kernel in ("batched", "reference"):
                 start = perf_counter()
                 states[kernel], delivered = _sparse_scan(series, kernel)
                 seconds[kernel] += perf_counter() - start
                 if kernel == "batched":
                     deliveries += delivered
-            assert states["batched"] == states["legacy"], (
+            assert states["batched"] == states["reference"], (
                 f"run kernel diverged from the reference loop at "
                 f"delta={delta}"
             )
@@ -232,19 +288,27 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
         return seconds, counts
 
     seconds, counts = benchmark.pedantic(compare, rounds=1, iterations=1)
+    stacked = _stacked_sweep_counts(stream, deltas, series_list)
     ratio = counts["commits"] / counts["windows"]
     delivery_ratio = counts["deliveries"] / counts["commits"]
     table = render_table(
         ["kernel", "wall_seconds", "windows", "rows", "commits",
          "flushes", "deliveries"],
         [
-            ["legacy", seconds["legacy"], counts["windows"], counts["rows"],
+            ["reference", seconds["reference"], counts["windows"], counts["rows"],
              counts["rows"], "", ""],
             ["batched", seconds["batched"], counts["windows"],
              counts["rows"], counts["commits"], counts["flushes"],
              counts["deliveries"]],
             ["commits/window", ratio, "", "", "", "", ""],
             ["deliveries/commit", delivery_ratio, "", "", "", "", ""],
+            ["one Δ at a time", stacked["solo_seconds"],
+             stacked["solo"]["windows"], stacked["solo"]["rows"],
+             stacked["solo"]["commits"], "", ""],
+            ["stacked sweep", stacked["stacked_seconds"],
+             stacked["stacked"]["windows"], stacked["stacked"]["rows"],
+             stacked["stacked"]["commits"], "", ""],
+            ["stacked/one at a time", stacked["ratio"], "", "", "", "", ""],
         ],
         title=(
             f"Ablation — scan kernel, sparse regime ({SPARSE_REPLICA} "
@@ -266,9 +330,17 @@ def test_scan_kernel_sparse_replica(benchmark, capsys, monkeypatch):
             "flushes": counts["flushes"],
             "deliveries": counts["deliveries"],
             "deliveries_per_commit": float(delivery_ratio),
-            "legacy_seconds": float(seconds["legacy"]),
+            "reference_seconds": float(seconds["reference"]),
             "batched_seconds": float(seconds["batched"]),
+            "stacked": stacked,
         },
+    )
+    assert stacked["stacked"]["rows"] == stacked["solo"]["rows"]
+    assert stacked["stacked"]["windows"] == stacked["solo"]["windows"]
+    assert stacked["ratio"] <= MAX_STACKED_RATIO, (
+        f"the stacked cold sweep made {stacked['stacked']['commits']} state "
+        f"commits against {stacked['solo']['commits']} one delta at a time "
+        f"({stacked['ratio']:.3f}); need <= {MAX_STACKED_RATIO}"
     )
     assert ratio <= MAX_COMMIT_RATIO, (
         f"run kernel committed {counts['commits']} times over "

@@ -154,10 +154,16 @@ rides — has one kernel (:func:`repro.temporal.scan_series`, and
 the open run unless an earlier window of the run writes a state row it
 reads, so every read sees the pre-run state.  The state steps over the
 *ranks* of the nonempty windows (a stream's distinct timestamps), with
-each ``(arrival, hops)`` cell packed into one int64 lexicographic key
+each ``(arrival, hops)`` cell packed into one integer lexicographic key
 for the whole scan; one rank → value table (the series' nonempty
 windows, or the stream's timestamps) decodes ranks wherever a consumer
-sees them.  Collectors and accumulators are fed whole batches
+sees them.  The kernel has a batching axis:
+:func:`repro.temporal.reachability.scan_stack` scans the series of one
+stream at several Δ as one *stack*, each step committing a run of every
+Δ at once (their state rows are disjoint, so they never conflict), with
+each Δ's consumers, checkpoint record and results exactly those of a
+scan of its own.  A serial sweep stacks its Δ this way; every other
+scan is a stack of one.  Collectors and accumulators are fed whole batches
 (``record_batch`` with a per-trip ``dep`` array / ``observe_rows``,
 with a per-source adapter for consumers that only implement the
 classic protocol).  Committed rows are buffered across runs and turned

@@ -4,8 +4,9 @@ Every backend takes ``(stream, tasks)`` and returns the per-task results
 in task order — the contract that keeps γ bit-identical whatever the
 execution strategy.  Three strategies are built in:
 
-* :class:`SerialBackend` — a plain loop, the default; exactly today's
-  behaviour and the reference the others are tested against.
+* :class:`SerialBackend` — the default: the tasks in order in the
+  calling thread, a sweep's scans stacked (:func:`~repro.engine.tasks.
+  evaluate_tasks`); the reference the others are tested against.
 * :class:`ThreadBackend` — a shared thread pool.  The numpy kernels
   release the GIL for long stretches (sorting, histogramming), so
   threads already overlap usefully without any pickling cost.
@@ -45,7 +46,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from functools import partial
 
 from repro.engine.cancel import CancelToken
-from repro.engine.tasks import DeltaTask
+from repro.engine.tasks import DeltaTask, evaluate_tasks, wrap_task_failure
 from repro.linkstream.stream import LinkStream
 from repro.utils.errors import EngineError
 
@@ -54,17 +55,6 @@ TickCallback = Callable[[int], None]
 
 def _default_jobs() -> int:
     return max(os.cpu_count() or 1, 1)
-
-
-def _task_label(task: DeltaTask) -> str:
-    """Human identity of a task for error messages: kind plus Δ."""
-    return f"{task.kind} task at delta={task.delta:g}"
-
-
-def _wrap_task_failure(task: DeltaTask, exc: BaseException) -> EngineError:
-    """An :class:`EngineError` naming the failing task.  Callers raise it
-    with ``from exc`` so the traceback keeps the numeric frames."""
-    return EngineError(f"{_task_label(task)} failed: {exc}")
 
 
 class ExecutionBackend(ABC):
@@ -107,19 +97,14 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Evaluate tasks one by one in the calling thread (the default)."""
+    """Evaluate tasks in order in the calling thread (the default)."""
 
     name = "serial"
 
     def run(self, stream, tasks, *, tick=None, cancel=None):
-        results = []
-        for task in tasks:
-            if cancel is not None:
-                cancel.guard(task)
-            results.append(task.evaluate(stream))
-            if tick is not None:
-                tick(1)
-        return results
+        # The debugging reference: a task evaluated alone fails with
+        # its own exception, unwrapped.
+        return evaluate_tasks(stream, tasks, tick=tick, cancel=cancel, wrap=False)
 
 
 class _PooledBackend(ExecutionBackend):
@@ -184,7 +169,7 @@ class ThreadBackend(_PooledBackend):
                 _cancel_pending(futures[i + 1 :])
                 if isinstance(exc, EngineError) or not isinstance(exc, Exception):
                     raise
-                raise _wrap_task_failure(tasks[i], exc) from exc
+                raise wrap_task_failure(tasks[i], exc) from exc
             if tick is not None:
                 tick(1)
         return results
@@ -208,36 +193,17 @@ def _guarded_evaluate(task: DeltaTask, stream: LinkStream, cancel) -> object:
 def _run_serial_wrapped(stream, tasks, tick, cancel=None) -> list:
     """Serial fallback for pooled backends' tiny plans, keeping their
     error contract: failures are wrapped with the task identity."""
-    results = []
-    for task in tasks:
-        if cancel is not None:
-            cancel.guard(task)
-        try:
-            results.append(task.evaluate(stream))
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise _wrap_task_failure(task, exc) from exc
-        if tick is not None:
-            tick(1)
-    return results
+    return evaluate_tasks(stream, tasks, tick=tick, cancel=cancel)
 
 
 def _evaluate_chunk(stream: LinkStream, tasks: Sequence[DeltaTask]) -> list:
-    """Worker entry point: evaluate one chunk of tasks on one stream.
+    """Worker entry point: evaluate one chunk of tasks on one stream
+    (its scans stacked, see :func:`~repro.engine.tasks.evaluate_tasks`).
 
     Failures are wrapped here, worker-side, so the task identity (kind
     and Δ) survives the pickling boundary back to the parent process.
     """
-    results = []
-    for task in tasks:
-        try:
-            results.append(task.evaluate(stream))
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise _wrap_task_failure(task, exc) from exc
-    return results
+    return evaluate_tasks(stream, tasks)
 
 
 class ProcessBackend(_PooledBackend):
@@ -362,7 +328,7 @@ class PlanHandle:
                     if isinstance(exc, EngineError) or not isinstance(exc, Exception):
                         self._error = exc
                     else:
-                        wrapped = _wrap_task_failure(self._tasks[index], exc)
+                        wrapped = wrap_task_failure(self._tasks[index], exc)
                         wrapped.__cause__ = exc
                         self._error = wrapped
                     _cancel_pending(self._futures)

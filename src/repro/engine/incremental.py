@@ -59,6 +59,9 @@ from repro.linkstream.stream import LinkStream
 from repro.temporal.reachability import (
     CheckpointRecorder,
     ResumePlan,
+    ScanJob,
+    ScanResult,
+    consumer_list,
     scan_series,
 )
 from repro.utils.errors import AggregationError, EngineError
@@ -354,7 +357,7 @@ class IncrementalScanSession:
         consumers,
         *,
         targets: np.ndarray | None = None,
-    ):
+    ) -> ScanResult:
         """Run the backward scan, resuming from a warm record when possible.
 
         Feeds ``consumers`` exactly as ``scan_series(series, consumers)``
@@ -363,38 +366,49 @@ class IncrementalScanSession:
         appends.  Returns the :class:`~repro.temporal.reachability.
         ScanResult`.
         """
+        return self.run(self.scan_job(consumers), targets=targets)
+
+    def scan_job(self, consumers) -> ScanJob:
+        """The scan :meth:`scan` would run, as a
+        :class:`~repro.temporal.reachability.ScanJob`: the series, the
+        consumers, a recorder for this scan's record and the resume plan
+        of a warm ancestor record (none when a consumer lacks
+        ``segment_handoff``).  Run it alone (:meth:`run`) or in a stack
+        (:func:`~repro.temporal.reachability.scan_stack`), then
+        :meth:`commit` it."""
         series = self.series()
-        items = (
-            []
-            if consumers is None
-            else list(consumers)
-            if isinstance(consumers, (list, tuple))
-            else [consumers]
-        )
-        supported = all(
-            hasattr(item, "segment_handoff") for item in items
-        )
-        if not supported:
-            return scan_series(
-                series,
-                items,
-                include_self=self._include_self,
-                targets=targets,
-            )
-        plan = self._resume_plan(series)
-        recorder = CheckpointRecorder(max_bytes=_max_bytes())
-        result = scan_series(
+        items = consumer_list(consumers)
+        if not all(hasattr(item, "segment_handoff") for item in items):
+            return ScanJob(series, items)
+        return ScanJob(
             series,
             items,
+            CheckpointRecorder(max_bytes=_max_bytes()),
+            self._resume_plan(series),
+        )
+
+    def run(
+        self, job: ScanJob, *, targets: np.ndarray | None = None
+    ) -> ScanResult:
+        """Scan ``job`` alone (restricted to ``targets``) and commit it."""
+        result = scan_series(
+            job.series,
+            job.collector,
             include_self=self._include_self,
             targets=targets,
-            checkpoints=recorder,
-            resume=plan,
+            checkpoints=job.checkpoints,
+            resume=job.resume,
         )
-        if plan is not None:
-            INCREMENTAL_COUNTS["resumes"] += 1
-        self._commit_scan(series, recorder)
+        self.commit(job)
         return result
+
+    def commit(self, job: ScanJob) -> None:
+        """Store a finished scan's checkpoint record for future appends."""
+        if job.checkpoints is None:
+            return
+        if job.resume is not None:
+            INCREMENTAL_COUNTS["resumes"] += 1
+        self._commit_scan(job.series, job.checkpoints)
 
     def _resume_plan(self, series: GraphSeries) -> ResumePlan | None:
         with _STORE_LOCK:

@@ -199,6 +199,17 @@ class MeasureSpec(ABC):
             self.__dict__["_token"] = memo
         return memo
 
+    def key_repr(self) -> str:
+        """This measure's part of a result key's payload string,
+        ``repr(name) + ", " + repr(token())`` (see
+        :meth:`~repro.engine.tasks.AnalysisTask.measure_key`), memoised
+        like :meth:`token`."""
+        memo = self.__dict__.get("_key_repr")
+        if memo is None:
+            memo = f"{self.name!r}, {self.token()!r}"
+            self.__dict__["_key_repr"] = memo
+        return memo
+
     def collector_token(self) -> tuple:
         """Scan-collector identity — :meth:`token` minus the
         :attr:`scoring_fields`."""

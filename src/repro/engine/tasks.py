@@ -30,7 +30,7 @@ processes; the stream itself is shipped separately (once per chunk).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,8 +46,15 @@ from repro.engine.measures import (
     SeriesGeometry,
     normalize_measures,
 )
+from repro.engine.cancel import CancelToken
 from repro.engine.incremental import IncrementalScanSession
 from repro.linkstream.stream import LinkStream
+from repro.temporal.reachability import (
+    ScanJob,
+    StackedScanError,
+    scan_stack,
+    stack_capacity,
+)
 from repro.utils.errors import EngineError
 
 #: Version of the evaluation numerics baked into every cache key.  Bump
@@ -133,6 +140,15 @@ class DeltaTask(ABC):
         """Reassemble the results of :meth:`shard` subtasks into the
         result :meth:`evaluate` would have returned."""
         raise EngineError(f"{self.kind!r} tasks do not shard")
+
+
+def _measure_digest(
+    stream_fingerprint: str, head: str, measure: MeasureSpec, tail: str
+) -> str:
+    digest = hashlib.sha256()
+    digest.update(stream_fingerprint.encode())
+    digest.update((head + measure.key_repr() + tail).encode())
+    return digest.hexdigest()
 
 
 def _origin_token(origin: float | None) -> str | None:
@@ -234,26 +250,33 @@ class AnalysisTask(DeltaTask):
         the entry, fused or not, sharded or not.  A task with a time
         span appends the span to the payload (span-less keys stay
         byte-identical to every release before spans existed).
+
+        The payload is ``repr`` of the tuple ``(EVAL_VERSION, "measure",
+        repr(delta), include_self, origin token, measure name, measure
+        token[, ("span", span token)])``, assembled from the task's
+        affixes and the measure's memoised :meth:`~repro.engine.
+        measures.MeasureSpec.key_repr`, so a warm analysis re-``repr``\\ s
+        nothing per measure.
         """
-        fields: tuple = (
-            EVAL_VERSION,
-            "measure",
-            repr(self.delta),
-            self.include_self,
-            _origin_token(self.origin),
-            measure.name,
-            measure.token(),
+        head, tail = self._key_affixes(EVAL_VERSION)
+        return _measure_digest(stream_fingerprint, head, measure, tail)
+
+    def _key_affixes(self, version: int) -> tuple[str, str]:
+        """The measure-independent head and tail of the key payload."""
+        head = (
+            f"({version!r}, 'measure', {repr(self.delta)!r}, "
+            f"{self.include_self!r}, {_origin_token(self.origin)!r}, "
         )
-        if self.span is not None:
-            fields += (("span", _span_token(self.span)),)
-        payload = repr(fields)
-        digest = hashlib.sha256()
-        digest.update(stream_fingerprint.encode())
-        digest.update(payload.encode())
-        return digest.hexdigest()
+        if self.span is None:
+            return head, ")"
+        return head, f", {('span', _span_token(self.span))!r})"
 
     def result_keys(self, stream_fingerprint: str) -> list[str]:
-        return [self.measure_key(stream_fingerprint, m) for m in self.measures]
+        head, tail = self._key_affixes(EVAL_VERSION)
+        return [
+            _measure_digest(stream_fingerprint, head, m, tail)
+            for m in self.measures
+        ]
 
     def result_weights(self) -> list[float]:
         return [m.cache_weight for m in self.measures]
@@ -279,6 +302,15 @@ class AnalysisTask(DeltaTask):
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, stream: LinkStream) -> dict:
+        evaluation = self.prepare(stream)
+        if evaluation.job is not None:
+            evaluation.session.run(evaluation.job)
+        return self.finish(evaluation)
+
+    def prepare(self, stream: LinkStream) -> "Evaluation":
+        """Aggregate at Δ and set up the one scan: everything
+        :meth:`evaluate` does before scanning.  :func:`evaluate_tasks`
+        scans several prepared tasks as one stack."""
         stream = _restrict_span(stream, self.span)
         session = IncrementalScanSession(
             stream,
@@ -290,16 +322,21 @@ class AnalysisTask(DeltaTask):
             ),
         )
         series = session.series()
+        collectors = {
+            m.name: m.make_collector() for m in self.measures if m.scans
+        }
+        job = session.scan_job(list(collectors.values())) if collectors else None
+        return Evaluation(session, series, collectors, job)
+
+    def finish(self, evaluation: "Evaluation") -> dict:
+        """The per-measure results of a prepared and scanned task."""
+        series = evaluation.series
         geometry = SeriesGeometry(
             num_nodes=series.num_nodes,
             num_windows=series.num_steps,
             num_nonempty_windows=int(series.nonempty_steps().size),
         )
-        collectors = {
-            m.name: m.make_collector() for m in self.measures if m.scans
-        }
-        if collectors:
-            session.scan(list(collectors.values()))
+        collectors = evaluation.collectors
         return {
             m.name: m.finalize(
                 float(self.delta),
@@ -529,6 +566,137 @@ class AnalysisShardTask(DeltaTask):
             collectors=collectors,
             payloads=payloads,
         )
+
+
+@dataclass
+class Evaluation:
+    """A prepared :class:`AnalysisTask`: its incremental session, the
+    aggregated series, one collector per scanning measure, and the scan
+    to run (``None`` when no measure scans)."""
+
+    session: IncrementalScanSession
+    series: Any
+    collectors: dict
+    job: ScanJob | None
+
+
+def wrap_task_failure(task: DeltaTask, exc: BaseException) -> EngineError:
+    """An :class:`EngineError` naming the failing task (kind plus Δ).
+    Callers raise it with ``from exc`` so the traceback keeps the
+    numeric frames."""
+    return EngineError(f"{task.kind} task at delta={task.delta:g} failed: {exc}")
+
+
+def evaluate_tasks(
+    stream: LinkStream,
+    tasks: Sequence[DeltaTask],
+    *,
+    tick: Callable[[int], None] | None = None,
+    cancel: CancelToken | None = None,
+    wrap: bool = True,
+) -> list:
+    """Evaluate a plan of tasks in order; ``results[i]`` matches
+    ``tasks[i]``.  The one in-process evaluation loop of the backends.
+
+    Consecutive :class:`AnalysisTask`\\ s whose scans are stackable
+    (no resume plan, no state accumulator: see
+    :attr:`~repro.temporal.reachability.ScanJob.stackable`) and share a
+    node set and ``include_self`` are aggregated one by one, then
+    scanned as one stack (:func:`~repro.temporal.reachability.
+    scan_stack`) of at most :func:`~repro.temporal.reachability.
+    stack_capacity` scans; each session then commits its record and
+    each task finishes.  Every other task evaluates alone.  Results,
+    cache keys and records are those of evaluating each task alone.
+
+    ``cancel`` is checked before each task and, inside a stack, before
+    each block of lockstep steps, where :class:`~repro.utils.errors.
+    JobCancelled` names the first unfinished Δ.  ``tick(1)`` follows
+    each finished task.  A failure of a task evaluated alone propagates
+    as is unless ``wrap`` (then it becomes an :class:`EngineError`
+    naming the task); a failure inside a stack always becomes one
+    naming the Δ it belongs to.
+    """
+    results: list = [None] * len(tasks)
+    stack: list[tuple[int, Evaluation]] = []
+
+    def guarded(task, fn, *args):
+        try:
+            return fn(*args)
+        except EngineError:
+            raise
+        except Exception as exc:
+            if not wrap:
+                raise
+            raise wrap_task_failure(task, exc) from exc
+
+    def done(index: int, value) -> None:
+        results[index] = value
+        if tick is not None:
+            tick(1)
+
+    def run_stack() -> None:
+        members = list(stack)
+        stack.clear()
+        if len(members) == 1:
+            index, evaluation = members[0]
+            task = tasks[index]
+            guarded(task, evaluation.session.run, evaluation.job)
+            done(index, guarded(task, task.finish, evaluation))
+            return
+        check = None
+        if cancel is not None:
+            def check(slot: int) -> None:
+                cancel.guard(tasks[members[slot][0]])
+        try:
+            scan_stack(
+                [evaluation.job for _, evaluation in members],
+                include_self=tasks[members[0][0]].include_self,
+                check=check,
+            )
+        except StackedScanError as exc:
+            cause = exc.__cause__
+            if isinstance(cause, EngineError):
+                raise cause from None
+            raise wrap_task_failure(
+                tasks[members[exc.slot][0]], cause
+            ) from cause
+        for _, evaluation in members:
+            evaluation.session.commit(evaluation.job)
+        for index, evaluation in members:
+            task = tasks[index]
+            if cancel is not None:
+                cancel.guard(task)
+            done(index, guarded(task, task.finish, evaluation))
+
+    for index, task in enumerate(tasks):
+        if cancel is not None:
+            cancel.guard(task)
+        if not isinstance(task, AnalysisTask):
+            if stack:
+                run_stack()
+            done(index, guarded(task, task.evaluate, stream))
+            continue
+        evaluation = guarded(task, task.prepare, stream)
+        job = evaluation.job
+        if job is None:
+            done(index, guarded(task, task.finish, evaluation))
+            continue
+        if stack:
+            lead_task = tasks[stack[0][0]]
+            n = stack[0][1].job.series.num_nodes
+            if (
+                not job.stackable
+                or job.series.num_nodes != n
+                or task.include_self != lead_task.include_self
+                or len(stack) >= stack_capacity(n)
+            ):
+                run_stack()
+        stack.append((index, evaluation))
+        if not job.stackable:
+            run_stack()
+    if stack:
+        run_stack()
+    return results
 
 
 def plan_measure_sweep(

@@ -488,6 +488,16 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 #: long mid-transfer) is closed, releasing the handler thread serving it.
 IDLE_TIMEOUT = 30.0
 
+#: Most connections the daemon keeps open at once.  Each open connection
+#: holds a handler thread (an idle one for up to :data:`IDLE_TIMEOUT`
+#: seconds); a connection over the cap is answered ``503`` with
+#: ``Connection: close`` on the accepting thread and gets no handler.
+MAX_CONNECTIONS = 64
+
+#: Seconds the accepting thread waits for a refused client's request
+#: before answering it, and for the client to close after the answer.
+_REFUSE_TIMEOUT = 1.0
+
 
 def _content_length(header: str | None) -> int:
     """Validate a request's ``Content-Length`` (absent means 0): 400
@@ -724,10 +734,12 @@ class ServiceServer(ThreadingHTTPServer):
     which serves the connection's keep-alive requests in turn (the heavy
     lifting is delegated to the shared queue and engine anyway).  An
     idle connection gives its thread back after :data:`IDLE_TIMEOUT`
-    seconds.  The server counts the connections it accepted and keeps
-    the open ones, so ``/v1/health`` can report both and
-    :meth:`server_close` can shut the open ones down, waking every
-    handler thread that waits on its client.
+    seconds.  At most :data:`MAX_CONNECTIONS` are open at once: one more
+    is refused (``503``, see :meth:`process_request`).  The server
+    counts the connections it accepted and refused and keeps the open
+    ones, so ``/v1/health`` can report them and :meth:`server_close`
+    can shut the open ones down, waking every handler thread that waits
+    on its client.
     """
 
     daemon_threads = True
@@ -741,13 +753,50 @@ class ServiceServer(ThreadingHTTPServer):
         self.verbose = verbose
         self._connections: set[socket.socket] = set()
         self._accepted = 0
+        self._refused = 0
         self._connections_lock = threading.Lock()
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
-            self._connections.add(request)
-            self._accepted += 1
-        super().process_request(request, client_address)
+            full = len(self._connections) >= MAX_CONNECTIONS
+            if full:
+                self._refused += 1
+            else:
+                self._connections.add(request)
+                self._accepted += 1
+        if full:
+            self._refuse(request)
+        else:
+            super().process_request(request, client_address)
+
+    def _refuse(self, request) -> None:
+        """Answer a connection over :data:`MAX_CONNECTIONS` with ``503``
+        and close it, on the accepting thread.  The client's request is
+        read first (briefly) and the socket drained after the answer:
+        closing a socket with unread input resets the connection, and
+        the client would see the reset instead of the ``503``."""
+        body = json.dumps(
+            {
+                "error": f"too many connections (at most {MAX_CONNECTIONS})",
+                "kind": "error",
+            }
+        ).encode("utf-8")
+        head = (
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("ascii")
+        try:
+            request.settimeout(_REFUSE_TIMEOUT)
+            request.recv(65536)
+            request.sendall(head + body)
+            request.shutdown(socket.SHUT_WR)
+            while request.recv(65536):
+                pass
+        except OSError:
+            pass  # the client went away or stalled: just close
+        self.close_request(request)
 
     def shutdown_request(self, request) -> None:
         with self._connections_lock:
@@ -755,9 +804,14 @@ class ServiceServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def connection_stats(self) -> dict:
-        """``{"open": connections now open, "accepted": ever accepted}``."""
+        """``{"open": connections now open, "accepted": ever accepted,
+        "refused": ever refused over the cap}``."""
         with self._connections_lock:
-            return {"open": len(self._connections), "accepted": self._accepted}
+            return {
+                "open": len(self._connections),
+                "accepted": self._accepted,
+                "refused": self._refused,
+            }
 
     def server_close(self) -> None:
         super().server_close()

@@ -40,9 +40,11 @@ One kernel, the **run kernel**, runs every scan.
   with ``A`` a rank, ``K = W + 2`` (no minimal trip takes more than
   ``W`` hops) and infinite cells at ``a_inf * K + (K - 1)``,
   ``a_inf = W``.  One vectorized minimum over the packed keys selects
-  the earliest arrival with the fewest-hops tie-break for free.
-  ``W`` is at most the edge count, so the keys cannot overflow for any
-  series that fits in memory (``W >= 2**31`` is a named error).
+  the earliest arrival with the fewest-hops tie-break for free.  Every
+  key is below ``K * K``, so the state is int32 while that fits (``W <
+  46340``, half the bytes of every step) and int64 beyond.  ``W`` is at
+  most the edge count, so the keys cannot overflow for any series that
+  fits in memory (``W >= 2**31`` is a named error).
 * *One decode table.*  A rank → value table decodes ranks wherever a
   consumer sees them: ``series.nonempty_steps()`` for a series, the
   distinct timestamps for a stream (:func:`scan_stream` scans the
@@ -69,8 +71,10 @@ One kernel, the **run kernel**, runs every scan.
   (``resume=``), or any window of a scan feeding a state accumulator
   (``close_run`` folds the state between every pair of windows, so
   such scans run one window per run).  Runs are planned in blocks of
-  windows that double in size, and never span two blocks, so a resumed
-  scan that settles after a few windows plans only those.
+  up to :data:`LAST_PLAN_BLOCK` windows, and never span two blocks; a
+  resumed scan's blocks start at :data:`FIRST_PLAN_BLOCK` windows and
+  double, so a resumed scan that settles after a few windows plans
+  only those.
 * *The layout.*  Per block of windows, the planner sorts the hops by
   (window descending, source), giving one *segment* per (window,
   source) pair with its own departure rank; a run is a contiguous
@@ -104,8 +108,11 @@ One kernel, the **run kernel**, runs every scan.
   ``include_self``), runs one C-order ``nonzero``, decodes the trips
   (departure, arrival, hops, duration) through the table and delivers
   one ``record_batch`` per collector; the flushes' counts are the
-  scan's trip count.  The scan flushes before a checkpoint capture
-  hands the consumers off, before a settled resume freezes them, and at
+  scan's trip count.  A checkpoint capture does not flush: it marks the
+  buffer row where the consumers hand off, and the flush delivers the
+  trips above the mark to the old consumers (a scan feeding state
+  accumulators, which see every commit, flushes and hands off at once).
+  The scan flushes before a settled resume freezes the consumers and at
   its end; the buffer flushes itself when a group comes from another
   block or would not fit, and once it holds :data:`ROW_BUFFER_CELLS`
   cells (near 0.5 MiB, so a dense scan flushes while the rows are still
@@ -122,6 +129,32 @@ One kernel, the **run kernel**, runs every scan.
 * *Per-row adapters.*  Consumers without the batch methods get their
   per-source/per-row protocol, in that same order, with the same
   arguments.
+* *Stacked sweeps.*  A sweep scans one stream's series at many Δ, and
+  on sparse series each scan pays a fixed cost per state commit, not
+  per cell.  :func:`scan_stack` runs several such scans (one node set)
+  as one **stack**: their packed states are one array, scan ``s``
+  owning rows ``[s * n, (s + 1) * n)``, packed with one common ``K`` and
+  ``a_inf`` (the stack's largest ``W``).  Step ``i`` of the stack
+  commits run ``i`` of every scan still running as one group (or, over
+  the cell budget, several), through the same sequence of numpy calls
+  as a solo run: the planner lays each block of lockstep steps out
+  across the stack (:func:`_stack_block`), with the gather, direct-hop
+  and source indices offset by each scan's rows.  Stacking is exact:
+  the scans' row ranges are disjoint, so no hop of one scan reads or
+  writes a row of another, and each scan's run ``i`` sees exactly the
+  state its own runs ``< i`` left — the solo scan's state.  The common
+  ``K`` changes no comparison: every key of a scan orders by (rank,
+  hop) with hops below either radix.  What stays per Δ: its rank →
+  value table and consumers (the row buffer delivers each scan's trips
+  in its own order, decoded through its own table), its
+  :class:`CheckpointRecorder` (a capture re-encodes the scan's rows to
+  its own ``K``, so records are byte-identical to a solo scan's) and
+  its tallies.  :data:`SCAN_BATCHES` counts a stacked commit once.  A
+  stack holds only scans without a resume plan or state accumulators
+  (both must see the state between two of a scan's windows), and only
+  as many as fit :data:`BATCH_CELL_BUDGET` (:func:`stack_capacity`);
+  each step's groups share that budget.  :func:`scan_series` and
+  :func:`scan_stream` are stacks of one.
 
 The kernel is bit-identical to the reference loop — same trips in the
 same order, same collector states, same accumulator sums — across
@@ -174,8 +207,10 @@ its columns.  Sharded scans therefore merge back bit-identically for
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 import numpy as np
 
@@ -196,11 +231,13 @@ HOP_INF = np.iinfo(np.int64).max // 4
 #: (each worker process keeps its own).
 SCAN_COUNTS = {"series": 0, "stream": 0}
 #: Work tallies per scan kind (same no-behaviour caveats as
-#: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates — one
-#: per (window, source) pair — ``SCAN_WINDOWS`` nonempty windows
-#: processed, and ``SCAN_BATCHES`` state commits: one per run (a run of
-#: conflict-free windows commits at once; one over the cell budget
-#: commits per chunk).  Tests and benches assert how much work a scan
+#: :data:`SCAN_COUNTS`, which counts each scan of a stack): ``SCAN_ROWS``
+#: counts source-row updates — one per (window, source) pair —
+#: ``SCAN_WINDOWS`` nonempty windows processed, and ``SCAN_BATCHES``
+#: state commits: one per run (a run of conflict-free windows commits at
+#: once; one over the cell budget commits per chunk), and one per step
+#: of a stack (a stacked commit counts once, whatever the number of
+#: scans it advances).  Tests and benches assert how much work a scan
 #: did, not just that one happened.
 SCAN_ROWS = {"series": 0, "stream": 0}
 SCAN_WINDOWS = {"series": 0, "stream": 0}
@@ -208,28 +245,45 @@ SCAN_BATCHES = {"series": 0, "stream": 0}
 
 #: Upper bound on the cells (hop rows × state width) the kernel stages
 #: per chunk; chunks always hold whole segments.  At int64 this bounds
-#: each staged continuation matrix near 8 MB.  The value never affects
-#: results, only peak memory (tests shrink it to exercise the
-#: multi-chunk path).
+#: each staged continuation matrix near 8 MB.  It also bounds a stack:
+#: its scans' states together fit the budget, and a step's chunks get
+#: the budget's share of one scan.  The value never affects results,
+#: only peak memory (tests shrink it to exercise the multi-chunk path
+#: and small stacks).
 BATCH_CELL_BUDGET = 1 << 20
 
 #: State cells (committed rows × state width) the kernel's row
 #: buffer holds before it flushes them into trips (it also flushes at
-#: checkpoint and settle boundaries, at a block change and at the end of
-#: the scan).  Sparse scans commit a few rows per run, so one flush
-#: serves many runs.  The bound keeps the buffer (9 bytes a cell: the
-#: packed key and the improvement flag) near 0.5 MiB, in cache; a
+#: a settle boundary, at a block change and at the end of the scan).
+#: Sparse scans commit a few rows per run, so one flush serves many
+#: runs.  The bound keeps a solo scan's buffer (at most 9 bytes a cell:
+#: the packed key and the improvement flag) near 0.5 MiB, in cache; a
 #: commit larger than the bound gets a buffer of its own size and
 #: flushes at once.  Twice the bound ran no faster and raised the peak
 #: RSS of a cold sweep of the four paper replicas by 5-11 MB (four
-#: seeds).
+#: seeds).  A stack's buffer holds the bound once per scan, up to
+#: :data:`STACK_BUFFER_SCANS` times: each flush feeds every scan of the
+#: stack, so a buffer of one scan's size would feed each several times
+#: as often as a solo scan.
 ROW_BUFFER_CELLS = 1 << 16
+#: Scans' worth of :data:`ROW_BUFFER_CELLS` a stack's row buffer holds
+#: at most.  Four cut a cold sweep of the four paper replicas by ~15%
+#: against one, for ~3 MB of peak RSS.
+STACK_BUFFER_SCANS = 4
 
-#: Windows in the kernel's first run-planning block; each later
-#: block doubles.  A resumed scan that settles after a few windows plans
-#: little more than those, and a full scan needs only ``O(log windows)``
-#: blocks (a run never spans two).
+#: Windows in a resumed scan's first run-planning block; each later
+#: block doubles, up to :data:`LAST_PLAN_BLOCK` windows, so a resumed
+#: scan that settles after a few windows plans little more than those
+#: (a run never spans two blocks).  Its lockstep steps come in blocks
+#: of the same first size, doubling up to :data:`LAST_STEP_BLOCK`.
+#: Every other scan plans in the largest blocks from the start: each
+#: block costs a fixed few dozen numpy calls.
 FIRST_PLAN_BLOCK = 8
+#: The largest run-planning block of one scan, in windows.
+LAST_PLAN_BLOCK = 512
+#: The largest lockstep block of a stack, in steps: it bounds the
+#: layout a stack of many scans holds at once.
+LAST_STEP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -724,15 +778,23 @@ class ScanCheckpoint:
 
     def __init__(
         self, window: int, last_processed: int, P: np.ndarray,
-        table: np.ndarray,
+        table: np.ndarray, radix: int | None = None,
     ) -> None:
         a_inf = int(table.size)
         K = a_inf + 2
-        finite = P < a_inf * K
+        # A stacked scan packs with the stack's radix; the finite keys
+        # are re-encoded to the scan's own.
+        radix = K if radix is None else radix
+        finite = P < (radix - 2) * radix
+        keys = P[finite]
+        if radix != K:
+            keys, hops = np.divmod(keys, radix)
+            keys *= K
+            keys += hops
         self.window = int(window)
         self.last_processed = int(last_processed)
         self.mask = np.packbits(finite)
-        self.keys = P[finite].astype(np.min_scalar_type(K * K - 1))
+        self.keys = keys.astype(np.min_scalar_type(K * K - 1))
         self.mask.setflags(write=False)
         self.keys.setflags(write=False)
         self.shape = P.shape
@@ -811,14 +873,15 @@ class CheckpointRecorder:
 
     def capture(
         self, window: int, last_processed: int, P: np.ndarray,
-        table: np.ndarray,
+        table: np.ndarray, radix: int | None = None,
     ) -> bool:
         """Store the finite cells of the packed state ``P`` (decoded by
-        ``table``) as one checkpoint; ``False`` when the byte budget is
-        spent (the scan then simply keeps feeding the current span).
-        The cost depends on the finite count, so the checkpoint is built
-        before the budget decides."""
-        ckpt = ScanCheckpoint(window, last_processed, P, table)
+        ``table``; packed with ``radix``, by default ``len(table) + 2``)
+        as one checkpoint; ``False`` when the byte budget is spent (the
+        scan then simply keeps feeding the current span).  The cost
+        depends on the finite count, so the checkpoint is built before
+        the budget decides."""
+        ckpt = ScanCheckpoint(window, last_processed, P, table, radix)
         cost = ckpt.nbytes
         if self._max_bytes is not None and self._bytes + cost > self._max_bytes:
             return False
@@ -934,6 +997,16 @@ def _require_segment_support(items) -> None:
             )
 
 
+def consumer_list(collector) -> list:
+    """The ``collector`` argument of a scan (``None``, one consumer, or
+    a sequence of consumers) as a list."""
+    if collector is None:
+        return []
+    if isinstance(collector, (list, tuple)):
+        return list(collector)
+    return [collector]
+
+
 def _split_consumers(collector) -> tuple[list, list]:
     """Normalize the ``collector`` argument into (trip collectors,
     state accumulators).
@@ -943,16 +1016,9 @@ def _split_consumers(collector) -> tuple[list, list]:
     :class:`~repro.temporal.collectors.TripCollector` protocol); state
     accumulators implement ``observe_row`` (:class:`DistanceTotals`).
     """
-    if collector is None:
-        return [], []
-    items = (
-        list(collector)
-        if isinstance(collector, (list, tuple))
-        else [collector]
-    )
     trip_collectors: list = []
     accumulators: list = []
-    for item in items:
+    for item in consumer_list(collector):
         if hasattr(item, "observe_row"):
             accumulators.append(item)
         elif hasattr(item, "record"):
@@ -1013,81 +1079,105 @@ class _RowBuffer:
     """Committed rows whose minimal trips the run kernel has not
     extracted yet.
 
-    Each state commit of the run kernel (one *group*: a run, or one
-    chunk of a run over the cell budget) writes its strict-improvement
-    mask and its new packed rows into the next consecutive rows of
-    ``mask`` and ``keys`` (``np.less``/``np.minimum`` with ``out=``).
-    Buffered rows are laid-out segments ``[lo, lo + rows)`` of one
-    :class:`_RunBlock`, and the buffer always holds whole groups.
+    Each state commit of the run kernel (one *group*: a step of the
+    stack, or one chunk of a step over the cell budget) writes its
+    strict-improvement mask and its new packed rows into the next
+    consecutive rows of ``mask`` and ``keys`` (``np.less``/
+    ``np.minimum`` with ``out=``).  Buffered rows are laid-out segments
+    ``[lo, lo + rows)`` of one :class:`_RunBlock`, and the buffer always
+    holds whole groups.
 
     :meth:`flush` turns everything buffered into trips at once: it
-    clears the diagonal (unless ``include_self``), restores segment
-    order (within a group the kernel lays segments out by size, see
-    :class:`_RunBlock`), runs one C-order ``nonzero``, decodes the
-    packed keys through the rank → value ``table`` (durations are
-    ``arr - dep + extra``: ``extra`` is 1 for a series, 0 for a stream)
-    and feeds ``collectors`` (the scan swaps in the successors at a
-    checkpoint handoff) one ``record_batch`` each.  It returns the
-    number of trips, the scan's only trip count.  The buffer flushes
-    itself when a group comes from another block or would not fit, and
-    once it holds :data:`ROW_BUFFER_CELLS` cells; the scan flushes it at
-    its boundaries (see the module docstring's *The scan kernel*).
+    clears the diagonal (unless ``include_self``), puts the rows in
+    delivery order (scan by scan, each in segment order; within a group
+    the kernel lays segments out by size, see :class:`_RunBlock`), runs
+    one C-order ``nonzero``, decodes the packed keys (radix ``K``) and
+    feeds each scan's current consumers one ``record_batch`` each, with
+    ranks decoded through that scan's rank → value table (durations are
+    ``arr - dep + extra``: ``extra`` is 1 for a series, 0 for a
+    stream).  ``trips[slot]`` counts each scan's trips.  A checkpoint
+    capture does not flush: it marks the buffer row where its scan's
+    consumers hand off (:meth:`handoff`), and the flush delivers the
+    scan's trips from rows above the mark, hands off, then delivers the
+    rest.  The buffer flushes itself when a group comes from another
+    block or would not fit, and once it holds its cell bound; the scan
+    flushes it between lockstep blocks, before a settle and at its end.
     """
 
     __slots__ = (
-        "collectors", "table", "extra", "K", "cols", "include_self",
-        "width", "cap", "mask", "keys", "block", "lo", "rows",
+        "slots", "K", "extra", "cols", "include_self", "width",
+        "cap", "mask", "keys", "dtype", "block", "lo", "rows", "trips",
+        "handoffs", "slot",
     )
 
     def __init__(
         self,
-        collectors: list,
-        table: np.ndarray,
+        slots: list,
+        K: int,
         extra: int,
         cols: np.ndarray | None,
         include_self: bool,
         width: int,
+        dtype: type,
     ) -> None:
-        self.collectors = collectors
-        self.table = table
+        self.slots = slots
+        self.K = K
         self.extra = extra
-        self.K = table.size + 2
         self.cols = cols
         self.include_self = include_self
         self.width = width
         #: Rows that make up the cell bound (at least one).
-        self.cap = max(-(-ROW_BUFFER_CELLS // max(width, 1)), 1)
+        cells = ROW_BUFFER_CELLS * min(len(slots), STACK_BUFFER_SCANS)
+        self.cap = max(-(-cells // max(width, 1)), 1)
         self.mask: np.ndarray | None = None
         self.keys: np.ndarray | None = None
+        self.dtype = dtype
         self.block: _RunBlock | None = None
         self.lo = 0
         self.rows = 0
+        self.trips = [0] * len(slots)
+        #: Per scan, the buffer rows where its consumers hand off.
+        self.handoffs: dict[int, list[int]] = {}
+        #: The scan whose consumers are being fed (``None`` between
+        #: deliveries): a failure there is that scan's.
+        self.slot: int | None = None
 
-    def claim(self, block: "_RunBlock", lo: int, nseg: int) -> int:
+    def claim(self, block: "_RunBlock", lo: int, nseg: int) -> None:
         """Make room for a group of ``nseg`` rows starting at laid-out
-        segment ``lo`` of ``block``; returns the trips a flush found."""
-        flushed = 0
+        segment ``lo`` of ``block``."""
         if self.rows and (
             block is not self.block or self.rows + nseg > self.cap
         ):
-            flushed = self.flush()
+            self.flush()
         if not self.rows:
             self.block = block
             self.lo = lo
             if self.mask is None or nseg > self.mask.shape[0]:
                 size = max(self.cap, nseg)
                 self.mask = np.empty((size, self.width), dtype=bool)
-                self.keys = np.empty((size, self.width), dtype=np.int64)
-        return flushed
+                self.keys = np.empty((size, self.width), dtype=self.dtype)
 
-    def flush(self) -> int:
-        """Extract, decode and deliver every buffered trip; empty the
-        buffer and return the trip count."""
+    def handoff(self, slot: int) -> None:
+        """Scan ``slot`` captured a checkpoint: its consumers hand off
+        after the trips of the rows buffered so far — at the next flush,
+        or at once for a scan with state accumulators (they see every
+        commit as it happens)."""
+        if self.rows and not self.slots[slot].accumulators:
+            self.handoffs.setdefault(slot, []).append(self.rows)
+            return
+        self.flush()
+        self.slots[slot].handoff(self.trips[slot])
+
+    def flush(self) -> None:
+        """Extract, decode and deliver every buffered trip, with the
+        deferred handoffs between them; empty the buffer and add each
+        scan's trip count to :attr:`trips`."""
         rows = self.rows
         if not rows:
-            return 0
+            return
         self.rows = 0
         block, lo = self.block, self.lo
+        self.block = None
         mask = self.mask[:rows]
         if not self.include_self:
             diag = block.self_cols[lo:lo + rows]
@@ -1095,36 +1185,76 @@ class _RowBuffer:
             if self.cols is not None:
                 at = at[diag >= 0]
             mask.reshape(-1)[at] = False
-        if not self.collectors:
-            return int(np.count_nonzero(mask))
-        # C-order nonzero over rows in segment order: segments in
-        # (window descending, source) order, columns ascending within
-        # each — the reference loop's window-by-window,
+        if (
+            block.slots is None
+            and not self.handoffs
+            and not self.slots[0].collectors
+        ):
+            # A scan only counting its trips.
+            self.trips[0] += int(np.count_nonzero(mask))
+            return
+        # C-order nonzero over rows in delivery order: scan by scan,
+        # segments in (window descending, source) order, columns
+        # ascending within each — the reference loop's window-by-window,
         # source-by-source emission order.  (Flat indices: a 2-D
         # nonzero is several times slower.)
         width = self.width
-        if block.laid_pos is None:
+        if block.order is None:
             flat = np.flatnonzero(mask)
             row_idx, col_idx = np.divmod(flat, width)
         else:
-            ordered = block.laid_pos[lo:lo + rows] - lo
+            ordered = np.argsort(block.order[lo:lo + rows])
             row_idx, col_idx = np.divmod(np.flatnonzero(mask[ordered]), width)
             row_idx = ordered[row_idx]
             flat = row_idx * width + col_idx
-        if not flat.size:
-            return 0
         # Recorded cells improved, hence are finite: decoding the keys
         # needs no sentinel fixup.
-        ranks, hops = np.divmod(self.keys[:rows].reshape(-1)[flat], self.K)
-        row_idx += lo
-        sources = block.sources[row_idx]
-        deps = self.table[block.ranks[row_idx]]
-        arrivals = self.table[ranks]
-        targets = col_idx if self.cols is None else self.cols[col_idx]
+        ranks, hops = np.divmod(
+            self.keys[:rows].reshape(-1)[flat].astype(np.int64), self.K
+        )
+        del flat
+        buffered = row_idx
+        row_idx = row_idx + lo
+        trip = (
+            block.sources[row_idx],
+            block.ranks[row_idx],
+            col_idx if self.cols is None else self.cols[col_idx],
+            ranks,
+            hops,
+        )
+        # Delivery order keeps each scan's trips contiguous.
+        bounds = (
+            [0, ranks.size] if block.slots is None
+            else np.searchsorted(
+                block.slots[row_idx], np.arange(len(self.trips) + 1)
+            ).tolist()
+        )
+        handoffs, self.handoffs = self.handoffs, {}
+        for slot, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            # A scan's rows above a handoff row precede the rest in
+            # delivery order (groups commit in step order).
+            for cut in handoffs.get(slot, ()):
+                c = a + int(np.count_nonzero(buffered[a:b] < cut))
+                self._deliver(slot, trip, a, c)
+                self.slots[slot].handoff(self.trips[slot])
+                a = c
+            self._deliver(slot, trip, a, b)
+
+    def _deliver(self, slot: int, trip: tuple, a: int, b: int) -> None:
+        """Feed trips ``[a, b)`` (sources, departure ranks, targets,
+        arrival ranks, hops) to scan ``slot``'s consumers, decoded."""
+        if a == b:
+            return
+        self.trips[slot] += b - a
+        self.slot = slot
+        table = self.slots[slot].table
+        sources, deps, targets, arrivals, hops = (c[a:b] for c in trip)
+        deps = table[deps]
+        arrivals = table[arrivals]
         durations = arrivals - deps
         if self.extra:
             durations += self.extra
-        for collector in self.collectors:
+        for collector in self.slots[slot].collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:
                 record_batch(sources, deps, targets, arrivals, hops, durations)
@@ -1133,34 +1263,58 @@ class _RowBuffer:
                     collector, sources, deps, targets, arrivals, hops,
                     durations,
                 )
-        return int(sources.size)
+        self.slot = None
 
 
-class _RunBlock:
-    """One block of consecutive windows, laid out for the run kernel.
+class _Segments:
+    """One block of consecutive windows of one scan, cut into runs.
 
     The block's hops (expanded for undirected input) sort by (scan
     position, source) — window descending, then source — so each
     (window, source) pair is one contiguous **segment** in *segment
     order* and every run of the block's windows is a contiguous range
-    of segments.  The kernel commits a run as one **group**, or, when
-    its hops exceed the chunk budget, as several groups of whole
-    consecutive segments.  Within each group the segments are *laid
-    out* by hop count descending (stably), so the segments holding more
-    than ``r`` hops are always a prefix; all per-segment arrays are in
-    that laid-out order:
+    of segments.  ``sources``, ``ranks`` (the rank of the segment's
+    departure window) and ``sizes`` are per segment; ``targets`` holds
+    the hop targets in segment order, segment ``i``'s at
+    ``hop_at[i]:hop_at[i + 1]``.  Run ``r`` is segments
+    ``run_segs[r]:run_segs[r + 1]`` and scan positions
+    ``run_pos[r]:run_pos[r + 1]``.
+    """
 
-    * ``sources`` (the row each segment writes), ``ranks`` (the rank of
-      its departure window) and ``self_cols`` (its diagonal column, -1
-      outside a ``targets=`` restriction);
-    * ``laid_pos``, the laid-out position of each segment in segment
-      order (``None`` when every group is already in segment order),
-      which the row buffer uses to restore segment order;
-    * ``gather``, one index array holding per group its hop targets
-      rank-major (every segment's first hop, then every second hop of
-      the segments with two or more, ...) followed by its sources, so
-      one ``P[...]`` gather yields both the continuation rows and the
-      old rows;
+    __slots__ = (
+        "sources", "ranks", "sizes", "hop_at", "targets", "run_segs",
+        "run_pos",
+    )
+
+
+class _RunBlock:
+    """One lockstep block of a stack, laid out for the run kernel.
+
+    Step ``i`` of the block commits run ``i`` of every scan of the stack
+    that is still running (a stack of one: its runs, one per step).
+    The step's segments, from all its scans, form one **group** or,
+    when its hops exceed the chunk budget, several groups of whole
+    consecutive segments.  Segment order within a step is (scan,
+    segment order); within each group the segments are *laid out* by
+    hop count descending (stably), so the segments holding more than
+    ``r`` hops are always a prefix.  All per-segment arrays are in
+    laid-out order:
+
+    * ``rows`` (the stacked state row each segment writes: scan ``s``
+      owns rows ``[s * n, (s + 1) * n)``), ``sources`` (the segment's
+      node), ``ranks`` (the rank of its departure window in its scan),
+      ``slots`` (its scan; ``None`` for a stack of one) and
+      ``self_cols`` (its diagonal column, -1 outside a ``targets=``
+      restriction);
+    * ``order``, the position of each segment in delivery order (scan
+      by scan, each in segment order; ``None`` when laid-out order
+      already is delivery order), which the row buffer uses to put the
+      trips it extracts in order;
+    * ``gather``, one index array holding per group its hop targets'
+      rows rank-major (every segment's first hop, then every second
+      hop of the segments with two or more, ...) followed by its rows,
+      so one ``P[...]`` gather yields both the continuation rows and
+      the old rows;
     * ``dpos``/``dkey``, per group the direct hops as flat positions in
       the group's candidate rows (``row * width + column``) with their
       packed keys ``rank * K + 1``; a ``targets=`` restriction drops
@@ -1168,8 +1322,8 @@ class _RunBlock:
     """
 
     __slots__ = (
-        "sources", "ranks", "self_cols", "laid_pos", "gather", "dpos",
-        "dkey",
+        "rows", "sources", "ranks", "slots", "self_cols", "order",
+        "gather", "dpos", "dkey",
     )
 
 
@@ -1218,81 +1372,33 @@ def _greedy_runs(writer: np.ndarray) -> list[int]:
     return starts
 
 
-def _plan_runs(
-    series: GraphSeries,
-    K: int,
-    col_of: np.ndarray | None,
-    capture: np.ndarray | None,
-    resume_windows: np.ndarray | None,
-    *,
-    single: bool,
-    max_rows: int,
-    width: int,
-) -> Iterator[tuple[int, int, int, int, bool, tuple]]:
-    """Lay out a series for the run kernel and cut it into runs.
-
-    Yields ``(first, end, step, low_step, capture, run)`` per run in
-    scan order: scan positions ``[first, end)`` (0-based iteration
-    indices, latest window first), the run's first and last window,
-    whether the scan captures a checkpoint before the run, and the
-    kernel's ``(block, g0, g1, groups)`` layout (see :func:`_apply_run`).
-    Windows are planned in blocks of :data:`FIRST_PLAN_BLOCK` doubling
-    in size.  A run opens at every position where ``capture`` (indexed
-    by scan position; ``None`` for no checkpoints) is set and at every
-    window in ``resume_windows``; ``single`` makes every window its own
-    run.  A run of more than ``max_rows`` hops commits as several
-    groups of whole segments; ``width`` is the state width.
-    """
-    windows = series.nonempty_steps()
-    nw = int(windows.size)
-    offsets = np.append(
-        np.searchsorted(series.edge_steps, windows), series.edge_steps.size
-    )
-    # Scan positions where the scan must see the state between two
-    # windows: a run may start there but never absorb them.
-    stops = np.zeros(nw, dtype=bool) if capture is None else capture.copy()
-    if resume_windows is not None:
-        stops |= np.isin(windows[::-1], resume_windows)
-    first = 0
-    size = FIRST_PLAN_BLOCK
-    while first < nw:
-        end = min(nw, first + size)
-        size *= 2
-        yield from _plan_block(
-            series, windows, offsets, first, end, K, col_of, capture,
-            stops, single, max_rows, width,
-        )
-        first = end
-
-
-def _plan_block(
+def _plan_segments(
     series: GraphSeries,
     windows: np.ndarray,
-    offsets: np.ndarray,
     first: int,
     end: int,
-    K: int,
-    col_of: np.ndarray | None,
-    capture: np.ndarray | None,
     stops: np.ndarray,
     single: bool,
-    max_rows: int,
-    width: int,
-) -> list[tuple[int, int, int, int, bool, tuple]]:
-    """Lay out scan positions ``[first, end)`` as one :class:`_RunBlock`
-    and return its runs (see :func:`_plan_runs`).  The sort and conflict
-    temporaries die here, before the kernel allocates its own."""
+) -> _Segments:
+    """Sort scan positions ``[first, end)`` of one scan into segments
+    and cut them into runs (see :class:`_Segments`).  A run opens at
+    every scan position where ``stops`` is set; ``single`` makes every
+    window its own run.  The sort and conflict temporaries die here."""
     n = series.num_nodes
     nw = windows.size
     count = end - first
     # Scan positions [first, end) are ascending windows [j_lo, j_hi).
     j_lo, j_hi = nw - end, nw - first
-    block_windows = windows[j_lo:j_hi][::-1]
-    u = series.edge_sources[offsets[j_lo]:offsets[j_hi]]
-    v = series.edge_targets[offsets[j_lo]:offsets[j_hi]]
+    # Edge offsets of the windows (edges sort by window).
+    offsets = np.searchsorted(
+        series.edge_steps,
+        windows[j_lo:j_hi + 1] if j_hi < nw
+        else np.append(windows[j_lo:], windows[-1] + 1),
+    )
+    u = series.edge_sources[offsets[0]:offsets[-1]]
+    v = series.edge_targets[offsets[0]:offsets[-1]]
     pos = np.repeat(
-        np.arange(count - 1, -1, -1, dtype=np.int64),
-        np.diff(offsets[j_lo:j_hi + 1]),
+        np.arange(count - 1, -1, -1, dtype=np.int64), np.diff(offsets)
     )
     if not series.directed:
         u, v = np.concatenate([u, v]), np.concatenate([v, u])
@@ -1300,33 +1406,99 @@ def _plan_block(
     key = pos * n + u
     order = np.argsort(key, kind="stable")
     key = key[order]
-    v = v[order]
     nhops = key.size
     # Segment heads: where the sorted (position, source) key changes.
     head = np.empty(nhops, dtype=bool)
     head[0] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
     starts = np.flatnonzero(head)
-    nseg = starts.size
-    seg_of = np.cumsum(head) - 1
     seg_pos, sources = np.divmod(key[starts], n)
+    segs = _Segments()
+    segs.sources = sources
     # Scan position p of the block is the window of rank j_hi - 1 - p.
-    ranks = j_hi - 1 - seg_pos
-    sizes = np.diff(np.append(starts, nhops))
-    # The sort temporaries are dead: free them before the layout's own.
-    del u, pos, key, order, head
-    captures = (
-        np.zeros(count, dtype=bool) if capture is None
-        else capture[first:end]
-    )
+    segs.ranks = j_hi - 1 - seg_pos
+    segs.hop_at = np.append(starts, nhops)
+    segs.sizes = np.diff(segs.hop_at)
+    segs.targets = v[order]
+    del u, v, pos, key, order
     if single:
-        run_starts = list(range(count))
+        run_starts = np.arange(count)
     else:
-        writer = _previous_writers(sources, seg_pos, v, seg_pos[seg_of], count)
+        seg_of = np.cumsum(head) - 1
+        writer = _previous_writers(
+            sources, seg_pos, segs.targets, seg_pos[seg_of], count
+        )
         writer[stops[first:end]] = count
         run_starts = _greedy_runs(writer)
-    run_segs = np.append(np.searchsorted(seg_pos, run_starts), nseg)
-    # Groups: a run commits at once unless its hops exceed the chunk
+    segs.run_segs = np.append(np.searchsorted(seg_pos, run_starts), starts.size)
+    segs.run_pos = np.append(run_starts, count) + first
+    return segs
+
+
+def _stack_block(
+    pieces: list,
+    n: int,
+    K: int,
+    col_of: np.ndarray | None,
+    stacked: bool,
+    max_rows: int,
+    width: int,
+    dtype: type,
+) -> tuple[list[int], list[tuple]]:
+    """Lay out one lockstep block of a stack as one :class:`_RunBlock`.
+
+    ``pieces`` holds, scan by scan, ``(slot, segs, r0, r1, step0)``:
+    runs ``[r0, r1)`` of one :class:`_Segments` of scan ``slot`` go to
+    the block's steps ``step0, step0 + 1, ...``; ``stacked`` tells a
+    stack of several scans from a stack of one.  Returns, per step, its
+    window count and the kernel's ``(block, g0, g1, groups)`` layout
+    (see :func:`_apply_run`): a step of more than ``max_rows`` hops
+    commits as several groups of whole segments; ``width`` and
+    ``dtype`` are the state's.  Everything here is state-independent,
+    so the numpy calls of a step do not grow with the stack.
+    """
+    nsteps = max(step0 + r1 - r0 for _, _, r0, r1, step0 in pieces)
+    windows = np.zeros(nsteps, dtype=np.int64)
+    columns = []
+    for slot, segs, r0, r1, step0 in pieces:
+        a, b = int(segs.run_segs[r0]), int(segs.run_segs[r1])
+        windows[step0:step0 + r1 - r0] += np.diff(segs.run_pos[r0:r1 + 1])
+        columns.append((
+            segs.sources[a:b],
+            segs.ranks[a:b],
+            segs.sizes[a:b],
+            segs.targets[segs.hop_at[a]:segs.hop_at[b]],
+            np.repeat(
+                np.arange(step0, step0 + r1 - r0),
+                np.diff(segs.run_segs[r0:r1 + 1]),
+            ),
+            np.full(b - a, slot, dtype=np.int64),
+        ))
+    sources, ranks, sizes, v, seg_step, seg_slot = (
+        np.concatenate(column) for column in zip(*columns)
+    )
+    del columns
+    nseg = sources.size
+    nhops = v.size
+    if stacked:
+        # Segment order: by step, then scan (the pieces come scan by
+        # scan, each in step order), moving each segment's hops along.
+        order = np.argsort(seg_step, kind="stable")
+        hop_from = np.append(0, np.cumsum(sizes)[:-1])[order]
+        sources, ranks, sizes = sources[order], ranks[order], sizes[order]
+        seg_step, seg_slot = seg_step[order], seg_slot[order]
+        del order
+        starts = np.append(0, np.cumsum(sizes)[:-1])
+        v = v[np.repeat(hop_from - starts, sizes) + np.arange(nhops)]
+        del hop_from
+    else:
+        starts = np.append(0, np.cumsum(sizes)[:-1])
+    seg_of = np.repeat(np.arange(nseg), sizes)
+    run_segs = np.searchsorted(seg_step, np.arange(nsteps + 1))
+    # The state rows: scan s owns rows [s * n, (s + 1) * n).
+    seg_rows = sources + seg_slot * n if stacked else sources
+    hop_rows = v + (seg_slot * n)[seg_of] if stacked else v
+    # Groups: a step commits at once unless its hops exceed the chunk
     # budget; then it commits in chunks of whole segments.
     hop_at = np.append(starts, nhops)
     run_hops = np.diff(hop_at[run_segs])
@@ -1350,23 +1522,29 @@ def _plan_block(
     g_of = np.repeat(np.arange(ngroups), np.diff(group_segs))
     # Lay each group's segments out by size, largest first (stable), and
     # its hops rank-major, ordered by segment within each rank.
-    block = _RunBlock()
-    block.laid_pos = None
-    block.sources = sources
-    block.ranks = ranks
     hop_group = g_of[seg_of]
     # Each hop's row in its group's candidate rows (its laid-out
     # segment's position in the group).
     seg_row = seg_of - group_segs[hop_group]
+    block = _RunBlock()
+    # Delivery order: scan by scan, each in segment order.
+    block.order = seg_slot * nseg + np.arange(nseg) if stacked else None
+    block.rows, block.sources, block.slots, block.ranks = (
+        seg_rows, sources, seg_slot if stacked else None, ranks
+    )
     hop_order = None
     if nhops > nseg:
         lay = np.lexsort((-sizes, g_of))
         if np.any(lay != np.arange(nseg)):
-            block.laid_pos = np.empty(nseg, dtype=np.int64)
-            block.laid_pos[lay] = np.arange(nseg)
-            block.sources = sources[lay]
-            block.ranks = ranks[lay]
-            seg_row = block.laid_pos[seg_of]
+            laid_pos = np.empty(nseg, dtype=np.int64)
+            laid_pos[lay] = np.arange(nseg)
+            block.order = lay if block.order is None else block.order[lay]
+            block.rows, block.sources, block.ranks = (
+                seg_rows[lay], sources[lay], ranks[lay]
+            )
+            if stacked:
+                block.slots = seg_slot[lay]
+            seg_row = laid_pos[seg_of]
             seg_row -= group_segs[hop_group]
         rank = np.arange(nhops)
         rank -= starts[seg_of]
@@ -1375,15 +1553,15 @@ def _plan_block(
     block.self_cols = (
         block.sources if col_of is None else col_of[block.sources]
     )
-    # Per group: its hops rank-major, then its laid-out sources.  The
+    # Per group: its hops' rows rank-major, then its laid-out rows.  The
     # sort keeps every group's hops inside the group's own range, so
     # hop_group also gives the group of a sorted position.
     block.gather = np.empty(nhops + nseg, dtype=np.int64)
     at = group_segs[hop_group]
     at += np.arange(nhops)
-    block.gather[at] = v if hop_order is None else v[hop_order]
-    del at, hop_order
-    block.gather[np.arange(nseg) + group_hops[1:][g_of]] = block.sources
+    block.gather[at] = hop_rows if hop_order is None else hop_rows[hop_order]
+    del at, hop_order, hop_rows
+    block.gather[np.arange(nseg) + group_hops[1:][g_of]] = block.rows
     # Direct hops, in segment order: flat positions in the candidate rows.
     tcols = v if col_of is None else col_of[v]
     dpos = seg_row
@@ -1399,7 +1577,7 @@ def _plan_block(
         dkey = dkey[keep]
         direct_at = np.append(0, np.cumsum(keep))[group_hops]
     block.dpos = dpos
-    block.dkey = dkey
+    block.dkey = dkey.astype(dtype, copy=False)
     # Folds: per group and rank >= 1, where the rank's rows start in the
     # group's gather section and how many segments reach that rank.
     folds: list = [()] * ngroups
@@ -1417,7 +1595,7 @@ def _plan_block(
             fold_group.tolist(), fold_off.tolist(), fold_count.tolist()
         ):
             folds[g] += ((off, c),)
-    # Per group, its gather offset within its run's section.
+    # Per group, its gather offset within its step's section.
     group_start = group_hops + group_segs
     run_of_group = np.repeat(np.arange(run_hops.size), np.diff(run_groups))
     group_list = list(
@@ -1439,52 +1617,42 @@ def _plan_block(
     else:
         run_group_lists = [(group,) for group in group_list]
     run_gather = group_start[run_groups].tolist()
-    run_pos = np.append(run_starts, count)
-    return list(
-        zip(
-            (run_pos[:-1] + first).tolist(),
-            (run_pos[1:] + first).tolist(),
-            block_windows[run_pos[:-1]].tolist(),
-            block_windows[run_pos[1:] - 1].tolist(),
-            captures[run_pos[:-1]].tolist(),
-            [
-                (block, g0, g1, groups)
-                for g0, g1, groups in zip(
-                    run_gather, run_gather[1:], run_group_lists
-                )
-            ],
-        )
-    )
+    return windows.tolist(), [
+        (block, g0, g1, groups)
+        for g0, g1, groups in zip(run_gather, run_gather[1:], run_group_lists)
+    ]
 
 
 def _apply_run(
     P: np.ndarray,
     rows: _RowBuffer,
     accumulators: list,
-    step: int,
+    step: int | None,
     kind: str,
+    windows: int,
     block: _RunBlock,
     g0: int,
     g1: int,
     groups: tuple,
-) -> int:
-    """Apply one run of conflict-free windows to the packed state;
-    returns the trips of the row-buffer flushes it triggered.
-    Bit-identical to the reference loop
+) -> None:
+    """Apply one lockstep step — one run of conflict-free windows of
+    every scan of the stack still running — to the stacked packed
+    state.  Bit-identical to the reference loop
     (:func:`repro.temporal.bruteforce.reference_scan`) applied window by
-    window (see the module docstring's *The scan kernel* for the run
-    rule and why it is exact).
+    window, scan by scan (see the module docstring's *The scan kernel*
+    for the run rule and *Stacked sweeps* for why stacking is exact).
 
-    ``P`` is the scan state with each ``(arrival rank, hop)`` pair
-    packed into a single int64 lexicographic key ``A * K + H`` (``K =
-    rows.K``), infinite cells at the ``a_inf * K + (K - 1)`` sentinel.
-    ``step`` is the run's first window (accumulator scans run one
-    window per run) and ``kind`` the tally key.  The run is
-    ``block``'s gather section ``[g0, g1)``, committed as
-    ``groups``: per group ``(off, nhops, nseg, s0, d0, d1, folds)`` —
-    its gather section offset, hop and segment counts, first laid-out
-    segment, direct-hop range and its ``(offset, count)`` fold per hop
-    rank (see :class:`_RunBlock`).
+    ``P`` is the stacked scan state with each ``(arrival rank, hop)``
+    pair packed into a single int64 lexicographic key ``A * K + H``
+    (``K = rows.K``), infinite cells at the ``a_inf * K + (K - 1)``
+    sentinel.  ``step`` is the run's first window (only a stack of one
+    has accumulators, and its scans run one window per run), ``kind``
+    the tally key and ``windows`` the step's window count.  The step is
+    ``block``'s gather section ``[g0, g1)``, committed as ``groups``:
+    per group ``(off, nhops, nseg, s0, d0, d1, folds)`` — its gather
+    section offset, hop and segment counts, first laid-out segment,
+    direct-hop range and its ``(offset, count)`` fold per hop rank (see
+    :class:`_RunBlock`).
 
     Per group, every step depends on the state and nothing else: one
     gather yields the continuation rows (rank-major) and the old rows;
@@ -1496,23 +1664,23 @@ def _apply_run(
     buffer, whose rows commit to the state.  Trips are extracted later,
     many groups at once (:meth:`_RowBuffer.flush`).
 
-    A run whose hops exceed the chunk budget comes as several groups of
-    whole segments, so it never stages much more than the budget's hop
-    rows at once; its groups then read a copied pre-run stash, since
-    earlier groups have committed.  A run of one group reads the live
-    state directly (nothing commits before its reads are staged).
+    A step whose hops exceed the chunk budget comes as several groups
+    of whole segments, so it never stages much more than the budget's
+    hop rows at once; its groups then read a copied pre-step stash,
+    since earlier groups have committed.  A step of one group reads the
+    live state directly (nothing commits before its reads are staged).
     """
     index = block.gather[g0:g1]
     if len(groups) == 1:
         stash = P
     else:
         involved = np.unique(index)
-        # Fancy indexing copies: this is the pre-run stash.
+        # Fancy indexing copies: this is the pre-step stash.
         stash = P[involved]
         index = np.searchsorted(involved, index)
     K = rows.K
+    SCAN_WINDOWS[kind] += windows
     SCAN_BATCHES[kind] += len(groups)
-    flushed = 0
     for off, nhops, nseg, s0, d0, d1, folds in groups:
         SCAN_ROWS[kind] += nseg
         G = stash[index[off:off + nhops + nseg]]
@@ -1543,25 +1711,23 @@ def _apply_run(
         old = G[nhops:]
         floor = old // K
         floor *= K
-        flushed += rows.claim(block, s0, nseg)
+        rows.claim(block, s0, nseg)
         r = rows.rows
         np.less(cand, floor, out=rows.mask[r:r + nseg])
         new = np.minimum(cand, old, out=rows.keys[r:r + nseg])
-        sources = block.sources[s0:s0 + nseg]
-        P[sources] = new
+        P[block.rows[s0:s0 + nseg]] = new
         rows.rows = r + nseg
         if accumulators:
             # Scans with accumulators run one window per run.
             _observe(
-                accumulators, sources, step, old, new, rows.table,
-                block.self_cols[s0:s0 + nseg],
+                accumulators, block.sources[s0:s0 + nseg], step, old, new,
+                rows.slots[0].table, block.self_cols[s0:s0 + nseg],
             )
         if rows.rows >= rows.cap:
-            flushed += rows.flush()
+            rows.flush()
         # Release this group's gather before the next one allocates
-        # its own: in a chunked run each is near the cell budget.
+        # its own: in a chunked step each is near the cell budget.
         del G, cand, old, floor
-    return flushed
 
 
 def _observe(
@@ -1620,6 +1786,37 @@ def _target_columns(
     return cols, col_of, int(cols.size)
 
 
+@dataclass
+class ScanJob:
+    """One scan of a stack (see :func:`scan_stack`): a series, its
+    consumers (``collector``, as for :func:`scan_series`), and optionally
+    a :class:`CheckpointRecorder` and a :class:`ResumePlan`."""
+
+    series: GraphSeries
+    collector: Any = None
+    checkpoints: CheckpointRecorder | None = None
+    resume: ResumePlan | None = None
+
+    @property
+    def stackable(self) -> bool:
+        """Whether the scan may share a stack with others: it has no
+        resume plan and feeds no state accumulator (both need the state
+        between two of its windows, see *Stacked sweeps*)."""
+        return self.resume is None and not _split_consumers(self.collector)[1]
+
+
+class StackedScanError(Exception):
+    """A scan of a stack failed; :attr:`slot` is its index in the stack.
+
+    The original exception is the ``__cause__``.  A stack of one (every
+    :func:`scan_series` call) raises the original exception instead.
+    """
+
+    def __init__(self, slot: int, cause: BaseException) -> None:
+        super().__init__(f"scan {slot} of the stack failed: {cause}")
+        self.slot = slot
+
+
 def scan_series(
     series: GraphSeries,
     collector=None,
@@ -1674,182 +1871,399 @@ def scan_series(
         windows above it.
 
     Both options change only how much work is redone, never any result.
+    The scan runs as a stack of one (:func:`scan_stack`).
     """
     SCAN_COUNTS["series"] += 1
+    job = ScanJob(series, collector, checkpoints, resume)
     return _scan(
-        series, collector, "series", series.nonempty_steps(), 1,
+        [job], "series", [series.nonempty_steps()], 1,
         include_self=include_self, targets=targets,
-        checkpoints=checkpoints, resume=resume,
+    )[0]
+
+
+def scan_stack(
+    jobs: Sequence[ScanJob],
+    *,
+    include_self: bool = False,
+    check: Callable[[int], None] | None = None,
+) -> list[ScanResult]:
+    """Run the backward scans of several series of one node set as one
+    stack: the same kernel as :func:`scan_series`, with a batching axis
+    (see the module docstring's *Stacked sweeps*).
+
+    Returns one :class:`ScanResult` per job, and feeds each job's
+    consumers (and its recorder) exactly as a :func:`scan_series` call
+    of that job alone would — same trips in the same order, same
+    records.  Every job of a stack of two or more must be
+    :attr:`~ScanJob.stackable`, and the stacked state (jobs × nodes²
+    cells) should fit :data:`BATCH_CELL_BUDGET` (:func:`stack_capacity`).
+    ``check``, when given, is called with the index of the first
+    unfinished job before each block of lockstep steps (the engine's
+    cancellation point).  In a stack of two or more, a failure raises
+    :class:`StackedScanError` naming the job.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    if len(jobs) > 1:
+        n = jobs[0].series.num_nodes
+        for job in jobs:
+            if not job.stackable or job.series.num_nodes != n:
+                raise ValidationError(
+                    "a stack needs scans of one node set, with no resume "
+                    "plan and no state accumulator"
+                )
+    SCAN_COUNTS["series"] += len(jobs)
+    return _scan(
+        jobs, "series", [job.series.nonempty_steps() for job in jobs], 1,
+        include_self=include_self, check=check,
     )
 
 
+def stack_capacity(num_nodes: int) -> int:
+    """How many full-width scans of ``num_nodes`` nodes one stack holds
+    within :data:`BATCH_CELL_BUDGET` state cells (at least one)."""
+    return max(BATCH_CELL_BUDGET // max(num_nodes * num_nodes, 1), 1)
+
+
+class _Slot:
+    """One scan of a stack: its consumers, checkpoint and resume state,
+    and its runs, planned lazily in blocks of windows
+    (:func:`_plan_segments`)."""
+
+    def __init__(self, index: int, job: ScanJob, table: np.ndarray) -> None:
+        self.index = index
+        self.series = series = job.series
+        self.table = table
+        self.items = items = consumer_list(job.collector)
+        self.originals = list(items)
+        if job.checkpoints is not None or job.resume is not None:
+            _require_segment_support(items)
+        self.collectors, self.accumulators = _split_consumers(items)
+        self.recorder = job.checkpoints
+        self.resume = job.resume
+        self.resume_at = frozenset() if job.resume is None else frozenset(
+            job.resume.windows.tolist()
+        )
+        self.a_inf = int(table.size)
+        self.windows = windows = series.nonempty_steps()
+        nw = int(windows.size)
+        # Capture positions by scan iteration, asked once per scan.
+        self.capture = (
+            None if self.recorder is None
+            else self.recorder.wants(np.arange(nw, dtype=np.int64))
+        )
+        # Scan positions where the scan must see the state between two
+        # windows: a run may start there but never absorb them.
+        stops = (
+            np.zeros(nw, dtype=bool) if self.capture is None
+            else self.capture.copy()
+        )
+        if job.resume is not None:
+            stops |= np.isin(windows[::-1], job.resume.windows)
+        self.stops = stops
+        # Accumulators fold the state between every pair of windows
+        # (close_run), so their scans run one window per run, and the
+        # scan looks at every one.
+        self.single = bool(self.accumulators)
+        self.first = 0
+        self.size = LAST_PLAN_BLOCK if job.resume is None else FIRST_PLAN_BLOCK
+        self.segs: _Segments | None = None
+        self.next = 0
+        self.captures = 0
+        self.span_base = 0
+        self.settled: int | None = None
+        #: Consumer spans to fold into the caller's consumers at the end
+        #: — frozen handoff spans from this scan, then (when settled)
+        #: the reused cached tail, in scan order.
+        self.assembly: list[tuple] = []
+
+    @property
+    def done(self) -> bool:
+        """Whether every run of the scan has been handed out."""
+        return self.first >= self.windows.size and (
+            self.segs is None or self.next == self.segs.run_segs.size - 1
+        )
+
+    def take(self, count: int) -> list[tuple]:
+        """The next ``count`` runs (fewer at the end), as ``(slot, segs,
+        r0, r1, step0)`` pieces for :func:`_stack_block`."""
+        pieces = []
+        taken = 0
+        while taken < count:
+            if self.segs is None or self.next == self.segs.run_segs.size - 1:
+                if self.first >= self.windows.size:
+                    break
+                end = min(self.windows.size, self.first + self.size)
+                self.size = min(2 * self.size, LAST_PLAN_BLOCK)
+                self.segs = _plan_segments(
+                    self.series, self.windows, self.first, end, self.stops,
+                    self.single,
+                )
+                self.first = end
+                self.next = 0
+            r0 = self.next
+            r1 = min(self.segs.run_segs.size - 1, r0 + count - taken)
+            pieces.append((self.index, self.segs, r0, r1, taken))
+            self.next = r1
+            taken += r1 - r0
+        return pieces
+
+    def marks(self, segs: _Segments, r0: int, r1: int) -> list[tuple]:
+        """``(offset, mark)`` for the runs ``[r0, r1)`` the scan must look
+        at before they apply: ``mark`` is ``(slot, window,
+        last_processed, capture)``, with ``last_processed`` the previous
+        (higher) window applied (``None`` before the first)."""
+        pos = segs.run_pos[r0:r1]
+        hit = (
+            np.arange(pos.size) if self.single
+            else np.flatnonzero(self.stops[pos])
+        )
+        nw = self.windows.size
+        out = []
+        for i, p in zip(hit.tolist(), pos[hit].tolist()):
+            out.append((
+                i,
+                (
+                    self,
+                    int(self.windows[nw - 1 - p]),
+                    int(self.windows[nw - p]) if p else None,
+                    bool(self.capture is not None and self.capture[p]),
+                ),
+            ))
+        return out
+
+    def handoff(self, trips: int) -> None:
+        """A capture happened: freeze the current span, continue with
+        the consumers' successors."""
+        if self.captures:
+            self.recorder.store_span(self.items, trips - self.span_base)
+            self.assembly.append(tuple(self.items))
+        self.captures += 1
+        self.span_base = trips
+        self.items = [item.segment_handoff() for item in self.items]
+        self.collectors, self.accumulators = _split_consumers(self.items)
+
+    def finish(self, trips: int) -> ScanResult:
+        """Close the scan after its last window (or its settle) and fold
+        its spans into the caller's consumers."""
+        recorder = self.recorder
+        if self.settled is not None:
+            # Settled: every window at and below the boundary is served
+            # from cache.  One final handoff freezes the live consumers
+            # (sealing the caller's objects when no capture happened yet
+            # — their scan state moved to the discarded successor,
+            # exactly like finish without re-folding runs the cached
+            # tail already covers).
+            frozen = tuple(self.items)
+            self.items = [item.segment_handoff() for item in self.items]
+            if self.captures:
+                if recorder is not None:
+                    recorder.store_span(frozen, trips - self.span_base)
+                self.assembly.append(frozen)
+            tail_ckpts, tail_spans, tail_trips = self.resume.tail(self.settled)
+            trips += sum(tail_trips)
+            if recorder is not None:
+                recorder.adopt_tail(tail_ckpts, tail_spans, tail_trips)
+            self.assembly.extend(tail_spans)
+        else:
+            if self.accumulators and self.windows.size:
+                # Departures at or below the earliest nonempty window
+                # all see the final state.
+                for accumulator in self.accumulators:
+                    accumulator.close_run(0, int(self.windows[0]))
+            for accumulator in self.accumulators:
+                # Completion hook: row-wise accumulators fold their
+                # tails here.
+                finish = getattr(accumulator, "finish", None)
+                if finish is not None:
+                    finish()
+            if self.captures:
+                if recorder is not None:
+                    recorder.store_span(self.items, trips - self.span_base)
+                self.assembly.append(tuple(self.items))
+        for span in self.assembly:
+            for original, part in zip(self.originals, span):
+                _absorb_span(original, part)
+        return ScanResult(num_trips=trips, num_steps=self.series.num_steps)
+
+
+class _Lockstep:
+    """The steps of a stack: step ``i`` commits run ``i`` of every scan
+    still running.  Steps are laid out in blocks (:func:`_stack_block`)
+    of :data:`LAST_STEP_BLOCK` steps (for a resumed scan,
+    :data:`FIRST_PLAN_BLOCK` doubling up to that); before each block, ``before`` gets the
+    first unfinished scan, which :attr:`head` also names.  Yields
+    ``(marks, windows, run)`` per step: the marks of :meth:`_Slot.marks`
+    in scan order, and :func:`_apply_run`'s arguments."""
+
+    def __init__(self, slots: list[_Slot], layout, before) -> None:
+        self.slots = slots
+        self.layout = layout
+        self.before = before
+        self.head = 0
+
+    def __iter__(self):
+        resumed = any(slot.resume is not None for slot in self.slots)
+        size = FIRST_PLAN_BLOCK if resumed else LAST_STEP_BLOCK
+        while True:
+            live = [slot for slot in self.slots if not slot.done]
+            if not live:
+                return
+            self.head = live[0].index
+            self.before(self.head)
+            pieces = [piece for slot in live for piece in slot.take(size)]
+            size = min(2 * size, LAST_STEP_BLOCK)
+            windows, runs = self.layout(pieces)
+            marks: list = [()] * len(runs)
+            for index, segs, r0, r1, step0 in pieces:
+                for offset, mark in self.slots[index].marks(segs, r0, r1):
+                    marks[step0 + offset] += (mark,)
+            del pieces
+            yield from zip(marks, windows, runs)
+            # The block dies before the next one is laid out.
+            del marks, windows, runs
+
+
+def _before_block(rows: _RowBuffer, check, head: int) -> None:
+    """Between two lockstep blocks: deliver the finished block's trips
+    (so it can die), then let ``check`` see the first unfinished scan."""
+    rows.flush()
+    if check is not None:
+        check(head)
+
+
+def _settles(state: np.ndarray, table: np.ndarray, ckpt: ScanCheckpoint) -> bool:
+    """Whether a scan's packed ``state`` (radix ``len(table) + 2``)
+    equals a checkpoint's.
+
+    Equal states have equal finite-cell counts and equal finite-cell
+    masks, so most candidates fail on the count, the rest mostly on the
+    packed mask, before any key is compared.  Appends are in time order,
+    so the ranks of windows at or below the straddle window never
+    change and new windows rank above them: an equal K means no new
+    window, hence equal tables, and the finite keys compare directly,
+    in the checkpoint's dtype (it holds every committed key; numpy 1.x
+    compares int64 with uint64 through float64).  Otherwise (the usual
+    case after an append) both sides' finite keys decode through their
+    own tables and compare canonically.
+    """
+    a_inf = int(table.size)
+    K = a_inf + 2
+    finite = state < a_inf * K
+    if np.count_nonzero(finite) != ckpt.finite:
+        return False
+    if not np.array_equal(np.packbits(finite), ckpt.mask):
+        return False
+    keys = state[finite]
+    if ckpt.K == K:
+        return np.array_equal(keys.astype(ckpt.keys.dtype), ckpt.keys)
+    cur_A, cur_H = _unpack_rows(keys, table)
+    ck_A, ck_H = _unpack_rows(ckpt.keys, ckpt.table)
+    return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
+
+
 def _scan(
-    series: GraphSeries,
-    collector,
+    jobs: list[ScanJob],
     kind: str,
-    table: np.ndarray,
+    tables: list[np.ndarray],
     extra: int,
     *,
     include_self: bool,
     targets: np.ndarray | None = None,
-    checkpoints: CheckpointRecorder | None = None,
-    resume: ResumePlan | None = None,
-) -> ScanResult:
-    """The backward scan over ``series``'s nonempty windows, ranks
-    decoded through ``table`` (durations ``arr - dep + extra``) and work
-    tallied under ``kind``; see :func:`scan_series`."""
-    n = series.num_nodes
-    items = (
-        []
-        if collector is None
-        else list(collector)
-        if isinstance(collector, (list, tuple))
-        else [collector]
-    )
-    originals = list(items)
-    if checkpoints is not None or resume is not None:
-        _require_segment_support(items)
-    collectors, accumulators = _split_consumers(items)
+    check: Callable[[int], None] | None = None,
+) -> list[ScanResult]:
+    """The backward scans of a stack of ``jobs`` (one node set), each
+    over its series' nonempty windows, ranks decoded through its
+    ``tables`` entry (durations ``arr - dep + extra``), work tallied
+    under ``kind``; see :func:`scan_series` and :func:`scan_stack`."""
+    n = jobs[0].series.num_nodes
     cols, col_of, width = _target_columns(targets, n)
-    for accumulator in accumulators:
-        # Geometry hook: per-pair accumulators allocate their state from
-        # the scan's exact shape (row count, destination columns).
-        begin = getattr(accumulator, "begin", None)
-        if begin is not None:
-            begin(n, series.num_steps, cols)
+    slots = [
+        _Slot(index, job, table)
+        for index, (job, table) in enumerate(zip(jobs, tables))
+    ]
+    for slot in slots:
+        for accumulator in slot.accumulators:
+            # Geometry hook: per-pair accumulators allocate their state
+            # from the scan's exact shape (row count, destination
+            # columns).
+            begin = getattr(accumulator, "begin", None)
+            if begin is not None:
+                begin(n, slot.series.num_steps, cols)
     # Rank steps: arrivals are ranks < W and no minimal trip takes more
     # than W hops (each hop departs one nonempty window later), so the
-    # packed keys stay below (W + 1) * (W + 2).
-    a_inf = int(table.size)
+    # packed keys stay below (W + 1) * (W + 2).  A stack packs every
+    # scan with its largest W.
+    a_inf = max(slot.a_inf for slot in slots)
     if a_inf >= 1 << 31:
         raise ValidationError(
             f"{a_inf} nonempty windows overflow the packed scan state "
             "(at most 2**31 - 1)"
         )
     K = a_inf + 2
-    P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
-    recorder = checkpoints
-    capture = None
-    resume_at = frozenset() if resume is None else frozenset(
-        resume.windows.tolist()
-    )
-    if recorder is not None:
-        # Capture positions by scan iteration, asked once per scan.
-        capture = recorder.wants(np.arange(a_inf, dtype=np.int64))
-
-    def settles(ckpt: ScanCheckpoint) -> bool:
-        # Whether the current state equals a checkpoint's.  Equal states
-        # have equal finite-cell counts and equal finite-cell masks, so
-        # most candidates fail on the count, the rest mostly on the
-        # packed mask, before any key is compared.  Appends are in time
-        # order, so the ranks of windows at or below the straddle window
-        # never change and new windows rank above them: an equal K means
-        # no new window, hence equal tables, and the finite keys compare
-        # directly, in the checkpoint's dtype (it holds every committed
-        # key; numpy 1.x compares int64 with uint64 through float64).
-        # Otherwise (the usual case after an append) both sides' finite
-        # keys decode through their own tables and compare canonically.
-        finite = P < a_inf * K
-        if np.count_nonzero(finite) != ckpt.finite:
-            return False
-        if not np.array_equal(np.packbits(finite), ckpt.mask):
-            return False
-        keys = P[finite]
-        if ckpt.K == K:
-            return np.array_equal(keys.astype(ckpt.keys.dtype), ckpt.keys)
-        cur_A, cur_H = _unpack_rows(keys, table)
-        ck_A, ck_H = _unpack_rows(ckpt.keys, ckpt.table)
-        return np.array_equal(cur_A, ck_A) and np.array_equal(cur_H, ck_H)
-
-    num_trips = 0
-    last_processed: int | None = None
-    captures = 0
-    span_trip_base = 0
-    settled_index: int | None = None
-    #: Consumer spans to fold into the caller's consumers at the end —
-    #: frozen handoff spans from this scan, then (when settled) the
-    #: reused cached tail, in scan order.
-    assembly: list[tuple] = []
+    # Every key is below K * K: int32 holds them unless W >= 46340.
+    dtype = np.int32 if K * K <= np.iinfo(np.int32).max else np.int64
+    P = np.full((len(slots) * n, width), a_inf * K + (K - 1), dtype=dtype)
     #: Committed rows not yet turned into trips (see *The scan kernel*).
-    rows = _RowBuffer(collectors, table, extra, cols, include_self, width)
-    # Accumulators fold the state between every pair of windows
-    # (close_run), so their scans run one window per run.
-    runs = _plan_runs(
-        series, K, col_of, capture,
-        None if resume is None else resume.windows,
-        single=bool(accumulators),
-        max_rows=max(BATCH_CELL_BUDGET // max(width, 1), 1),
-        width=width,
+    rows = _RowBuffer(slots, K, extra, cols, include_self, width, dtype)
+    steps = _Lockstep(
+        slots,
+        partial(
+            _stack_block, n=n, K=K, col_of=col_of, stacked=len(slots) > 1,
+            dtype=dtype,
+            max_rows=max(BATCH_CELL_BUDGET // (len(slots) * width), 1),
+            width=width,
+        ),
+        lambda head: _before_block(rows, check, head),
     )
-
-    for first, end, step, low_step, wanted, run in runs:
-        if step in resume_at and last_processed is not None:
-            index, ckpt = resume.candidate(step)
-            if ckpt.last_processed == last_processed and settles(ckpt):
-                settled_index = index
-                break
-        # last_processed is never None at a capture: wants() skips
-        # iteration 0.
-        if wanted and recorder.capture(step, last_processed, P, table):
-            num_trips += rows.flush()
-            if captures:
-                recorder.store_span(items, num_trips - span_trip_base)
-                assembly.append(tuple(items))
-            captures += 1
-            span_trip_base = num_trips
-            items = [item.segment_handoff() for item in items]
-            collectors, accumulators = _split_consumers(items)
-            rows.collectors = collectors
-        if accumulators and last_processed is not None:
-            # The current state (built from windows > step) is the exact
-            # reachability picture for every departure step t in
-            # [step + 1, last_processed]: no edges exist in between.
-            for accumulator in accumulators:
-                accumulator.close_run(step + 1, last_processed)
-        SCAN_WINDOWS[kind] += end - first
-        num_trips += _apply_run(P, rows, accumulators, step, kind, *run)
-        last_processed = low_step
-
-    # Before a settle freezes the consumers, or at the scan's end.
-    num_trips += rows.flush()
-
-    if settled_index is not None:
-        # Settled: every window at and below the boundary is served from
-        # cache.  One final handoff freezes the live consumers (sealing
-        # the caller's objects when no capture happened yet — their scan
-        # state moved to the discarded successor, exactly like finish
-        # without re-folding runs the cached tail already covers).
-        frozen = tuple(items)
-        items = [item.segment_handoff() for item in items]
-        if captures:
-            if recorder is not None:
-                recorder.store_span(frozen, num_trips - span_trip_base)
-            assembly.append(frozen)
-        tail_ckpts, tail_spans, tail_trips = resume.tail(settled_index)
-        num_trips += sum(tail_trips)
-        if recorder is not None:
-            recorder.adopt_tail(tail_ckpts, tail_spans, tail_trips)
-        assembly.extend(tail_spans)
-    else:
-        if accumulators and last_processed is not None:
-            # Departures at or below the earliest nonempty window all see
-            # the final state.
-            for accumulator in accumulators:
-                accumulator.close_run(0, last_processed)
-        for accumulator in accumulators:
-            # Completion hook: row-wise accumulators fold their tails here.
-            finish = getattr(accumulator, "finish", None)
-            if finish is not None:
-                finish()
-        if captures:
-            if recorder is not None:
-                recorder.store_span(items, num_trips - span_trip_base)
-            assembly.append(tuple(items))
-
-    for span in assembly:
-        for original, part in zip(originals, span):
-            _absorb_span(original, part)
-    return ScanResult(num_trips=num_trips, num_steps=series.num_steps)
+    # Only a stack of one may hold accumulators (or a resume plan).
+    lead = slots[0]
+    try:
+        for marks, windows, run in steps:
+            step = None
+            for slot, step, last, wanted in marks:
+                rows.slot = slot.index
+                if step in slot.resume_at and last is not None:
+                    # A resumed scan is a stack of one: P is its state.
+                    index, ckpt = slot.resume.candidate(step)
+                    if ckpt.last_processed == last and _settles(
+                        P, slot.table, ckpt
+                    ):
+                        slot.settled = index
+                        break
+                # last is never None at a capture: wants() skips
+                # iteration 0.
+                if wanted and slot.recorder.capture(
+                    step, last, P[slot.index * n:(slot.index + 1) * n],
+                    slot.table, K,
+                ):
+                    rows.handoff(slot.index)
+                if slot.accumulators and last is not None:
+                    # The current state (built from windows > step) is
+                    # the exact reachability picture for every departure
+                    # step t in [step + 1, last]: no edges exist in
+                    # between.
+                    for accumulator in slot.accumulators:
+                        accumulator.close_run(step + 1, last)
+            else:
+                rows.slot = None
+                _apply_run(P, rows, lead.accumulators, step, kind, windows, *run)
+                run = None  # a finished block dies before the next is laid out
+                continue
+            break  # settled: the cached tail serves the rest
+        # Before a settle freezes the consumers, or at the scan's end.
+        rows.flush()
+        results = []
+        for slot in slots:
+            rows.slot = slot.index
+            results.append(slot.finish(rows.trips[slot.index]))
+        return results
+    except Exception as exc:
+        if len(slots) == 1:
+            raise
+        slot = steps.head if rows.slot is None else rows.slot
+        raise StackedScanError(slot, exc) from exc
 
 
 def series_distance_stats(
@@ -1964,4 +2378,7 @@ def scan_stream(
         stream.num_nodes, table.size, ranks[fresh], u[fresh], v[fresh],
         directed=stream.directed,
     )
-    return _scan(ranked, collector, "stream", table, 0, include_self=include_self)
+    return _scan(
+        [ScanJob(ranked, collector)], "stream", [table], 0,
+        include_self=include_self,
+    )[0]

@@ -36,7 +36,7 @@ from repro.engine import (
     resolve_engine,
     set_default_engine,
 )
-from repro.temporal.reachability import scan_series
+from repro.temporal.reachability import SCAN_COUNTS
 from repro.generators import time_uniform_stream, two_mode_stream_by_rho
 from repro.linkstream import LinkStream
 from repro.utils.errors import EngineError
@@ -65,26 +65,25 @@ def assert_identical_sweeps(a, b):
 
 
 class CountingEvaluator:
-    """Test double counting backward scans — the sweep's numeric kernel.
+    """Counts backward scans — the sweep's numeric kernel.
 
-    Patched over the fused task's ``scan_series``: every per-Δ
-    evaluation performs exactly one scan, so ``calls`` counts per-Δ
-    evaluations for in-process (serial/thread) backends.
+    Every per-Δ evaluation performs exactly one series scan, alone or
+    in a stack of the sweep's scans, and ``SCAN_COUNTS["series"]``
+    tallies each, so ``calls`` counts per-Δ evaluations for in-process
+    (serial/thread) backends.
     """
 
     def __init__(self):
-        self.calls = 0
+        self._base = SCAN_COUNTS["series"]
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return scan_series(*args, **kwargs)
+    @property
+    def calls(self) -> int:
+        return SCAN_COUNTS["series"] - self._base
 
 
 @pytest.fixture
-def count_evaluations(monkeypatch):
-    counter = CountingEvaluator()
-    monkeypatch.setattr("repro.engine.incremental.scan_series", counter)
-    return counter
+def count_evaluations():
+    return CountingEvaluator()
 
 
 def occupancy_task(delta: float, **measure_kwargs) -> AnalysisTask:

@@ -34,7 +34,7 @@ from repro.generators import time_uniform_stream, two_mode_stream_by_rho
 from repro.graphseries import aggregate
 from repro.linkstream import LinkStream
 from repro.temporal.collectors import CountingCollector, TripListCollector
-from repro.temporal.reachability import DistanceTotals, scan_series
+from repro.temporal.reachability import SCAN_COUNTS, DistanceTotals, scan_series
 from repro.utils.errors import EngineError, ValidationError
 
 
@@ -494,8 +494,10 @@ class TestShardCacheKeys:
         engine = SweepEngine(cache=SweepCache.build())
         sharded = occupancy_method(stream, deltas=[50.0, 500.0], engine=engine, shards=2)
         assert calls["full"] == 0  # the sharded path never runs a full scan
+        scans = SCAN_COUNTS["series"]
         rerun = occupancy_method(stream, deltas=[50.0, 500.0], engine=engine)
         assert calls["full"] == 0  # merged points were cached per measure
+        assert SCAN_COUNTS["series"] == scans  # the rerun scans nothing
         assert_identical_sweeps(sharded, rerun)
 
 

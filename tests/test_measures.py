@@ -291,6 +291,43 @@ class TestPerMeasureCache:
         fine = occupancy_method(stream, deltas=deltas, bins=4096, engine=engine)
         assert coarse.points[0].scores != fine.points[0].scores
 
+    @pytest.mark.parametrize("delta", [1e-07, 86400.0, 1 / 3])
+    @pytest.mark.parametrize("origin", [None, 12.5])
+    @pytest.mark.parametrize("span", [None, (0.1, 1e6 / 3)])
+    def test_measure_keys_keep_their_bytes(self, delta, origin, span):
+        """Keys are spliced from memoised pieces, but every byte of the
+        payload is the literal ``repr`` of the original key tuple."""
+        import hashlib
+
+        from repro.engine.tasks import EVAL_VERSION
+
+        measures = normalize_measures(
+            ("occupancy", "classical", "trips:max_samples=64")
+        )
+        for include_self in (False, True):
+            task = AnalysisTask(
+                delta=delta, measures=measures, include_self=include_self,
+                origin=origin, span=span,
+            )
+            expected = []
+            for measure in measures:
+                fields = (
+                    EVAL_VERSION, "measure", repr(task.delta), include_self,
+                    None if origin is None else repr(float(origin)),
+                    measure.name, measure.token(),
+                )
+                if span is not None:
+                    fields += (
+                        ("span", (repr(float(span[0])), repr(float(span[1])))),
+                    )
+                digest = hashlib.sha256(b"fingerprint")
+                digest.update(repr(fields).encode())
+                expected.append(digest.hexdigest())
+            assert task.result_keys("fingerprint") == expected
+            assert [
+                task.measure_key("fingerprint", m) for m in measures
+            ] == expected
+
     def test_cache_off_run_still_fuses(self, stream):
         deltas = [50.0, 500.0]
         clear_aggregate_cache()

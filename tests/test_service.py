@@ -572,7 +572,9 @@ class TestKeepAlive:
                 client.status(job["job_id"])
                 client.fetch(job["job_id"], wait=60)
                 client.jobs()
-                assert client.health()["connections"] == {"open": 1, "accepted": 1}
+                assert client.health()["connections"] == {
+                    "open": 1, "accepted": 1, "refused": 0,
+                }
             # Leaving the block closed the connection; its handler ends.
             assert wait_until(lambda: server.connection_stats()["open"] == 0)
 
@@ -609,7 +611,9 @@ class TestKeepAlive:
                 # The daemon timed the idle connection out and freed its
                 # thread; the next request notices and reconnects.
                 assert wait_until(lambda: server.connection_stats()["open"] == 0)
-                assert client.health()["connections"] == {"open": 1, "accepted": 2}
+                assert client.health()["connections"] == {
+                    "open": 1, "accepted": 2, "refused": 0,
+                }
 
     def test_error_responses_keep_the_connection(self, stream):
         with live_daemon(runners=1, max_pending=1) as (server, service, url):
@@ -642,7 +646,9 @@ class TestKeepAlive:
                 )
                 with pytest.raises(JobCancelled, match="task at delta="):
                     client.fetch(cut["job_id"], wait=60)
-                assert client.health()["connections"] == {"open": 1, "accepted": 1}
+                assert client.health()["connections"] == {
+                    "open": 1, "accepted": 1, "refused": 0,
+                }
 
     def test_bad_content_length_closes_then_client_reconnects(self):
         with live_daemon() as (_, _, url):
@@ -666,6 +672,36 @@ class TestKeepAlive:
                     sockets = list(server._connections)
                 assert len(sockets) == 1
                 assert sockets[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_connections_over_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_CONNECTIONS", 2)
+        before = set(threading.enumerate())
+        with live_daemon() as (server, _, url):
+            first, second, third = (ServiceClient(url) for _ in range(3))
+            first.health()
+            second.health()
+            assert server.connection_stats()["open"] == 2
+            # Both keep their connections open: the third is one too many.
+            with pytest.raises(ServiceError) as excinfo:
+                third.health()
+            assert excinfo.value.status == 503
+            assert server.connection_stats() == {
+                "open": 2, "accepted": 2, "refused": 1,
+            }
+            # The refused connection never got a handler thread.
+            assert len(_handler_threads(exclude=before)) == 2
+            first.close()
+            assert wait_until(lambda: server.connection_stats()["open"] == 1)
+            # A slot is free again: the refused client gets in.
+            assert third.health()["connections"] == {
+                "open": 2, "accepted": 3, "refused": 1,
+            }
+            with pytest.raises(ServiceError) as excinfo:
+                first.health()
+            assert excinfo.value.status == 503
+            assert server.connection_stats()["open"] == 2
+            second.close()
+            third.close()
 
     def test_server_close_releases_idle_handler_threads(self):
         before = set(threading.enumerate())
