@@ -64,9 +64,9 @@ from repro.temporal import (
 from repro.temporal import reachability
 from repro.temporal.reachability import DistanceTotals
 
-#: Dense synthetic workload: every pair linked once, uniform in time —
-#: the same stream the sharding ablation uses — cut into coarse windows
-#: so the per-window scan work dominates aggregation.
+#: Dense synthetic workload: every pair linked once, uniform in time,
+#: cut into coarse windows so the per-window scan work dominates
+#: aggregation.
 NUM_NODES = 600
 SPAN = 100_000.0
 DELTA = SPAN / 64.0

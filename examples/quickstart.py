@@ -29,12 +29,8 @@ def main() -> None:
     # engine="thread" or engine="process" (or set REPRO_ENGINE, or use
     # `repro analyze --backend process --jobs 8` on the CLI) to evaluate
     # periods in parallel — results are bit-identical to the serial
-    # default.  When a plan has fewer Δ values than workers (the huge
-    # coarse-Δ evaluations, refinement rounds), the engine also shards
-    # *within* a Δ, partitioning trip destinations across workers and
-    # merging the histograms exactly (shards="auto" is the default;
-    # REPRO_SHARDS / --shards control it).  Sweep points are cached by
-    # stream content — per measure — so repeating this call (refinement
+    # default, and the unit of parallel work is a whole Δ.  Sweep points
+    # are cached by stream content — per measure — so repeating this call (refinement
     # rounds, stability re-runs) is free; REPRO_CACHE_DIR / --cache-dir
     # makes the cache survive restarts (REPRO_CACHE_MAX_BYTES caps it,
     # `repro cache stats|clear` manages it).
@@ -66,7 +62,7 @@ def main() -> None:
     # after which "my_measure" works in occupancy_method, gamma_stability
     # (per-resample companions at each elected gamma), analyze_stream,
     # and `repro analyze --measures occupancy,my_measure` — fused into
-    # the same single scan per Δ, shardable, cached per parameter set.
+    # the same single scan per Δ, cached per parameter set.
     # See "Writing a measure" in help(repro) for the full contract.
     # (`repro cache prewarm events.tsv --measures ...` replays a sweep
     # into the disk store so later analyses start warm.)

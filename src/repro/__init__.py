@@ -123,11 +123,8 @@ parseable from the CLI's ``name:key=value`` syntax::
         def make_collector(self):
             return CountingCollector()
 
-        def finalize(self, delta, geometry, payload, collectors):
-            merged = CountingCollector()
-            for collector in collectors:
-                merged.merge(collector)         # the shard-merge rule
-            return self.scale * merged.num_trips
+        def finalize(self, delta, geometry, payload, collector):
+            return self.scale * collector.num_trips
 
     result = occupancy_method(stream, measures=("hop_count",))
     result.companions["hop_count"]              # one value per Δ
@@ -135,15 +132,15 @@ parseable from the CLI's ``name:key=value`` syntax::
 A measure declares how it feeds (``scans`` measures contribute a scan
 consumer — a trip collector with ``record`` or a state accumulator with
 ``observe_row``/``close_run``/``begin``; ``has_payload`` measures do
-per-series work in ``series_payload``), how shards merge
-(``finalize`` receives one collector per destination shard and must
-fold into fresh accumulators), and how dearly its results cache
+per-series work in ``series_payload``), how its result is assembled
+(``finalize`` receives the one collector the scan fed and reads it
+without mutating it), and how dearly its results cache
 (``cache_weight`` ranks recompute cost for the disk store's eviction
 sweep; ``scoring_fields`` names pure post-processing parameters
-excluded from shard-entry identity).  Registered measures run
-everywhere built-ins do — fused tasks, all backends, within-Δ sharding,
-per-measure caching, ``analyze_stream``, the CLI — with bit-identical
-results by construction.
+excluded from the collector identity of incremental scan records).
+Registered measures run everywhere built-ins do — fused tasks, all
+backends, per-measure caching, ``analyze_stream``, the CLI — with
+bit-identical results by construction.
 
 Scan kernel
 -----------
@@ -175,7 +172,7 @@ to the windows where they must see the state.
 The kernel is **bit-identical** to the per-source reference loop
 :func:`repro.temporal.bruteforce.reference_scan` — same trips in the
 same order, same collector and accumulator state, across
-directed/undirected input, ``targets`` shards, ``include_self``,
+directed/undirected input, ``targets`` subsets, ``include_self``,
 checkpoints and resumes, and every backend.  The tests and
 ``benchmarks/bench_ablation_scan_kernel.py`` (which also pins the
 >= 3x speedup over the loop) hold it to that.
@@ -207,33 +204,6 @@ the command line (``repro analyze --backend process --jobs 8
 --cache-dir ~/.cache/repro``).  ``REPRO_CACHE_DIR`` adds a persistent
 on-disk store to the default engine.  All backends and cache states
 return bit-identical γ and per-Δ scores.
-
-Sharded evaluation
-------------------
-Grid parallelism stops helping exactly where sweeps are slowest: the
-coarse-Δ tail and refinement rounds, where a handful of huge ``O(nM)``
-backward scans each pin a single worker.  The engine therefore also
-parallelizes *within* one Δ.  The scan's arrival-matrix columns are
-independent dynamic programs (one per trip destination), so a Δ
-evaluation splits into destination-partition shards
-(:class:`~repro.engine.tasks.AnalysisShardTask`): each shard scans a
-node subset's incoming trips with a proportionally smaller state, and
-the shard collectors merge back — integer-exact — into the very
-accumulators an unsharded scan would have produced.  Sharded results
-are bit-identical to unsharded ones on every backend.
-
-The default policy is ``auto``: shard a task into ``ceil(workers /
-tasks)`` pieces only when the plan has fewer tasks than the backend has
-workers.  Control it per call (``occupancy_method(stream,
-engine="process", shards=8)``), per engine (``SweepEngine("process",
-shards="auto")``), process-wide (``REPRO_SHARDS``), or on the command
-line (``repro analyze --backend process --jobs 8 --shards auto``).
-Sharding composes with measure fusion: every collector of the fused
-task restricts to the shard's destinations and merges integer-exactly
-(occupancy histograms and distance sums alike).  Shard results carry
-their shard spec in the cache key, and merged per-measure results are
-stored under the ordinary measure keys, so sharded and unsharded runs
-warm each other.
 
 Streaming appends
 -----------------
@@ -275,7 +245,7 @@ The engine drives all of this through
 content-keyed store (always on; ``REPRO_INCREMENTAL_MAX_BYTES`` caps
 it, ``0`` stores no checkpoints; ``repro cache stats`` reports it, the
 checkpoint states apart) — so a warm sweep on a grown stream re-scans only the
-unsettled windows of each Δ, sharded or not,
+unsettled windows of each Δ,
 with results bit-identical to a cold run
 (``benchmarks/bench_ablation_incremental_append.py`` pins the >= 3x
 wall-clock win, the counter-verified work bounds, and the equivalence).
@@ -329,7 +299,7 @@ Serving analyses
 Every one-shot ``repro analyze`` pays process startup and cold caches.
 ``repro serve`` keeps them warm instead: a long-lived daemon
 (:mod:`repro.service`, stdlib HTTP — no dependencies) owns one
-:class:`~repro.engine.SweepEngine` (async backend, shared worker pool,
+:class:`~repro.engine.SweepEngine` (thread backend, shared worker pool,
 memory+disk sweep cache, process-wide series memo) and serves analyze
 and sweep requests over a small JSON API.  Streams register once by
 content fingerprint (``POST /v1/streams`` — idempotent), jobs are
@@ -380,13 +350,14 @@ gating job next to the tests:
   ``random.*`` / ``time.time()`` / ``id()`` / ``hash()`` (randomness
   routes through :mod:`repro.utils.rng`, clocks are explicit and
   monotonic), no float accumulation inside integer-exact collectors —
-  the bit-identity contract PRs 1–3 prove backend × shard × cache.
+  the bit-identity contract the tests prove backend × cache.
   Rules: ``unsorted-set-iteration``, ``nondeterministic-call``,
   ``float-accumulation``.
-* **Collector contract.**  Any class with ``record`` feeds the sharded
-  backward scan (PR 2), so it must also define in-place ``merge`` and
-  the ``empty`` property, or shard reassembly silently drops its
-  state.  Rules: ``collector-contract``, ``collector-merge-inplace``.
+* **Collector contract.**  Any class with ``record`` feeds the
+  backward scan, whose incremental splice and ``targets=`` subsets
+  merge collectors back together, so it must also define in-place
+  ``merge`` and the ``empty`` property, or reassembly silently drops
+  its state.  Rules: ``collector-contract``, ``collector-merge-inplace``.
 * **Lock discipline.**  In ``engine/``, ``service/`` (the daemon of
   PR 5) and ``storage/`` (whose lazily-cached columns are shared
   across service threads) — and in ``tests/``, whose lock-owning

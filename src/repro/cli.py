@@ -59,7 +59,6 @@ from repro.engine import (
     ENTRY_POINT_GROUP,
     DiskStore,
     ENGINE_ENV_VAR,
-    SHARDS_ENV_VAR,
     StderrProgress,
     SweepCache,
     SweepEngine,
@@ -94,7 +93,6 @@ def _build_engine(args: argparse.Namespace) -> SweepEngine:
     environment defaults)."""
     backend = args.backend or os.environ.get(ENGINE_ENV_VAR) or "serial"
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV_VAR) or None
-    shards = args.shards or os.environ.get(SHARDS_ENV_VAR) or None
     return SweepEngine(
         backend,
         jobs=args.jobs,
@@ -103,7 +101,6 @@ def _build_engine(args: argparse.Namespace) -> SweepEngine:
             disk_max_bytes=cache_max_bytes_from_env(),
         ),
         progress=StderrProgress() if args.progress else None,
-        shards=shards,
     )
 
 
@@ -637,15 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the CPU count)",
     )
     analyze.add_argument(
-        "--shards",
-        default=None,
-        help="within-delta sharding: 'auto' splits a large evaluation "
-        "across idle workers when the sweep has fewer deltas than "
-        "--jobs (coarse-delta tail, refinement rounds), an integer "
-        "forces that many shards per delta, 1 disables; results are "
-        f"bit-identical either way (default: ${SHARDS_ENV_VAR} or 'auto')",
-    )
-    analyze.add_argument(
         "--cache-dir",
         default=None,
         help="persist per-delta sweep results under this directory so warm "
@@ -810,11 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=8765)
     serve_cmd.add_argument(
         "--backend",
-        default="async",
+        default="thread",
         choices=available_backends(),
         help="sweep execution backend shared by every request "
-        "(default: async — a shared thread pool accepting plans "
-        "non-blockingly)",
+        "(default: thread — one shared thread pool; each request's "
+        "sweep runs on it from its runner thread)",
     )
     serve_cmd.add_argument(
         "--jobs", type=int, default=None, help="backend worker count"
@@ -968,11 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker threads/processes for --backend thread/process",
-    )
-    cache.add_argument(
-        "--shards",
-        default=None,
-        help=f"within-delta sharding policy (default: ${SHARDS_ENV_VAR} or 'auto')",
     )
     cache.add_argument(
         "--progress", action="store_true", help="print sweep progress to stderr"

@@ -87,7 +87,6 @@ def classical_sweep(
     compute_distances: bool = True,
     origin: float | None = None,
     engine=None,
-    shards: int | str | None = None,
 ) -> ClassicalSweep:
     """Measure the classical parameters at every Δ in the grid.
 
@@ -95,11 +94,7 @@ def classical_sweep(
     only the cheap per-snapshot statistics.  The sweep runs through the
     :mod:`repro.engine` subsystem as a plan of fused measure tasks;
     ``engine`` accepts an engine instance, a backend name, or ``None``
-    for the process default.  ``shards`` sets the within-Δ shard policy
-    for the run; the distance statistics accumulate per destination
-    column, so they shard and merge integer-exactly like every other
-    scan measure (a distance-free sweep has no scan to split and rides
-    through any policy unchanged).
+    for the process default.
 
     To get these columns *and* an occupancy sweep from one scan per Δ,
     request the ``"classical"`` measure on
@@ -112,5 +107,5 @@ def classical_sweep(
     )
     name = (ClassicalMeasure() if compute_distances else MetricsMeasure()).name
     with engine_scope(engine) as eng:
-        results = eng.run(stream, tasks, shards=shards)
+        results = eng.run(stream, tasks)
     return ClassicalSweep([r[name] for r in results])

@@ -41,6 +41,9 @@ class OccupancyCollector:
         self._bins = bins
         self._exact = exact
         self._counts = np.zeros(bins, dtype=np.int64)
+        #: Bin of each entry of ``_counts`` once :meth:`segment_handoff`
+        #: froze this collector to its nonzero bins; ``None`` while dense.
+        self._index: np.ndarray | None = None
         self._ones = 0
         self._chunks: list[np.ndarray] = []
         self._num_trips = 0
@@ -80,6 +83,7 @@ class OccupancyCollector:
         interior = occ[~exact_one]
         if interior.size:
             idx = np.minimum((interior * self._bins).astype(np.int64), self._bins - 1)
+            self._thaw()
             np.add.at(self._counts, idx, 1)
 
     def record_batch(
@@ -108,12 +112,13 @@ class OccupancyCollector:
     def merge(self, other: "OccupancyCollector") -> "OccupancyCollector":
         """Absorb another collector's mass (in-place; returns ``self``).
 
-        The inverse of sharding a scan: collectors fed from disjoint
-        target shards of the same series sum back — histogram counts and
-        the exact atom at 1 are integer tallies, exact-mode chunks are
-        disjoint trip subsets — to precisely the accumulator an
-        unrestricted scan would have produced, so the merged
-        :meth:`distribution` is bit-identical to the unsharded one.
+        Collectors fed from disjoint parts of one scan (the window spans
+        the incremental splice reassembles, or disjoint ``targets=``
+        subsets) sum back — histogram counts and the exact atom at 1 are
+        integer tallies, exact-mode chunks are disjoint trip subsets —
+        to precisely the accumulator one whole scan would have produced,
+        so the merged :meth:`distribution` is bit-identical to it.
+        ``other`` is read, never mutated.
         """
         if not isinstance(other, OccupancyCollector):
             raise ValidationError(
@@ -133,7 +138,11 @@ class OccupancyCollector:
                     f"cannot merge histograms with {self._bins} and "
                     f"{other._bins} bins"
                 )
-            self._counts += other._counts
+            self._thaw()
+            if other._index is None:
+                self._counts += other._counts
+            else:
+                self._counts[other._index] += other._counts
             self._ones += other._ones
         self._num_trips += other._num_trips
         return self
@@ -147,16 +156,37 @@ class OccupancyCollector:
         all occupancy tallies are order-free integer folds, so the
         successor is simply a fresh collector with the same histogram
         geometry, and cached segments splice back via :meth:`merge`.
+
+        The frozen span keeps only its nonzero bins (bin indices plus
+        counts): a span covers a few windows, so it touches a few dozen
+        of the thousands of bins, and the incremental store holds many
+        spans.
         """
+        if not self._exact and self._index is None:
+            self._index = np.flatnonzero(self._counts)
+            self._counts = self._counts[self._index]
         return OccupancyCollector(bins=self._bins, exact=self._exact)
+
+    def _thaw(self) -> None:
+        """Expand frozen nonzero bins back to the dense histogram."""
+        if self._index is not None:
+            self._counts = self._dense_counts()
+            self._index = None
+
+    def _dense_counts(self) -> np.ndarray:
+        if self._index is None:
+            return self._counts
+        counts = np.zeros(self._bins, dtype=np.int64)
+        counts[self._index] = self._counts
+        return counts
 
     @property
     def empty(self) -> bool:
         """Whether the collector holds no trips yet.
 
-        A legitimately common state: a destination shard whose nodes
-        receive zero trips, or a freshly built merge accumulator.  Empty
-        collectors record and :meth:`merge` like any other; only
+        A legitimately common state: a window span or destination subset
+        that receives zero trips, or a freshly built merge accumulator.
+        Empty collectors record and :meth:`merge` like any other; only
         :meth:`distribution` — final assembly — requires mass.
         """
         return not self._num_trips
@@ -166,18 +196,20 @@ class OccupancyCollector:
 
         Raises :class:`ValidationError` when the collector — after all
         merges — holds no trips at all: a distribution needs mass.  Call
-        this only at final assembly; individual shards may legitimately
+        this only at final assembly; partial collectors may legitimately
         be :attr:`empty`.
         """
         if not self._num_trips:
             raise ValidationError(
-                "no minimal trips collected (empty series, or shards "
-                "merged into an empty total?)"
+                "no minimal trips collected (empty series, or partial "
+                "collectors merged into an empty total?)"
             )
         if self._exact:
             values = np.concatenate(self._chunks)
             return OccupancyDistribution(values)
-        return OccupancyDistribution.from_histogram(self._counts, ones_count=self._ones)
+        return OccupancyDistribution.from_histogram(
+            self._dense_counts(), ones_count=self._ones
+        )
 
 
 def series_occupancy(
@@ -194,29 +226,6 @@ def series_occupancy(
     collector = OccupancyCollector(bins=bins, exact=exact)
     scan_series(series, collector, include_self=include_self)
     return collector.distribution(), collector.num_trips
-
-
-def series_occupancy_shard(
-    series: GraphSeries,
-    targets: np.ndarray,
-    *,
-    bins: int = 4096,
-    exact: bool = False,
-    include_self: bool = False,
-) -> OccupancyCollector:
-    """Collect occupancy rates of the minimal trips arriving in ``targets``.
-
-    One shard of :func:`series_occupancy`: disjoint target subsets
-    covering the node set produce collectors that :meth:`merge
-    <OccupancyCollector.merge>` back into exactly the full accumulator.
-    Returns the raw collector (not a distribution) so partial results
-    stay mergeable — a shard whose destinations receive zero trips comes
-    back legitimately :attr:`~OccupancyCollector.empty` and merges like
-    any other; only the final merged assembly requires mass.
-    """
-    collector = OccupancyCollector(bins=bins, exact=exact)
-    scan_series(series, collector, include_self=include_self, targets=targets)
-    return collector
 
 
 def stream_occupancy_at(

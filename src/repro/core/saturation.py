@@ -118,7 +118,6 @@ def occupancy_method(
     refine_points: int = 8,
     origin: float | None = None,
     engine=None,
-    shards: int | str | None = None,
     measures=(),
 ) -> SaturationResult:
     """Determine the saturation scale γ of a link stream.
@@ -159,13 +158,6 @@ def occupancy_method(
         process default (configurable via ``REPRO_ENGINE`` /
         ``REPRO_CACHE_DIR``).  Every backend returns bit-identical
         results; cached sweep points are reused, never recomputed.
-    shards:
-        Within-Δ shard policy: ``"auto"`` (default — split a Δ across
-        idle workers only when the plan is smaller than the worker
-        pool, i.e. the coarse-Δ tail and refinement rounds), ``1`` to
-        never shard, or a fixed per-Δ shard count.  Sharded results are
-        bit-identical to unsharded ones (``REPRO_SHARDS`` / CLI
-        ``--shards`` set the process default).
     measures:
         Companion measures to evaluate at every Δ **from the same
         aggregation and the same backward scan** as the occupancy
@@ -203,7 +195,7 @@ def occupancy_method(
 
     with engine_scope(engine) as eng:
         entries = _evaluate_deltas(
-            stream, deltas, measure_set, include_self, origin, eng, shards
+            stream, deltas, measure_set, include_self, origin, eng
         )
         for _ in range(refine_rounds):
             current = np.array([e["occupancy"].delta for e in entries])
@@ -214,8 +206,7 @@ def occupancy_method(
                 break
             entries.extend(
                 _evaluate_deltas(
-                    stream, extra, measure_set, include_self, origin, eng,
-                    shards,
+                    stream, extra, measure_set, include_self, origin, eng
                 )
             )
             entries.sort(key=lambda e: e["occupancy"].delta)
@@ -240,7 +231,6 @@ def _evaluate_deltas(
     include_self: bool,
     origin: float | None,
     engine,
-    shards: int | str | None = None,
 ) -> list[dict]:
     """One fused task per Δ; returns per-Δ measure-result dicts."""
     tasks = plan_measure_sweep(
@@ -249,4 +239,4 @@ def _evaluate_deltas(
         include_self=include_self,
         origin=origin,
     )
-    return engine.run(stream, tasks, shards=shards)
+    return engine.run(stream, tasks)

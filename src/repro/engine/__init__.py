@@ -16,15 +16,9 @@ content-addressed :class:`~repro.engine.cache.SweepCache`:
   reachability) registered exactly like plugins;
 * :mod:`repro.engine.tasks` — the fused per-Δ :class:`AnalysisTask`
   that aggregates once, scans once, and emits one separately-cached
-  result per measure, plus the within-Δ shard planner
-  (:class:`AnalysisShardTask` splits one huge evaluation into
-  destination-partition shards that merge back bit-identically) — all
-  generic over the registry;
+  result per measure, generic over the registry;
 * :mod:`repro.engine.backends` — serial (default), thread-pool, and
-  chunked process-pool execution, all bit-identical, plus the ``async``
-  backend whose :meth:`~repro.engine.backends.AsyncBackend.submit_plan`
-  queues a plan non-blockingly and returns a
-  :class:`~repro.engine.backends.PlanHandle`;
+  chunked process-pool execution of whole Δs, all bit-identical;
 * :mod:`repro.engine.cancel` — cooperative cancellation:
   :class:`CancelToken` (explicit cancel or deadline) checked at every
   task boundary, carried by ``cancel_scope`` so nested sweeps inherit
@@ -39,8 +33,8 @@ content-addressed :class:`~repro.engine.cache.SweepCache`:
 * :mod:`repro.engine.cache` — layered memory/disk result store keyed on
   the stream fingerprint plus the task parameters;
 * :mod:`repro.engine.scheduler` — :class:`SweepEngine`, the cache-aware
-  dispatcher (blocking ``run`` and future-shaped ``submit``), plus the
-  ``REPRO_ENGINE`` / ``REPRO_CACHE_DIR`` defaults;
+  dispatcher (``run``), plus the ``REPRO_ENGINE`` / ``REPRO_CACHE_DIR``
+  defaults;
 * :mod:`repro.engine.progress` — listener hooks for long sweeps.
 
 Typical use::
@@ -53,9 +47,7 @@ Typical use::
 """
 
 from repro.engine.backends import (
-    AsyncBackend,
     ExecutionBackend,
-    PlanHandle,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -73,18 +65,14 @@ from repro.engine.cache import (
 )
 from repro.engine.progress import NULL_PROGRESS, ProgressListener, StderrProgress
 from repro.engine.scheduler import (
-    AUTO_SHARDS,
     CACHE_DIR_ENV_VAR,
     CACHE_MAX_BYTES_ENV_VAR,
     ENGINE_ENV_VAR,
-    SHARDS_ENV_VAR,
-    EngineFuture,
     SweepEngine,
     cache_max_bytes_from_env,
     default_engine,
     engine_from_env,
     engine_scope,
-    normalize_shards,
     resolve_engine,
     set_default_engine,
 )
@@ -122,22 +110,16 @@ from repro.engine.incremental import (
     incremental_stats,
 )
 from repro.engine.tasks import (
-    AnalysisShardResult,
-    AnalysisShardTask,
     AnalysisTask,
     DeltaTask,
-    ShardPlan,
     plan_classical_sweep,
     plan_measure_sweep,
     plan_occupancy_sweep,
-    plan_shard_expansion,
 )
 
 __all__ = [
     "DeltaTask",
     "AnalysisTask",
-    "AnalysisShardTask",
-    "AnalysisShardResult",
     "MeasureSpec",
     "SeriesGeometry",
     "OccupancyMeasure",
@@ -163,17 +145,13 @@ __all__ = [
     "parse_measures_arg",
     "normalize_measures",
     "resolve_measure",
-    "ShardPlan",
     "plan_measure_sweep",
     "plan_occupancy_sweep",
     "plan_classical_sweep",
-    "plan_shard_expansion",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "AsyncBackend",
-    "PlanHandle",
     "get_backend",
     "available_backends",
     "CancelToken",
@@ -181,7 +159,6 @@ __all__ = [
     "current_cancel_token",
     "Job",
     "JobQueue",
-    "EngineFuture",
     "IncrementalScanSession",
     "INCREMENTAL_COUNTS",
     "incremental_stats",
@@ -198,12 +175,9 @@ __all__ = [
     "engine_scope",
     "engine_from_env",
     "cache_max_bytes_from_env",
-    "normalize_shards",
-    "AUTO_SHARDS",
     "ENGINE_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "CACHE_MAX_BYTES_ENV_VAR",
-    "SHARDS_ENV_VAR",
     "ProgressListener",
     "StderrProgress",
     "NULL_PROGRESS",

@@ -7,43 +7,38 @@ execution strategy.  Three strategies are built in:
 * :class:`SerialBackend` — the default: the tasks in order in the
   calling thread, a sweep's scans stacked (:func:`~repro.engine.tasks.
   evaluate_tasks`); the reference the others are tested against.
-* :class:`ThreadBackend` — a shared thread pool.  The numpy kernels
+* :class:`ThreadBackend` — a shared thread pool (the analysis daemon's
+  default, shared by its runner threads).  The numpy kernels
   release the GIL for long stretches (sorting, histogramming), so
   threads already overlap usefully without any pickling cost.
 * :class:`ProcessBackend` — a process pool fed *chunks* of tasks, so the
   columnar event arrays are pickled once per chunk rather than once per
   Δ.  Best for large streams where each Δ evaluation dominates.
 
-A fourth strategy serves long-lived processes:
-
-* :class:`AsyncBackend` — a thread pool that *also* accepts plans
-  non-blockingly (:meth:`~AsyncBackend.submit_plan` returns a
-  :class:`PlanHandle` immediately); many concurrent submitters share the
-  one bounded pool, their tasks interleaving FIFO, so no request can
-  starve the others.  The analysis service's job queue runs on it.
-
 Backends are picked by name (``get_backend("thread")``), optionally with
 a worker count (``"process:4"``), and keep their pools alive across runs
 so repeated sweeps amortize the startup cost.
 
-Every ``run``/``submit_plan`` accepts an optional
+Every ``run`` accepts an optional
 :class:`~repro.engine.cancel.CancelToken`.  Workers check the token
 before evaluating each task; a cancelled (or deadline-expired) token
 raises :class:`~repro.utils.errors.JobCancelled` naming the task it
 stopped at, which rides the backends' existing fail-fast path — pending
-tasks of the plan are cancelled exactly as after any task failure.
+tasks of the plan are cancelled exactly as after any task failure.  A
+process worker that dies mid-task is an
+:class:`~repro.utils.errors.EngineError` naming the task too, and the
+next run starts a fresh pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from functools import partial
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.cancel import CancelToken
 from repro.engine.tasks import DeltaTask, evaluate_tasks, wrap_task_failure
@@ -61,11 +56,6 @@ class ExecutionBackend(ABC):
     """Executes a plan of independent tasks, preserving task order."""
 
     name: str = "abstract"
-
-    @property
-    def workers(self) -> int:
-        """How many tasks can make progress at once (1 when in-process)."""
-        return 1
 
     @abstractmethod
     def run(
@@ -118,10 +108,6 @@ class _PooledBackend(ExecutionBackend):
 
     @property
     def jobs(self) -> int:
-        return self._jobs
-
-    @property
-    def workers(self) -> int:
         return self._jobs
 
     @abstractmethod
@@ -243,19 +229,30 @@ class ProcessBackend(_PooledBackend):
             cancel.guard(tasks[0])
         pool = self._ensure_pool()
         chunks = self._chunks(tasks)
-        futures = [pool.submit(_evaluate_chunk, stream, chunk) for chunk in chunks]
-        results = []
-        for i, future in enumerate(futures):
-            try:
+        futures: list = []
+        results: list = []
+        i = 0
+        try:
+            futures = [
+                pool.submit(_evaluate_chunk, stream, chunk) for chunk in chunks
+            ]
+            for i, future in enumerate(futures):
                 chunk_results = self._collect(future, futures[i:], chunks[i], cancel)
-            except BaseException:
-                # The worker already named the failing task (see
-                # _evaluate_chunk); just stop the remaining chunks.
-                _cancel_pending(futures[i + 1 :])
-                raise
-            results.extend(chunk_results)
-            if tick is not None:
-                tick(len(chunk_results))
+                results.extend(chunk_results)
+                if tick is not None:
+                    tick(len(chunk_results))
+        except BrokenProcessPool as exc:
+            # A worker died (os._exit, a signal, the OOM killer): the pool
+            # is unusable for good, so drop it and let the next run start
+            # a fresh one.
+            self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise wrap_task_failure(chunks[i][0], exc) from exc
+        except BaseException:
+            # The worker already named the failing task (see
+            # _evaluate_chunk); just stop the remaining chunks.
+            _cancel_pending(futures[i + 1 :])
+            raise
         return results
 
     @staticmethod
@@ -279,144 +276,10 @@ class ProcessBackend(_PooledBackend):
                     cancel.guard(chunk[0])
 
 
-class PlanHandle:
-    """A submitted plan's pending results (the async backend's future).
-
-    ``results[i]`` matches ``tasks[i]``, exactly like a blocking
-    :meth:`ExecutionBackend.run` — but the handle is returned the moment
-    the plan's tasks are queued, and resolves from pool callbacks with
-    no thread blocked per plan.  The first task failure wins, cancels
-    every not-yet-started task of the plan (the fail-fast contract), and
-    becomes the handle's error.
-    """
-
-    def __init__(self, tasks: Sequence[DeltaTask], tick: TickCallback | None) -> None:
-        self._tasks = tasks
-        self._tick = tick
-        self._results: list = [None] * len(tasks)
-        self._remaining = len(tasks)
-        self._error: BaseException | None = None
-        # Reentrant: cancelling pending futures fires their callbacks
-        # synchronously on this thread, re-entering _on_task_done.
-        self._lock = threading.RLock()
-        self._done = threading.Event()
-        self._futures: list = []
-        self._callbacks: list[Callable[["PlanHandle"], None]] = []
-
-    def _attach(self, futures: Sequence) -> None:
-        """Wire the plan's futures in; callbacks on already-finished
-        futures fire immediately, so attachment is race-free."""
-        # The lock is reentrant, so holding it here stays safe even when
-        # an already-finished future fires _on_task_done synchronously.
-        with self._lock:
-            self._futures = list(futures)
-        if not futures:
-            self._settle()
-            return
-        for i, future in enumerate(futures):
-            future.add_done_callback(partial(self._on_task_done, i))
-
-    def _on_task_done(self, index: int, future) -> None:
-        callbacks = None
-        with self._lock:
-            if self._done.is_set():
-                return
-            try:
-                self._results[index] = future.result()
-            except BaseException as exc:
-                if self._error is None:
-                    if isinstance(exc, EngineError) or not isinstance(exc, Exception):
-                        self._error = exc
-                    else:
-                        wrapped = wrap_task_failure(self._tasks[index], exc)
-                        wrapped.__cause__ = exc
-                        self._error = wrapped
-                    _cancel_pending(self._futures)
-            self._remaining -= 1
-            if self._remaining == 0:
-                callbacks = self._settle_locked()
-        if self._error is None and self._tick is not None:
-            self._tick(1)
-        if callbacks is not None:
-            self._fire(callbacks)
-
-    def _settle(self) -> None:
-        with self._lock:
-            callbacks = self._settle_locked()
-        self._fire(callbacks)
-
-    def _settle_locked(self) -> list:
-        self._done.set()
-        callbacks, self._callbacks = self._callbacks, []
-        return callbacks
-
-    def _fire(self, callbacks) -> None:
-        for callback in callbacks:
-            callback(self)
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def add_done_callback(self, callback: Callable[["PlanHandle"], None]) -> None:
-        """Run ``callback(handle)`` once the plan settles (immediately if
-        it already has).  Runs on the thread finishing the last task."""
-        with self._lock:
-            if not self._done.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
-    def result(self, timeout: float | None = None) -> list:
-        """Block for the plan's results (or raise its first failure)."""
-        if not self._done.wait(timeout):
-            raise EngineError(
-                f"plan of {len(self._tasks)} tasks not done within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._results
-
-    def __repr__(self) -> str:
-        if not self._done.is_set():
-            return f"PlanHandle(pending, {self._remaining}/{len(self._tasks)} tasks left)"
-        state = "failed" if self._error is not None else "done"
-        return f"PlanHandle({state}, {len(self._tasks)} tasks)"
-
-
-class AsyncBackend(ThreadBackend):
-    """A thread backend that also accepts plans without blocking.
-
-    :meth:`submit_plan` queues every task on the shared pool and returns
-    a :class:`PlanHandle` immediately; results assemble from pool
-    callbacks.  Many plans interleave FIFO on the one bounded pool, so
-    concurrent requests share workers fairly.  The blocking ``run`` is
-    inherited, so the async backend drops into any engine unchanged.
-    """
-
-    name = "async"
-
-    def submit_plan(
-        self,
-        stream: LinkStream,
-        tasks: Sequence[DeltaTask],
-        *,
-        tick: TickCallback | None = None,
-        cancel: CancelToken | None = None,
-    ) -> PlanHandle:
-        handle = PlanHandle(tasks, tick)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_guarded_evaluate, task, stream, cancel) for task in tasks
-        ]
-        handle._attach(futures)
-        return handle
-
-
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
-    AsyncBackend.name: AsyncBackend,
 }
 
 

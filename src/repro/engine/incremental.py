@@ -19,7 +19,7 @@ recognition into reuse for the two expensive stages of a sweep point:
 
 Both reuses are exact: the spliced series and the assembled consumers
 are bit-identical to from-scratch computation (property-tested across
-sharding and straddling-window appends), which is why cache
+measure stacks and straddling-window appends), which is why cache
 keys never distinguish warm from cold evaluation.
 
 The store is process-global and bounded by one byte budget
@@ -32,11 +32,11 @@ service process keeps them warm across appends.  ``REPRO_INCREMENTAL_MAX_BYTES=0
 resume finds nothing to settle on); results are identical either way.
 
 Keys are content-derived: ``(stream fingerprint, Δ, origin)`` addresses
-a stream entry, and ``(include_self, shard, consumer tokens)`` a scan
-record within it.  A record is only ever replayed for the same measure
-stack (the consumer tokens pin collector construction parameters), the
-same destination partition (``shard``), and an unchanged node count, so
-a stale or foreign record cannot be spliced into a result.
+a stream entry, and ``(include_self, consumer tokens)`` a scan record
+within it.  A record is only ever replayed for the same measure stack
+(the consumer tokens pin collector construction parameters) and an
+unchanged node count, so a stale or foreign record cannot be spliced
+into a result.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ class IncrementalScanSession:
     """One (stream, Δ) evaluation's view of the incremental store.
 
     Binds a stream, an aggregation geometry, and a scan identity
-    (``include_self``, destination ``shard``, the measure stack's
-    ``consumer_tokens``), then serves the two reusable stages:
+    (``include_self`` and the measure stack's ``consumer_tokens``), then
+    serves the two reusable stages:
 
     * :meth:`series` — the aggregated series, spliced from a cached
       ancestor prefix when one is warm.
@@ -210,13 +210,9 @@ class IncrementalScanSession:
       record's settled boundary when one is warm; the scan it runs (warm
       or cold) is recorded for the *next* append.
 
-    ``shard`` is ``None`` for an unrestricted scan or ``(shard_index,
-    num_shards)`` for the engine's strided destination partition; when a
-    shard is given, :meth:`scan` must be called with the matching
-    ``targets`` — the shard tuple is what keys the record, so mismatched
-    targets would splice wrong columns.  ``consumer_tokens`` must pin
-    every consumer's construction parameters in list order (the engine
-    passes each measure's ``(name, collector_token())``).
+    ``consumer_tokens`` must pin every consumer's construction
+    parameters in list order (the engine passes each measure's
+    ``(name, collector_token())``).
 
     Everything degrades gracefully: a spent byte budget, unknown ancestry,
     changed node count, or consumers without ``segment_handoff`` all
@@ -230,16 +226,12 @@ class IncrementalScanSession:
         delta: float,
         origin: float | None = None,
         include_self: bool = False,
-        shard: tuple[int, int] | None = None,
         consumer_tokens: tuple = (),
     ) -> None:
         self._stream = stream
         self._delta = float(delta)
         self._origin = origin
         self._include_self = bool(include_self)
-        self._shard = (
-            None if shard is None else (int(shard[0]), int(shard[1]))
-        )
         self._consumer_tokens = tuple(consumer_tokens)
         canonical = origin
         if canonical is not None and float(canonical) == stream.t_min:
@@ -252,11 +244,7 @@ class IncrementalScanSession:
             repr(self._delta),
             self._origin_token,
         )
-        self._scan_key = (
-            self._include_self,
-            self._shard,
-            self._consumer_tokens,
-        )
+        self._scan_key = (self._include_self, self._consumer_tokens)
         self._series: GraphSeries | None = None
 
     # -- ancestry ---------------------------------------------------------
@@ -352,12 +340,7 @@ class IncrementalScanSession:
 
     # -- the scan stage ---------------------------------------------------
 
-    def scan(
-        self,
-        consumers,
-        *,
-        targets: np.ndarray | None = None,
-    ) -> ScanResult:
+    def scan(self, consumers) -> ScanResult:
         """Run the backward scan, resuming from a warm record when possible.
 
         Feeds ``consumers`` exactly as ``scan_series(series, consumers)``
@@ -366,7 +349,7 @@ class IncrementalScanSession:
         appends.  Returns the :class:`~repro.temporal.reachability.
         ScanResult`.
         """
-        return self.run(self.scan_job(consumers), targets=targets)
+        return self.run(self.scan_job(consumers))
 
     def scan_job(self, consumers) -> ScanJob:
         """The scan :meth:`scan` would run, as a
@@ -387,15 +370,12 @@ class IncrementalScanSession:
             self._resume_plan(series),
         )
 
-    def run(
-        self, job: ScanJob, *, targets: np.ndarray | None = None
-    ) -> ScanResult:
-        """Scan ``job`` alone (restricted to ``targets``) and commit it."""
+    def run(self, job: ScanJob) -> ScanResult:
+        """Scan ``job`` alone and commit it."""
         result = scan_series(
             job.series,
             job.collector,
             include_self=self._include_self,
-            targets=targets,
             checkpoints=job.checkpoints,
             resume=job.resume,
         )

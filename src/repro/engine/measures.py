@@ -8,18 +8,16 @@ dataclass whose fields *are* its parameter schema, and it declares
   consumer via :meth:`~MeasureSpec.make_collector` (a trip collector or
   a state accumulator riding the single backward pass);
   :attr:`~MeasureSpec.has_payload` measures do per-series work via
-  :meth:`~MeasureSpec.series_payload` (carried by one shard when the
-  evaluation is sharded);
+  :meth:`~MeasureSpec.series_payload`;
 * its cache identity — :meth:`~MeasureSpec.token` is derived
   automatically from the dataclass fields and hashed into the measure's
   per-Δ cache key (:attr:`~MeasureSpec.scoring_fields` names pure
-  post-processing parameters excluded from the shard-collector identity,
-  so shard entries are shared across sweeps that differ only in
-  scoring);
-* its shard-merge rule — :meth:`~MeasureSpec.finalize` receives one
-  collector per destination shard (length 1 when unsharded) and must
-  fold them into the per-Δ result, so sharded and unsharded paths are
-  bit-identical by construction;
+  post-processing parameters excluded from the collector identity that
+  keys incremental scan records);
+* its assembly — :meth:`~MeasureSpec.finalize` turns the one collector
+  the scan fed (``None`` for a measure that does not scan) plus the
+  payload into the per-Δ result, reading the collector without
+  mutating it;
 * its eviction class — :attr:`~MeasureSpec.cache_weight` ranks how
   expensive the result is to recompute; the disk store sweeps
   cheap-to-recompute entries first.
@@ -28,7 +26,7 @@ Measures register by name into :data:`MEASURE_REGISTRY` through
 :func:`register_measure` — the same API third-party code uses at
 runtime, no engine changes required: the scheduler's multi-result
 protocol (``result_keys`` / ``narrow`` / ``split_result`` /
-``assemble``) and the within-Δ sharding are generic over the registry.
+``assemble``) is generic over the registry.
 Registered names resolve everywhere a measure is accepted —
 ``occupancy_method(measures=...)``, ``analyze_stream(measures=...)``,
 and the CLI's ``--measures name[:k=v,...]`` (see
@@ -60,19 +58,15 @@ with defaults), and register it::
             from repro.temporal import CountingCollector
             return CountingCollector()
 
-        def finalize(self, delta, geometry, payload, collectors):
-            merged = self.make_collector()
-            for collector in collectors:
-                merged.merge(collector)        # the shard-merge rule
-            return self.scale * merged.num_trips
+        def finalize(self, delta, geometry, payload, collector):
+            return self.scale * collector.num_trips
 
     result = occupancy_method(stream, measures=("hop_count",))
     result.companions["hop_count"]             # one value per Δ
 
 The collector must implement the scan's consumer protocol (``record``
 for trip collectors, ``observe_row``/``close_run`` — optionally
-``begin`` — for state accumulators) plus in-place ``merge`` and
-``empty`` when the measure should shard.  Collectors may additionally
+``begin`` — for state accumulators).  Collectors may additionally
 implement the batched feeds (``record_batch`` / ``observe_rows``) to
 receive many windows from the scan kernel in one call
 (``record_batch``'s ``dep`` is an int64 array parallel to ``sources``;
@@ -80,9 +74,10 @@ a batch may span windows, and each (window, source) pair is contiguous
 and in the reference loop's order);
 without them the kernel adapts back to per-source ``record`` /
 per-row ``observe_row`` calls in the classic order, so plain
-collectors keep working unchanged.  ``finalize`` must fold into
-*fresh* accumulators: shard collectors may live in the sweep cache,
-which must stay pristine.
+collectors keep working unchanged.  A collector that also implements
+``segment_handoff`` and ``merge`` (every built-in does) lets an
+appended stream's scan splice cached window spans instead of
+rescanning them (:mod:`repro.engine.incremental`).
 """
 
 from __future__ import annotations
@@ -111,7 +106,7 @@ from repro.utils.errors import EngineError
 
 @dataclass(frozen=True)
 class SeriesGeometry:
-    """Shape of the aggregated series, identical across shards of one Δ."""
+    """Shape of the series aggregated at one Δ."""
 
     num_nodes: int
     num_windows: int
@@ -134,10 +129,7 @@ class MeasureSpec(ABC):
     backward scan (it contributes a collector / accumulator via
     :meth:`make_collector`) or on the series itself
     (:meth:`series_payload`), or both; :meth:`finalize` assembles the
-    final per-Δ result from the collected state.  Finalization always
-    goes through the *merge* shape — a list of collectors, one per shard
-    (length 1 for an unsharded evaluation) — so sharded and unsharded
-    paths are bit-identical by construction.
+    final per-Δ result from the collected state.
     """
 
     @property
@@ -150,13 +142,12 @@ class MeasureSpec(ABC):
     #: (A class attribute, not a dataclass field: it is part of the
     #: measure's *kind*, not of its parameters.)
     scans = False
-    #: Whether the measure needs per-series (non-scan) work.  Carried by
-    #: a single shard when the evaluation is sharded.
+    #: Whether the measure needs per-series (non-scan) work.
     has_payload = False
     #: Field names that only affect pure post-processing (scoring), not
     #: what the scan collector accumulates; excluded from
-    #: :meth:`collector_token` so shard cache entries are shared across
-    #: sweeps differing only in scoring.  (A class attribute — no
+    #: :meth:`collector_token` so incremental scan records are shared
+    #: across sweeps differing only in scoring.  (A class attribute — no
     #: annotation — so it never becomes a dataclass field itself.)
     scoring_fields = ()
     #: Relative cost of recomputing this measure's cached results; the
@@ -237,14 +228,15 @@ class MeasureSpec(ABC):
         delta: float,
         geometry: SeriesGeometry,
         payload: Any,
-        collectors: list,
+        collector: Any,
     ) -> Any:
-        """Assemble the per-Δ result from shard collectors + payload.
+        """Assemble the per-Δ result from the collector + payload.
 
-        ``collectors`` holds one collector per shard, in shard order
-        (empty when :attr:`scans` is false).  Implementations must fold
-        into *fresh* accumulators — shard collectors may live in the
-        sweep cache, which must stay pristine.
+        ``collector`` is the one collector :meth:`make_collector` built
+        and the scan fed (``None`` when :attr:`scans` is false);
+        ``payload`` is :meth:`series_payload`'s result (``None`` when
+        :attr:`has_payload` is false).  Implementations read the
+        collector and never mutate it.
         """
 
 
@@ -659,18 +651,15 @@ class OccupancyMeasure(MeasureSpec):
     def make_collector(self) -> OccupancyCollector:
         return OccupancyCollector(bins=self.bins, exact=self.exact)
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         from repro.core.saturation import SweepPoint
 
-        merged = OccupancyCollector(bins=self.bins, exact=self.exact)
-        for collector in collectors:
-            merged.merge(collector)
-        distribution = merged.distribution()
+        distribution = collector.distribution()
         return SweepPoint(
             delta=float(delta),
             num_windows=geometry.num_windows,
             num_nonempty_windows=geometry.num_nonempty_windows,
-            num_trips=merged.num_trips,
+            num_trips=collector.num_trips,
             distribution=distribution,
             scores=score_distribution(distribution, self.methods),
         )
@@ -701,13 +690,10 @@ class ClassicalMeasure(MeasureSpec):
     def series_payload(self, series):
         return series_metrics(series)
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         from repro.core.classical import ClassicalPoint
 
-        merged = DistanceTotals()
-        for collector in collectors:
-            merged.merge(collector)
-        distances = merged.stats(geometry.num_nodes, geometry.num_windows)
+        distances = collector.stats(geometry.num_nodes, geometry.num_windows)
         return ClassicalPoint(float(delta), payload, distances)
 
 
@@ -730,7 +716,7 @@ class MetricsMeasure(MeasureSpec):
     def series_payload(self, series):
         return series_metrics(series)
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         from repro.core.classical import ClassicalPoint
 
         return ClassicalPoint(float(delta), payload, None)
@@ -744,7 +730,7 @@ class TripSample:
     ``(u, v, dep, arr)`` order, selected by the deterministic priority
     sketch of :func:`~repro.temporal.collectors.trip_priorities` — a
     uniform sample that is a pure function of the trip set, identical
-    whatever the backend or shard layout.  The totals (``num_trips``,
+    whatever the backend.  The totals (``num_trips``,
     ``hops_total``, ``duration_total``) always count *every* minimal
     trip, exactly.
     """
@@ -789,7 +775,7 @@ class TripsMeasure(MeasureSpec):
     :class:`TripSample`: at most ``max_samples`` trips retained through
     the capped :class:`~repro.temporal.collectors.TripListCollector`
     (reservoir-style bottom-k priority sketch, so the sample is
-    identical across backends and shard layouts) alongside exact
+    identical across backends) alongside exact
     trip/hop/duration totals over the full population.
     """
 
@@ -814,20 +800,17 @@ class TripsMeasure(MeasureSpec):
     def make_collector(self) -> TripListCollector:
         return TripListCollector(max_trips=self.max_samples, seed=self.seed)
 
-    def finalize(self, delta, geometry, payload, collectors):
-        merged = TripListCollector(max_trips=self.max_samples, seed=self.seed)
-        for collector in collectors:
-            merged.merge(collector)
-        sample = merged.trips()
+    def finalize(self, delta, geometry, payload, collector):
+        sample = collector.trips()
         # Canonical order: the retained set is order-free (a bottom-k
         # sketch); sort by trip identity so equal samples are equal
-        # arrays whatever the merge order was.
+        # arrays whatever order the scan and any span splices fed it.
         order = np.lexsort((sample.arr, sample.dep, sample.v, sample.u))
         return TripSample(
             delta=float(delta),
-            num_trips=merged.num_recorded,
-            hops_total=merged.hops_total,
-            duration_total=merged.duration_total,
+            num_trips=collector.num_recorded,
+            hops_total=collector.hops_total,
+            duration_total=collector.duration_total,
             max_samples=self.max_samples,
             trips=TripSet(
                 sample.u[order],
@@ -924,7 +907,7 @@ class ComponentsMeasure(MeasureSpec):
                 counts[1] += series.num_nodes - touched
         return counts
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         return ComponentsPoint(
             delta=float(delta),
             num_windows=geometry.num_windows,
@@ -1010,10 +993,8 @@ class ReachabilityMeasure(MeasureSpec):
     Rides the backward scan through an
     :class:`~repro.temporal.reachability.EarliestArrivalAccumulator`:
     the same closed-form departure-run folding as the classical distance
-    statistics, kept per ordered pair instead of summed globally.  The
-    shard-merge rule is a plain column scatter — each destination shard
-    owns disjoint arrival-matrix columns — so sharded results are
-    bit-identical by construction.
+    statistics, kept per ordered pair instead of summed globally, and
+    scattered into ``n × n`` matrices by the accumulator's columns.
     """
 
     scans = True
@@ -1029,19 +1010,16 @@ class ReachabilityMeasure(MeasureSpec):
     def make_collector(self) -> EarliestArrivalAccumulator:
         return EarliestArrivalAccumulator()
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         n = geometry.num_nodes
         reach = np.zeros((n, n), dtype=np.int64)
         dist = np.zeros((n, n), dtype=np.int64)
         hops = np.zeros((n, n), dtype=np.int64)
-        for accumulator in collectors:
-            if accumulator.cols is None:
-                # The accumulator never saw a scan (empty consumer set
-                # cannot happen for a scans=True measure) — defensive.
-                continue
-            reach[:, accumulator.cols] = accumulator.reach_steps
-            dist[:, accumulator.cols] = accumulator.dist_sum
-            hops[:, accumulator.cols] = accumulator.hops_sum
+        if collector.cols is not None:
+            # Fresh matrices: the accumulator's own stay untouched.
+            reach[:, collector.cols] = collector.reach_steps
+            dist[:, collector.cols] = collector.dist_sum
+            hops[:, collector.cols] = collector.hops_sum
         np.fill_diagonal(reach, 0)
         np.fill_diagonal(dist, 0)
         np.fill_diagonal(hops, 0)

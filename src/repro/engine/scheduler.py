@@ -2,7 +2,7 @@
 
 :class:`SweepEngine` is the seam between the sweep callers
 (:func:`~repro.core.saturation.occupancy_method` and friends) and the
-execution machinery.  ``run(stream, tasks)``:
+execution machinery.  ``run(stream, tasks)`` is one pass:
 
 1. probes the :class:`~repro.engine.cache.SweepCache` for every task's
    **per-result keys** (a fused :class:`~repro.engine.tasks.AnalysisTask`
@@ -15,15 +15,14 @@ execution machinery.  ``run(stream, tasks)``:
 
 A warm occupancy cache plus a cold classical request therefore re-scans
 each Δ exactly once — computing only the classical measure — and a fully
-warm measure set is served without touching the backend at all.
+warm measure set is served without touching the backend at all.  A run
+honours a :class:`~repro.engine.cancel.CancelToken` (passed explicitly
+or inherited from the calling thread's ``cancel_scope``), cancelling
+pending work via the backends' fail-fast path.
 
-``submit(stream, tasks)`` is the same pipeline split at the execution
-seam: probing and narrowing happen synchronously (they are cheap), the
-missing units are queued on an async-capable backend, and the returned
-:class:`EngineFuture` resolves from pool callbacks — no thread blocked
-per plan.  Both paths honour a :class:`~repro.engine.cancel.CancelToken`
-(passed explicitly or inherited from the calling thread's
-``cancel_scope``), cancelling pending work via the fail-fast path.
+The unit of parallel work is a whole Δ: the backends spread a plan's
+tasks over their workers, and each task aggregates and scans its Δ in
+one piece.
 
 The process-wide **default engine** is what sweeps use when no engine is
 passed explicitly.  It is configured from the environment on first use:
@@ -31,21 +30,7 @@ passed explicitly.  It is configured from the environment on first use:
 * ``REPRO_ENGINE`` — backend spec, e.g. ``serial`` (default), ``thread``,
   ``process``, or ``thread:8`` to pin the worker count;
 * ``REPRO_CACHE_DIR`` — adds a persistent on-disk result store;
-* ``REPRO_CACHE_MAX_BYTES`` — size cap for that store (LRU eviction);
-* ``REPRO_SHARDS`` — within-Δ sharding: ``auto`` (the default heuristic),
-  ``1`` (never shard), or a fixed shard count per Δ.
-
-**Within-Δ sharding.**  Grid parallelism stops helping when the plan has
-fewer tasks than the backend has workers — the coarse-Δ tail of a sweep
-and refinement rounds, where one huge evaluation pins one worker while
-the rest idle.  For those plans the engine splits each shardable
-(narrowed) task into destination-partition shards (see
-:class:`~repro.engine.tasks.AnalysisShardTask`), runs the shards like
-any other tasks (each with its own shard-spec cache key), and merges
-them back into one result per Δ — bit-identical to the unsharded
-evaluation on every backend.  The merged per-measure results are stored
-under the ordinary measure keys, so sharded and unsharded runs warm
-each other.
+* ``REPRO_CACHE_MAX_BYTES`` — size cap for that store (LRU eviction).
 
 An in-memory cache is always on for the default engine: results are
 immutable and deterministic, so reuse is free correctness-wise and turns
@@ -55,18 +40,15 @@ into lookups.
 
 from __future__ import annotations
 
-import math
 import os
-import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.engine.backends import ExecutionBackend, get_backend
 from repro.engine.cancel import CancelToken, current_cancel_token
 from repro.engine.cache import MISS, SweepCache
 from repro.engine.progress import NULL_PROGRESS, ProgressListener
-from repro.engine.tasks import DeltaTask, plan_shard_expansion
+from repro.engine.tasks import DeltaTask
 from repro.linkstream.stream import LinkStream
 from repro.utils.errors import EngineError
 
@@ -76,117 +58,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: Environment variable capping the disk store's size in bytes.
 CACHE_MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
-#: Environment variable selecting the default engine's shard policy.
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-#: Shard policy meaning "apply the heuristic" (shard only plans with
-#: fewer tasks than the backend has workers).
-AUTO_SHARDS = "auto"
-
-
-def normalize_shards(shards: int | str | None) -> int | str:
-    """Validate a shard policy: ``None``/``"auto"`` -> :data:`AUTO_SHARDS`,
-    a positive integer (or its string form) -> that fixed count."""
-    if shards is None:
-        return AUTO_SHARDS
-    if isinstance(shards, str):
-        text = shards.strip().lower()
-        if text == AUTO_SHARDS:
-            return AUTO_SHARDS
-        try:
-            shards = int(text)
-        except ValueError:
-            raise EngineError(
-                f"bad shard policy {text!r}: expected 'auto' or a positive integer"
-            ) from None
-    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-        raise EngineError(
-            f"bad shard policy {shards!r}: expected 'auto' or a positive integer"
-        )
-    return shards
-
-
-@dataclass
-class _PlanState:
-    """Everything :meth:`SweepEngine._prepare` established about a plan:
-    the cache probe's outcome plus the execution units still missing.
-    Passing it to :meth:`SweepEngine._finish` with the backend's fresh
-    results completes the run — whichever thread the backend finishes
-    on."""
-
-    tasks: list
-    parts: list
-    keys: list
-    missing: list
-    narrowed: list
-    pending: list
-    groups: dict
-    units: list
-    unit_results: list
-    unit_keys: list
-    to_run: list
-    progress_total: int
-    tick: Callable[[int], None] | None = None
-    fingerprint: str | None = None
-
-    @property
-    def run_units(self) -> list:
-        """The subtasks the backend must actually evaluate."""
-        return [self.units[j] for j in self.to_run]
-
-
-class EngineFuture:
-    """A pending :meth:`SweepEngine.submit`: results later, no thread
-    blocked meanwhile.  Resolves on the pool thread finishing the plan's
-    last task; ``result()`` blocks, ``add_done_callback`` doesn't."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._results: list | None = None
-        self._error: BaseException | None = None
-        self._lock = threading.Lock()
-        self._callbacks: list[Callable[["EngineFuture"], None]] = []
-
-    def _complete(self, results: list) -> None:
-        with self._lock:
-            self._results = results
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def _fail(self, error: BaseException) -> None:
-        with self._lock:
-            self._error = error
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def add_done_callback(self, callback: Callable[["EngineFuture"], None]) -> None:
-        """Run ``callback(future)`` once resolved (immediately if done)."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
-    def result(self, timeout: float | None = None) -> list:
-        """Block for the assembled task results (or raise the failure)."""
-        if not self._event.wait(timeout):
-            raise EngineError(f"sweep not done within {timeout}s")
-        if self._error is not None:
-            raise self._error
-        return self._results
-
-    def __repr__(self) -> str:
-        if not self._event.is_set():
-            return "EngineFuture(pending)"
-        state = "failed" if self._error is not None else "done"
-        return f"EngineFuture({state})"
 
 
 class SweepEngine:
@@ -204,12 +75,6 @@ class SweepEngine:
         Worker count when ``backend`` is given by name.
     progress:
         A :class:`ProgressListener` notified as tasks complete.
-    shards:
-        Within-Δ shard policy: ``"auto"`` (the default — shard a task
-        into ``ceil(workers / tasks)`` pieces only when the plan has
-        fewer tasks than the backend has workers), ``1`` to never shard,
-        or a fixed per-task shard count.  Whatever the policy, results
-        are bit-identical to the unsharded serial evaluation.
     """
 
     def __init__(
@@ -219,172 +84,16 @@ class SweepEngine:
         cache: SweepCache | None = None,
         jobs: int | None = None,
         progress: ProgressListener | None = None,
-        shards: int | str | None = None,
     ) -> None:
         self.backend = get_backend(backend, jobs=jobs)
         self.cache = cache
         self.progress = progress if progress is not None else NULL_PROGRESS
-        self.shards = normalize_shards(shards)
-
-    def _shard_count(
-        self, num_tasks: int, shards: int | str | None, stream: LinkStream
-    ) -> int:
-        """Shards per task for this run (1 = plain execution).
-
-        The count never exceeds the stream's node count — a target
-        partition cannot have more non-empty shards than nodes.
-        """
-        policy = self.shards if shards is None else normalize_shards(shards)
-        if policy == AUTO_SHARDS:
-            workers = self.backend.workers
-            if num_tasks == 0 or num_tasks >= workers:
-                return 1
-            count = math.ceil(workers / num_tasks)
-        else:
-            count = policy
-        return max(1, min(count, stream.num_nodes))
-
-    def _prepare(
-        self,
-        stream: LinkStream,
-        tasks: list[DeltaTask],
-        shards: int | str | None,
-    ) -> _PlanState:
-        """Probe the cache, narrow partially-cached tasks, expand shards,
-        and report the cached fraction to the progress listener.  Returns
-        the plan state whose ``run_units`` the backend must evaluate
-        (possibly none)."""
-        total = len(tasks)
-        num_shards = self._shard_count(total, shards, stream)
-
-        # Per-result cache probing.  ``missing[i] is None`` encodes the
-        # cache-off case: evaluate the whole task, store nothing.
-        parts: list[list] = [[] for _ in range(total)]
-        keys: list[list[str]] = [[] for _ in range(total)]
-        missing: list[list[int] | None] = [None] * total
-        narrowed: list[DeltaTask | None] = list(tasks)
-        fingerprint: str | None = None
-        if self.cache is not None:
-            fingerprint = stream.fingerprint()
-            for i, task in enumerate(tasks):
-                keys[i] = task.result_keys(fingerprint)
-                parts[i] = [self.cache.get(key) for key in keys[i]]
-                missing[i] = [
-                    j for j, part in enumerate(parts[i]) if part is MISS
-                ]
-                narrowed[i] = (
-                    task.narrow(missing[i]) if missing[i] else None
-                )
-
-        pending = [i for i in range(total) if narrowed[i] is not None]
-        hits = total - len(pending)
-
-        # Shard expansion of the narrowed tasks.  Shard subtasks carry
-        # their own shard-spec cache keys; an unsharded narrowed task is
-        # NOT re-probed here — its misses were established above at
-        # measure granularity.
-        plan = plan_shard_expansion([narrowed[i] for i in pending], num_shards)
-        units = plan.subtasks
-        unit_cached = [False] * len(units)
-        groups: dict[int, tuple[int, int, bool]] = {}
-        for i, (start, count), sharded in zip(pending, plan.groups, plan.sharded):
-            groups[i] = (start, count, sharded)
-            if sharded:
-                unit_cached[start : start + count] = [True] * count
-
-        # Progress totals count executed subtasks plus whole-task cache
-        # hits: a 2-Δ plan with one Δ fully cached and one sharded 4
-        # ways reports 5 units, 1 of them cached.
-        unit_results: list = [MISS] * len(units)
-        unit_keys: list[str | None] = [None] * len(units)
-        if self.cache is not None:
-            for j, unit in enumerate(units):
-                if unit_cached[j]:
-                    unit_keys[j] = unit.cache_key(fingerprint)
-                    unit_results[j] = self.cache.get(unit_keys[j])
-        to_run = [j for j in range(len(units)) if unit_results[j] is MISS]
-
-        progress_total = hits + len(units)
-        self.progress.on_start(progress_total)
-        done = progress_total - len(to_run)
-        if done:
-            self.progress.on_advance(done, progress_total, cached=True)
-
-        state = _PlanState(
-            tasks=tasks,
-            parts=parts,
-            keys=keys,
-            missing=missing,
-            narrowed=narrowed,
-            pending=pending,
-            groups=groups,
-            units=units,
-            unit_results=unit_results,
-            unit_keys=unit_keys,
-            to_run=to_run,
-            progress_total=progress_total,
-            fingerprint=fingerprint,
-        )
-        if to_run:
-            counter = {"done": done}
-            lock = threading.Lock()
-
-            def tick(n: int) -> None:
-                with lock:
-                    counter["done"] += n
-                    done_now = counter["done"]
-                self.progress.on_advance(done_now, progress_total)
-
-            state.tick = tick
-        return state
-
-    def _finish(self, state: _PlanState, fresh: Sequence) -> list:
-        """Store the backend's fresh unit results, merge shards, split
-        fused results into their per-measure cache entries, and assemble
-        every task's answer in task order."""
-        tasks, parts = state.tasks, state.parts
-        unit_results, unit_keys = state.unit_results, state.unit_keys
-        for j, value in zip(state.to_run, fresh):
-            unit_results[j] = value
-            if unit_keys[j] is not None and self.cache is not None:
-                self.cache.put(
-                    unit_keys[j], value, weight=state.units[j].cache_weight
-                )
-
-        for i in state.pending:
-            start, count, sharded = state.groups[i]
-            task = state.narrowed[i]
-            if sharded:
-                raw = task.merge_shards(unit_results[start : start + count])
-            else:
-                raw = unit_results[start]
-            fresh_parts = task.split_result(raw)
-            if state.missing[i] is None:
-                # Cache off: the narrowed task is the task itself.
-                parts[i] = fresh_parts
-            else:
-                # Per-result weights ride along so the disk store's
-                # eviction sweep knows each measure's recompute cost.
-                weights = tasks[i].result_weights()
-                for j, part in zip(state.missing[i], fresh_parts):
-                    parts[i][j] = part
-                    self.cache.put(state.keys[i][j], part, weight=weights[j])
-
-        # The aggregated series the run materialized stay in the bounded
-        # process-wide memo (repro.graphseries.aggregate_cached) on
-        # purpose: validation and one-shot follow-ups re-read the series
-        # a sweep just built.  Callers wanting the memory back call
-        # clear_aggregate_cache().
-
-        self.progress.on_finish(state.progress_total)
-        return [tasks[i].assemble(parts[i]) for i in range(len(tasks))]
 
     def run(
         self,
         stream: LinkStream,
         tasks: Sequence[DeltaTask],
         *,
-        shards: int | str | None = None,
         cancel: CancelToken | None = None,
     ) -> list:
         """Evaluate every task on ``stream``; ``results[i]`` matches
@@ -393,71 +102,69 @@ class SweepEngine:
         stored individually, and tasks with partial hits are narrowed to
         exactly their missing measures before execution.
 
-        ``shards`` overrides the engine's shard policy for this run (see
-        the class docstring); sharded or not, the returned results are
-        bit-identical.  ``cancel`` defaults to the calling thread's
+        ``cancel`` defaults to the calling thread's
         :func:`~repro.engine.cancel.cancel_scope` token, so deadlines set
         at a request boundary reach every nested sweep.
         """
-        state = self._prepare(stream, list(tasks), shards)
-        if cancel is None:
-            cancel = current_cancel_token()
-        fresh: list = []
-        if state.to_run:
+        tasks = list(tasks)
+        total = len(tasks)
+        # Per-result cache probing.  ``missing[i] is None`` encodes the
+        # cache-off case: evaluate the whole task, store nothing.
+        parts: list[list] = [[] for _ in range(total)]
+        keys: list[list[str]] = [[] for _ in range(total)]
+        missing: list[list[int] | None] = [None] * total
+        narrowed: list[DeltaTask | None] = list(tasks)
+        if self.cache is not None:
+            fingerprint = stream.fingerprint()
+            for i, task in enumerate(tasks):
+                keys[i] = task.result_keys(fingerprint)
+                parts[i] = [self.cache.get(key) for key in keys[i]]
+                missing[i] = [
+                    j for j, part in enumerate(parts[i]) if part is MISS
+                ]
+                narrowed[i] = task.narrow(missing[i]) if missing[i] else None
+        pending = [i for i in range(total) if narrowed[i] is not None]
+
+        self.progress.on_start(total)
+        done = total - len(pending)
+        if done:
+            self.progress.on_advance(done, total, cached=True)
+        if pending:
+            if cancel is None:
+                cancel = current_cancel_token()
+
+            def tick(n: int) -> None:
+                nonlocal done
+                done += n
+                self.progress.on_advance(done, total)
+
             fresh = self.backend.run(
-                stream, state.run_units, tick=state.tick, cancel=cancel
+                stream,
+                [narrowed[i] for i in pending],
+                tick=tick,
+                cancel=cancel,
             )
-        return self._finish(state, fresh)
+            for i, raw in zip(pending, fresh):
+                fresh_parts = narrowed[i].split_result(raw)
+                if missing[i] is None:
+                    # Cache off: the narrowed task is the task itself.
+                    parts[i] = fresh_parts
+                    continue
+                # Per-result weights ride along so the disk store's
+                # eviction sweep knows each measure's recompute cost.
+                weights = tasks[i].result_weights()
+                for j, part in zip(missing[i], fresh_parts):
+                    parts[i][j] = part
+                    self.cache.put(keys[i][j], part, weight=weights[j])
 
-    def submit(
-        self,
-        stream: LinkStream,
-        tasks: Sequence[DeltaTask],
-        *,
-        shards: int | str | None = None,
-        cancel: CancelToken | None = None,
-    ) -> EngineFuture:
-        """Like :meth:`run`, but non-blocking: cache probing happens now
-        (synchronously — it is cheap), execution is queued, and the
-        returned :class:`EngineFuture` resolves from the backend's pool
-        callbacks.  A fully-cached plan returns an already-done future.
+        # The aggregated series the run materialized stay in the bounded
+        # process-wide memo (repro.graphseries.aggregate_cached) on
+        # purpose: validation and one-shot follow-ups re-read the series
+        # a sweep just built.  Callers wanting the memory back call
+        # clear_aggregate_cache().
 
-        Requires a backend with ``submit_plan`` (the ``async`` backend);
-        other backends fall back to blocking in this call, preserving
-        the future-shaped API.
-        """
-        state = self._prepare(stream, list(tasks), shards)
-        if cancel is None:
-            cancel = current_cancel_token()
-        future = EngineFuture()
-        if not state.to_run:
-            future._complete(self._finish(state, []))
-            return future
-
-        submit_plan = getattr(self.backend, "submit_plan", None)
-        if submit_plan is None:
-            try:
-                fresh = self.backend.run(
-                    stream, state.run_units, tick=state.tick, cancel=cancel
-                )
-                future._complete(self._finish(state, fresh))
-            except BaseException as exc:
-                future._fail(exc)
-            return future
-
-        handle = submit_plan(
-            stream, state.run_units, tick=state.tick, cancel=cancel
-        )
-
-        def _on_plan_done(done_handle) -> None:
-            try:
-                fresh = done_handle.result(timeout=0)
-                future._complete(self._finish(state, fresh))
-            except BaseException as exc:
-                future._fail(exc)
-
-        handle.add_done_callback(_on_plan_done)
-        return future
+        self.progress.on_finish(total)
+        return [tasks[i].assemble(parts[i]) for i in range(total)]
 
     def close(self) -> None:
         """Release backend workers (the cache stays usable)."""
@@ -470,10 +177,7 @@ class SweepEngine:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"SweepEngine(backend={self.backend!r}, cache={self.cache!r}, "
-            f"shards={self.shards!r})"
-        )
+        return f"SweepEngine(backend={self.backend!r}, cache={self.cache!r})"
 
 
 def cache_max_bytes_from_env(environ=None) -> int | None:
@@ -498,7 +202,7 @@ def cache_max_bytes_from_env(environ=None) -> int | None:
 
 def engine_from_env(environ=None) -> SweepEngine:
     """Build an engine from ``REPRO_ENGINE`` / ``REPRO_CACHE_DIR`` /
-    ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_SHARDS``."""
+    ``REPRO_CACHE_MAX_BYTES``."""
     env = os.environ if environ is None else environ
     cache_dir = env.get(CACHE_DIR_ENV_VAR) or None
     return SweepEngine(
@@ -507,7 +211,6 @@ def engine_from_env(environ=None) -> SweepEngine:
             disk_dir=cache_dir,
             disk_max_bytes=cache_max_bytes_from_env(env),
         ),
-        shards=env.get(SHARDS_ENV_VAR) or None,
     )
 
 

@@ -62,8 +62,7 @@ from repro.utils.errors import EngineError
 #: (aggregation, the backward scan, occupancy collection, scoring), so
 #: persistent disk caches from older releases invalidate instead of
 #: silently serving stale sweep points.  (3: the open measure registry —
-#: parameter-schema-derived measure tokens, payload parameters in shard
-#: keys.)
+#: parameter-schema-derived measure tokens.)
 EVAL_VERSION = 3
 
 
@@ -128,18 +127,6 @@ class DeltaTask(ABC):
         """Inverse of :meth:`split_result`: the caller-facing result from
         key-aligned parts (cached and fresh alike)."""
         return parts[0]
-
-    # -- within-Δ sharding -------------------------------------------------
-
-    def shard(self, num_shards: int) -> "list[DeltaTask] | None":
-        """Split this task into ``num_shards`` independent subtasks, or
-        ``None`` when the evaluation cannot shard (the default)."""
-        return None
-
-    def merge_shards(self, shards: Sequence[Any]) -> Any:
-        """Reassemble the results of :meth:`shard` subtasks into the
-        result :meth:`evaluate` would have returned."""
-        raise EngineError(f"{self.kind!r} tasks do not shard")
 
 
 def _measure_digest(
@@ -247,7 +234,7 @@ class AnalysisTask(DeltaTask):
         Depends only on the stream, Δ, the task-level scan parameters,
         and *that* measure — never on which other measures ride the same
         fused task — so any sweep requesting the measure at this Δ reuses
-        the entry, fused or not, sharded or not.  A task with a time
+        the entry, fused or not.  A task with a time
         span appends the span to the payload (span-less keys stay
         byte-identical to every release before spans existed).
 
@@ -342,230 +329,10 @@ class AnalysisTask(DeltaTask):
                 float(self.delta),
                 geometry,
                 m.series_payload(series) if m.has_payload else None,
-                [collectors[m.name]] if m.scans else [],
+                collectors.get(m.name),
             )
             for m in self.measures
         }
-
-    # -- sharding ----------------------------------------------------------
-
-    def shard(self, num_shards: int) -> "list[DeltaTask] | None":
-        """Split the evaluation into ``num_shards`` target-partition scans.
-
-        Shard ``i`` owns destination nodes ``i, i + s, i + 2s, ...`` (a
-        strided partition, so activity clustered on low or high node ids
-        still spreads across workers).  Every scan-feeding measure's
-        collector restricts to the shard's columns; per-series payload
-        work (snapshot metrics) rides on shard 0 alone.  Merging the
-        shard collectors and finalizing once reproduces :meth:`evaluate`
-        bit-for-bit.  Returns ``None`` when no measure feeds on the scan
-        — there is nothing to parallelize within the Δ.
-        """
-        if num_shards < 1:
-            raise EngineError("num_shards must be a positive integer")
-        if num_shards == 1 or not any(m.scans for m in self.measures):
-            return None
-        return [
-            AnalysisShardTask(
-                delta=self.delta,
-                measures=self.measures,
-                include_self=self.include_self,
-                origin=self.origin,
-                span=self.span,
-                shard_index=index,
-                num_shards=num_shards,
-            )
-            for index in range(num_shards)
-        ]
-
-    def merge_shards(self, shards: Sequence["AnalysisShardResult"]) -> dict:
-        """One per-measure result dict from a full set of shard results."""
-        if not shards:
-            raise EngineError("cannot merge an empty shard set")
-        indices = sorted(shard.shard_index for shard in shards)
-        counts = {shard.num_shards for shard in shards}
-        deltas = {shard.delta for shard in shards}
-        if (
-            len(counts) != 1
-            or deltas != {float(self.delta)}
-            or indices != list(range(counts.pop()))
-            or len(indices) != len(shards)
-        ):
-            raise EngineError(
-                f"shard results do not cover delta={self.delta!r}: "
-                f"got indices {indices}"
-            )
-        ordered = sorted(shards, key=lambda shard: shard.shard_index)
-        geometry = ordered[0].geometry
-        payloads = ordered[0].payloads
-        results: dict = {}
-        for measure in self.measures:
-            if measure.scans:
-                missing = [
-                    s.shard_index
-                    for s in ordered
-                    if measure.name not in s.collectors
-                ]
-                if missing:
-                    raise EngineError(
-                        f"shards {missing} lack the {measure.name!r} "
-                        f"collector for delta={self.delta!r}"
-                    )
-            if measure.has_payload and measure.name not in payloads:
-                raise EngineError(
-                    f"shard 0 lacks the {measure.name!r} payload for "
-                    f"delta={self.delta!r}"
-                )
-            results[measure.name] = measure.finalize(
-                float(self.delta),
-                geometry,
-                payloads.get(measure.name),
-                [s.collectors[measure.name] for s in ordered]
-                if measure.scans
-                else [],
-            )
-        return results
-
-
-@dataclass(frozen=True)
-class AnalysisShardResult:
-    """Partial fused evaluation: the collected state of one target shard.
-
-    Holds the raw (mergeable) collectors per scan-feeding measure rather
-    than finalized results, plus the series geometry — identical across
-    shards of one Δ.  ``payloads`` carries the per-series (non-scan)
-    measure work and is populated by shard 0 only.
-    """
-
-    delta: float
-    shard_index: int
-    num_shards: int
-    geometry: SeriesGeometry
-    collectors: dict[str, Any]
-    payloads: dict[str, Any]
-
-
-@dataclass(frozen=True)
-class AnalysisShardTask(DeltaTask):
-    """One target-partition shard of an :class:`AnalysisTask`.
-
-    Shard ``shard_index`` of ``num_shards`` aggregates at Δ like the
-    full task (through the shared series memo, so sibling shards in one
-    process aggregate once) but scans only the minimal trips *arriving*
-    at nodes ``shard_index + k * num_shards`` — the arrival-matrix
-    columns are independent dynamic programs, so the restricted scan
-    does proportionally less work and every measure's collector receives
-    exactly the full scan's contributions for the shard's destinations.
-    The shard spec is part of the cache key, so shard results never
-    collide with per-measure results or with other shard layouts.  Pure
-    post-processing parameters (a measure's
-    :attr:`~repro.engine.measures.MeasureSpec.scoring_fields`) are
-    deliberately *not* part of a shard: the result is raw collectors,
-    finalization happens at merge time, so sweeps differing only in
-    scoring share shard entries.
-    """
-
-    measures: tuple[MeasureSpec, ...] = ()
-    include_self: bool = False
-    origin: float | None = None
-    span: tuple[float, float] | None = None
-    shard_index: int = 0
-    num_shards: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.measures:
-            raise EngineError("an AnalysisShardTask needs at least one measure")
-        if self.num_shards < 1:
-            raise EngineError("num_shards must be a positive integer")
-        if not 0 <= self.shard_index < self.num_shards:
-            raise EngineError(
-                f"shard_index {self.shard_index} out of range "
-                f"[0, {self.num_shards})"
-            )
-        _check_span(self.span)
-        if self.span is not None:
-            object.__setattr__(
-                self, "span", (float(self.span[0]), float(self.span[1]))
-            )
-
-    @property
-    def kind(self) -> str:
-        return "analysis-shard"
-
-    @property
-    def cache_weight(self) -> float:
-        """A shard entry reruns a restricted scan for *every* riding
-        measure: as dear as the dearest measure it carries."""
-        return max(m.cache_weight for m in self.measures)
-
-    @property
-    def carries_payload(self) -> bool:
-        """Per-series payload work rides on shard 0 alone."""
-        return self.shard_index == 0
-
-    def _token(self) -> tuple:
-        return (
-            tuple(
-                (m.name, m.collector_token()) for m in self.measures if m.scans
-            ),
-            # Payload measures carry their full parameter token: the
-            # payload is computed (and cached) shard-side, so its
-            # parameters are part of the shard result's identity.
-            tuple(
-                (m.name, m.token())
-                for m in self.measures
-                if m.has_payload and self.carries_payload
-            ),
-            self.include_self,
-            _origin_token(self.origin),
-            self.shard_index,
-            self.num_shards,
-        ) + (
-            (("span", _span_token(self.span)),) if self.span is not None else ()
-        )
-
-    def evaluate(self, stream: LinkStream) -> AnalysisShardResult:
-        stream = _restrict_span(stream, self.span)
-        session = IncrementalScanSession(
-            stream,
-            delta=float(self.delta),
-            origin=self.origin,
-            include_self=self.include_self,
-            shard=(self.shard_index, self.num_shards),
-            consumer_tokens=tuple(
-                (m.name, m.collector_token()) for m in self.measures if m.scans
-            ),
-        )
-        series = session.series()
-        targets = np.arange(
-            self.shard_index, series.num_nodes, self.num_shards, dtype=np.int64
-        )
-        collectors = {
-            m.name: m.make_collector() for m in self.measures if m.scans
-        }
-        if collectors:
-            session.scan(list(collectors.values()), targets=targets)
-        payloads = (
-            {
-                m.name: m.series_payload(series)
-                for m in self.measures
-                if m.has_payload
-            }
-            if self.carries_payload
-            else {}
-        )
-        return AnalysisShardResult(
-            delta=float(self.delta),
-            shard_index=self.shard_index,
-            num_shards=self.num_shards,
-            geometry=SeriesGeometry(
-                num_nodes=series.num_nodes,
-                num_windows=series.num_steps,
-                num_nonempty_windows=int(series.nonempty_steps().size),
-            ),
-            collectors=collectors,
-            payloads=payloads,
-        )
 
 
 @dataclass
@@ -766,43 +533,3 @@ def plan_classical_sweep(
         ClassicalMeasure() if compute_distances else MetricsMeasure(),
         origin=origin,
     )
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A sweep plan rewritten for within-Δ sharding.
-
-    ``subtasks`` is the flat execution plan; ``groups[i]`` maps original
-    task ``i`` to its ``(start, count)`` slice of ``subtasks`` (count 1
-    and the original task itself when the task does not shard, flagged
-    by ``sharded[i]``).
-    """
-
-    subtasks: list[DeltaTask]
-    groups: list[tuple[int, int]]
-    sharded: list[bool]
-
-
-def plan_shard_expansion(tasks: Sequence[DeltaTask], num_shards: int) -> ShardPlan:
-    """Rewrite a plan so each shardable task becomes ``num_shards`` subtasks.
-
-    Tasks that do not shard (``task.shard`` returns ``None``) ride along
-    unchanged, so mixed plans stay valid.
-    """
-    if num_shards < 1:
-        raise EngineError("num_shards must be a positive integer")
-    subtasks: list[DeltaTask] = []
-    groups: list[tuple[int, int]] = []
-    sharded: list[bool] = []
-    for task in tasks:
-        pieces = task.shard(num_shards) if num_shards > 1 else None
-        start = len(subtasks)
-        if pieces:
-            subtasks.extend(pieces)
-            groups.append((start, len(pieces)))
-            sharded.append(True)
-        else:
-            subtasks.append(task)
-            groups.append((start, 1))
-            sharded.append(False)
-    return ShardPlan(subtasks=subtasks, groups=groups, sharded=sharded)

@@ -119,8 +119,8 @@ def aggregate(
 
 #: Small per-process memo of aggregated series, keyed on content
 #: (stream fingerprint, Δ, origin), so every consumer of the same
-#: ``G_Δ`` — the shards of one sweep task, a one-shot occupancy call, a
-#: validation pass — shares one materialization instead of re-windowing
+#: ``G_Δ`` — a sweep task, a one-shot occupancy call, a validation pass,
+#: concurrent daemon requests — shares one materialization instead of re-windowing
 #: the stream.  Content keys can never serve a stale series; the bound
 #: keeps a long sweep from hoarding memory.
 _SERIES_MEMO: OrderedDict[tuple, Any] = OrderedDict()
@@ -157,7 +157,7 @@ def aggregate_cached(
     Bit-identical to :func:`aggregate` — a :class:`GraphSeries` is
     immutable, so sharing one instance is free correctness-wise.  Use it
     anywhere a ``(stream, Δ)`` aggregation may repeat: the engine's
-    fused per-Δ tasks, their destination shards, and the one-shot
+    fused per-Δ tasks and the one-shot
     helpers (:func:`~repro.core.occupancy.stream_occupancy_at`,
     validation, spreading fidelity) all route through here, so an
     interactive call warms the same memo a sweep reads.  Thread-safe;
@@ -242,8 +242,8 @@ def memoize_series(
 
     The incremental-append path materializes spliced series outside
     :func:`aggregate_cached`; registering them here under the same
-    content key lets every sibling consumer (shards of one sweep task,
-    validation passes) share the splice exactly as they would share a
+    content key lets every later consumer (sweep tasks, validation
+    passes) share the splice exactly as they would share a
     from-scratch aggregation.  Keys are content-derived, so a wrong
     series cannot be installed for a key without breaking the stream
     fingerprint itself.

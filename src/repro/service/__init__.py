@@ -4,7 +4,7 @@ Offline, every ``repro analyze`` pays process startup, a cold
 aggregation memo, and a cold sweep cache.  The service keeps all of that
 warm in one process: :class:`AnalysisService` owns the streams (by
 content fingerprint), one shared :class:`~repro.engine.SweepEngine` on
-the ``async`` backend, and a :class:`~repro.engine.JobQueue` providing
+the ``thread`` backend, and a :class:`~repro.engine.JobQueue` providing
 admission control, per-request deadlines, and request coalescing.  The
 HTTP daemon (:func:`serve`, CLI ``repro serve``) is a thin JSON
 transport over that core; :class:`ServiceClient` (CLI ``repro

@@ -4,7 +4,7 @@ Two layers, deliberately separable:
 
 * :class:`AnalysisService` — the transport-free core.  It owns the
   registered streams (keyed by content fingerprint), one shared
-  :class:`~repro.engine.SweepEngine` (``async`` backend + sweep cache:
+  :class:`~repro.engine.SweepEngine` (``thread`` backend + sweep cache:
   every request of every client warms the same store), and a
   :class:`~repro.engine.JobQueue` that bounds the backlog, enforces
   per-request deadlines, and coalesces identical in-flight requests.
@@ -124,7 +124,7 @@ class AnalysisService:
     Parameters
     ----------
     backend:
-        Engine backend spec (default ``"async"`` — the shared thread
+        Engine backend spec (default ``"thread"`` — the shared thread
         pool all jobs' sweeps run on).
     jobs:
         Backend worker count (default: the CPU count).
@@ -143,7 +143,7 @@ class AnalysisService:
     def __init__(
         self,
         *,
-        backend: str = "async",
+        backend: str = "thread",
         jobs: int | None = None,
         runners: int = 4,
         max_pending: int = 32,

@@ -7,13 +7,14 @@ materializations (full trip lists for validation, occupancy histograms
 for the saturation sweep, bare counts for metrics), so the engine is
 decoupled from storage via this small protocol.
 
-Every built-in collector implements the **shard contract** the engine's
-within-Δ sharding relies on: an in-place ``merge(other)`` that absorbs a
-sibling collector fed from a disjoint destination shard, and an
-``empty`` property flagging a collector that has seen no trips yet (a
-legitimately common state for a shard whose nodes receive nothing).
-Merging disjoint shards reproduces exactly what an unsharded scan would
-have collected.
+Every built-in collector implements the **merge contract**: an in-place
+``merge(other)`` that absorbs a sibling collector fed from a disjoint
+part of the same scan — a window span the incremental splice reuses
+(:mod:`repro.engine.incremental`), or a disjoint ``targets=`` subset —
+and an ``empty`` property flagging a collector that has seen no trips
+yet (a legitimately common state for a span or subset that receives
+nothing).  Merging disjoint parts reproduces exactly what one whole
+scan would have collected.
 
 The scan kernel buffers the trips of many runs of windows and feeds
 collectors one flattened multi-source batch at a time through
@@ -118,10 +119,10 @@ def trip_priorities(
     """Deterministic pseudo-random ``uint64`` priority per trip.
 
     A pure function of the trip identity ``(u, v, dep, arr)`` and the
-    seed — independent of scan order, shard layout, and platform — so
+    seed — independent of scan order, merge order, and platform — so
     "keep the ``k`` smallest priorities" is a well-defined sample of a
     trip *set*: taking the bottom-k of a union equals unioning bottom-k
-    sketches, which is exactly what shard merging needs to stay
+    sketches, which is exactly what merging needs to stay
     bit-identical.  Time values are hashed through their ``float64`` bit
     pattern (window indices are integers, exact far beyond any feasible
     series length).
@@ -144,8 +145,8 @@ class TripListCollector:
         ``max_trips`` trips with the smallest :func:`trip_priorities`
         values — a reservoir-style uniform sample that is a pure
         function of the trip set, so capped collectors fed from disjoint
-        destination shards :meth:`merge` back into exactly the sample an
-        unsharded capped scan retains.  Exact totals (trip count, hop
+        parts of a scan :meth:`merge` back into exactly the sample one
+        whole capped scan retains.  Exact totals (trip count, hop
         and duration sums) keep counting *all* trips regardless of the
         cap.
     seed:
@@ -179,7 +180,7 @@ class TripListCollector:
 
     @property
     def empty(self) -> bool:
-        """Whether the collector has seen no trips yet (shard contract)."""
+        """Whether the collector has seen no trips yet (merge contract)."""
         return not self.num_recorded
 
     def record(
@@ -271,12 +272,13 @@ class TripListCollector:
     def merge(self, other: "TripListCollector") -> "TripListCollector":
         """Absorb another collector's batches (in-place; returns ``self``).
 
-        Used to reassemble shard-restricted scans: each shard sees a
-        disjoint subset of the trips, so concatenating batch lists loses
-        nothing.  Batch order follows merge order, not global scan order.
-        Capped collectors must share ``max_trips`` and ``seed``; the
-        merged retained set is the bottom-``max_trips`` of the union —
-        identical to an unsharded capped collection.
+        Used to reassemble a scan from disjoint parts (spliced window
+        spans, ``targets=`` subsets): each part sees a disjoint subset
+        of the trips, so concatenating batch lists loses nothing.  Batch
+        order follows merge order, not global scan order.  Capped
+        collectors must share ``max_trips`` and ``seed``; the merged
+        retained set is the bottom-``max_trips`` of the union —
+        identical to one whole capped collection.
         """
         if not isinstance(other, TripListCollector):
             raise ValidationError(
@@ -341,7 +343,7 @@ class CountingCollector:
 
     @property
     def empty(self) -> bool:
-        """Whether the collector has seen no trips yet (shard contract)."""
+        """Whether the collector has seen no trips yet (merge contract)."""
         return not self.num_trips
 
     def record(
@@ -404,11 +406,11 @@ class ChainCollector:
     single collector-shaped object (e.g. :func:`scan_stream` pipelines
     built around one collector slot).
 
-    The chain satisfies the same shard contract as its children:
+    The chain satisfies the same merge contract as its children:
     :meth:`merge` zips two equal-shape chains together (child ``i``
     absorbs the other chain's child ``i``), and :attr:`empty` reports
-    whether every child is empty — so a chained consumer survives
-    destination sharding exactly like a bare collector.
+    whether every child is empty — so a chained consumer splices and
+    merges exactly like a bare collector.
     """
 
     def __init__(self, *collectors: TripCollector) -> None:
@@ -421,7 +423,7 @@ class ChainCollector:
 
     @property
     def empty(self) -> bool:
-        """Whether every wrapped collector is empty (shard contract).
+        """Whether every wrapped collector is empty (merge contract).
 
         An empty chain (no children) is vacuously empty.  Children must
         expose ``empty`` themselves — all built-in collectors do.

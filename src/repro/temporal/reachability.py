@@ -158,7 +158,7 @@ One kernel, the **run kernel**, runs every scan.
 
 The kernel is bit-identical to the reference loop — same trips in the
 same order, same collector states, same accumulator sums — across
-directed/undirected input, ``targets`` shards, ``include_self``,
+directed/undirected input, ``targets`` subsets, ``include_self``,
 checkpoints, resumes, and every backend.  :data:`SCAN_ROWS`,
 :data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally its work per scan
 kind (per process), next to the pass counter :data:`SCAN_COUNTS`.
@@ -185,8 +185,8 @@ scan, not one scan per measure.  Two consumer shapes exist:
 :class:`DistanceTotals` is the accumulator behind the classical distance
 statistics (Figure 2 bottom); it used to be hard-wired into the scan via
 a ``compute_distances`` flag and is now an ordinary member of the
-consumer set, mergeable across destination shards exactly like the trip
-collectors.  :class:`EarliestArrivalAccumulator` keeps the same sums
+consumer set, mergeable across disjoint ``targets`` subsets and window
+spans exactly like the trip collectors.  :class:`EarliestArrivalAccumulator` keeps the same sums
 *per ordered pair* instead of globally — the state behind the engine's
 ``reachability`` measure.
 
@@ -200,9 +200,9 @@ the trips found are exactly the full scan's trips whose destination lies
 in the subset.  Disjoint target subsets covering ``V`` partition the
 trip set — and partition the finite arrival entries, so a restricted
 :class:`DistanceTotals` holds exactly the full scan's contributions for
-its columns.  Sharded scans therefore merge back bit-identically for
-*every* measure (the engine's within-Δ sharding,
-:mod:`repro.engine.tasks`).
+its columns.  Restricted scans therefore merge back bit-identically
+for every consumer; :func:`blocked_pair_reachability` scans one block
+of destinations at a time this way.
 """
 
 from __future__ import annotations
@@ -317,15 +317,15 @@ class DistanceTotals:
 
     All sums are kept as exact Python integers — every contribution is an
     integer, so the accumulated totals are associative under
-    :meth:`merge` regardless of shard layout or merge order, and the
-    final means divide once at :meth:`stats` time.  (The former
+    :meth:`merge` regardless of how the scan was split or merged, and
+    the final means divide once at :meth:`stats` time.  (The former
     float-accumulation path agreed bit-for-bit below 2**53 but was
-    neither shard-stable nor exact beyond it.)
+    neither merge-stable nor exact beyond it.)
 
     A scan restricted to a destination subset (``targets=``) accumulates
     exactly the full scan's contributions for its columns: columns are
     independent dynamic programs and the diagonal entry ``(u, u)`` lives
-    in exactly one shard.  Disjoint shards covering the node set
+    in exactly one subset.  Disjoint subsets covering the node set
     therefore :meth:`merge` back into precisely the unrestricted
     accumulator.
     """
@@ -418,10 +418,10 @@ class DistanceTotals:
     def merge(self, other: "DistanceTotals") -> "DistanceTotals":
         """Absorb another accumulator's sums (in-place; returns ``self``).
 
-        The inverse of sharding a scan: accumulators fed from disjoint
-        target shards of the same series sum back — all six tallies are
-        exact integers — to precisely the accumulator an unrestricted
-        scan would have produced.
+        Accumulators fed from disjoint ``targets=`` subsets of the same
+        series sum back — all six tallies are exact integers — to
+        precisely the accumulator an unrestricted scan would have
+        produced.
         """
         if not isinstance(other, DistanceTotals):
             raise ValidationError(
@@ -454,8 +454,8 @@ class DistanceTotals:
     def absorb_segment(self, other: "DistanceTotals") -> "DistanceTotals":
         """Add a cached span's *contributions* (in-place; returns ``self``).
 
-        Unlike :meth:`merge` — the shard rule, which also sums the
-        window-state totals — splicing a contiguous window span must add
+        Unlike :meth:`merge` — the ``targets=`` rule, which also sums
+        the window-state totals — splicing a contiguous window span must add
         only the departure-run sums: the span's ``S``/``C``/``SH`` are
         scan state already carried forward by the handoff chain (zero on
         stored segments), never a contribution.  Reads but never mutates
@@ -474,9 +474,9 @@ class DistanceTotals:
         """Assemble the accumulated sums into :class:`DistanceStats`.
 
         ``num_nodes`` and ``num_steps`` give the support of the means —
-        the *full* series geometry, so shard accumulators must be merged
-        first (a lone shard would report a fraction over the wrong
-        denominator).
+        the *full* series geometry, so accumulators of ``targets=``
+        subsets must be merged first (a lone subset would report a
+        fraction over the wrong denominator).
         """
         total_possible = num_nodes * (num_nodes - 1) * num_steps
         count = self.count_sum
@@ -511,9 +511,9 @@ class EarliestArrivalAccumulator:
     0.  (:meth:`close_run`, the global-run hook, is a deliberate no-op
     here.)  A target-restricted scan accumulates exactly the full
     scan's columns for its ``cols`` (columns are independent dynamic
-    programs), so disjoint destination shards reassemble the full
-    matrices by plain column scatter — the shard-merge rule of the
-    engine's ``reachability`` measure.
+    programs), so disjoint destination subsets reassemble the full
+    matrices by plain column scatter, as the engine's ``reachability``
+    measure scatters its one accumulator.
 
     Diagonal entries (``cols[j] == u``) are accumulated like any other
     and must be masked by the consumer (the measure zeroes them, per the
@@ -654,8 +654,8 @@ class EarliestArrivalAccumulator:
         ``[0, row_hi]`` (called once by the scan, after the last window).
 
         The mirrored scan state is dead afterwards and is released —
-        shard accumulators land in the sweep cache, which should carry
-        the three result matrices, not two garbage state copies too.
+        cached scan spans should carry the three result matrices, not
+        two garbage state copies too.
         """
         if self._A is None:
             return
@@ -976,7 +976,7 @@ def _absorb_span(original, part) -> None:
     """Fold one cached span consumer into the caller's consumer.
 
     Accumulators splice via ``absorb_segment`` (contributions only);
-    trip collectors via their shard ``merge``, which reads but never
+    trip collectors via their ``merge``, which reads but never
     mutates the absorbed side — both leave the cached segment pristine.
     """
     absorb = getattr(original, "absorb_segment", None)
@@ -1851,9 +1851,10 @@ def scan_series(
         independent dynamic programs (see the module docstring), so the
         restricted scan does proportionally less work and feeds every
         consumer exactly the full scan's contributions for destinations
-        in ``targets`` — the primitive behind within-Δ sharding.  A
-        restricted :class:`DistanceTotals` holds partial sums; merge the
-        shards before calling :meth:`~DistanceTotals.stats`.
+        in ``targets`` (:func:`blocked_pair_reachability` scans
+        destination blocks this way).
+        A restricted :class:`DistanceTotals` holds partial sums; merge
+        the subsets before calling :meth:`~DistanceTotals.stats`.
     checkpoints:
         Optional :class:`CheckpointRecorder` capturing bounded scan-state
         snapshots plus per-span consumer contributions for later resume.
@@ -2278,7 +2279,7 @@ def series_distance_stats(
     accumulator with other measures instead of paying a scan per measure.
     With ``targets`` the statistics cover only trips arriving in the
     subset (the means and fraction are still normalized by the full
-    geometry — merge shard accumulators yourself when sharding).
+    geometry — merge the accumulators of disjoint subsets yourself).
     """
     totals = DistanceTotals()
     scan_series(series, totals, targets=targets)

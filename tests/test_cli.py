@@ -163,32 +163,6 @@ class TestAnalyzeEngine:
         with pytest.raises(SystemExit):
             main(["analyze", str(events_file), "--backend", "gpu"])
 
-    def test_sharded_analysis_matches_serial(self, events_file, capsys):
-        code = main(["analyze", str(events_file), "--num-deltas", "8"])
-        assert code == 0
-        serial_out = capsys.readouterr().out
-        code = main(
-            [
-                "analyze",
-                str(events_file),
-                "--num-deltas",
-                "8",
-                "--backend",
-                "thread",
-                "--jobs",
-                "2",
-                "--shards",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == serial_out  # bit-identical evidence
-
-    def test_bad_shards_value_fails_cleanly(self, events_file, capsys):
-        code = main(["analyze", str(events_file), "--shards", "lots"])
-        assert code == 2
-        assert "shard" in capsys.readouterr().err
-
     def test_jobs_with_serial_backend_fails_cleanly(self, events_file, capsys):
         # Regression: a worker count on the (default) serial backend was
         # silently discarded; now it is a clean configuration error.

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import series_occupancy, stream_occupancy_at
 from repro.core.occupancy import OccupancyCollector
+from repro.generators import time_uniform_stream
 from repro.graphseries import aggregate
 from repro.linkstream import LinkStream
+from repro.temporal.collectors import CountingCollector, TripListCollector
+from repro.temporal.reachability import DistanceTotals, scan_series
 from repro.utils.errors import ValidationError
 
 
@@ -96,3 +101,219 @@ class TestStreamOccupancyAt:
         assert series.delta == 100.0
         assert count == int(dist.total_weight)
         assert 0 < dist.mean() <= 1
+
+
+class TestCollectorMerges:
+    @pytest.fixture(scope="class")
+    def series(self):
+        return aggregate(time_uniform_stream(12, 6, 5000.0, seed=0), 500.0)
+
+    @staticmethod
+    def subset_collector(series, targets, **kwargs):
+        collector = OccupancyCollector(**kwargs)
+        scan_series(series, collector, targets=targets)
+        return collector
+
+    def test_target_subsets_merge_bit_identically(self, series):
+        reference, num_trips = series_occupancy(series)
+        parts = [
+            self.subset_collector(series, np.arange(i, series.num_nodes, 4))
+            for i in range(4)
+        ]
+        merged = OccupancyCollector()
+        for part in parts:
+            merged.merge(part)
+        assert merged.num_trips == num_trips
+        distribution = merged.distribution()
+        assert distribution.values.tolist() == reference.values.tolist()
+        assert distribution.weights.tolist() == reference.weights.tolist()
+        assert distribution.total_weight == reference.total_weight
+
+    def test_exact_mode_target_subsets_merge_bit_identically(self, series):
+        reference, __ = series_occupancy(series, exact=True)
+        merged = OccupancyCollector(exact=True)
+        for i in range(3):
+            merged.merge(
+                self.subset_collector(
+                    series, np.arange(i, series.num_nodes, 3), exact=True
+                )
+            )
+        distribution = merged.distribution()
+        assert distribution.values.tolist() == reference.values.tolist()
+        assert distribution.weights.tolist() == reference.weights.tolist()
+
+    def test_frozen_span_keeps_only_nonzero_bins(self):
+        # segment_handoff freezes a checkpoint span as (bin index, count)
+        # pairs; it still merges and assembles exactly like the dense one.
+        values = np.array([0.25, 0.25, 0.5, 1.0])
+        span = OccupancyCollector(bins=64)
+        span.record(
+            0, 0.0, np.arange(4), values, np.ones(4, dtype=np.int64), 1.0 / values
+        )
+        reference = span.distribution()
+        successor = span.segment_handoff()
+        assert successor.empty and successor is not span
+        assert span._counts.size == 2  # bins 16 and 32; 1.0 is the atom
+        for assembled in (span, OccupancyCollector(bins=64).merge(span)):
+            distribution = assembled.distribution()
+            assert distribution.values.tolist() == reference.values.tolist()
+            assert distribution.weights.tolist() == reference.weights.tolist()
+        # A frozen collector that merges more mass expands back to dense.
+        span.merge(OccupancyCollector(bins=64).merge(span))
+        assert span.num_trips == 8
+        assert span.distribution().values.tolist() == reference.values.tolist()
+
+    def test_empty_collectors_merge_and_only_final_assembly_fails(self):
+        # A destination subset can legitimately receive zero trips: the
+        # empty collector must merge like any other, and only a merged
+        # total of zero may fail — at final assembly.
+        empty_a = OccupancyCollector()
+        empty_b = OccupancyCollector()
+        assert empty_a.empty
+        merged = OccupancyCollector().merge(empty_a).merge(empty_b)
+        assert merged.empty
+        with pytest.raises(ValidationError, match="no minimal trips"):
+            merged.distribution()
+        # Empty + loaded merges keep the loaded mass bit-identical.
+        loaded = OccupancyCollector()
+        values = np.array([0.25, 1.0])
+        loaded.record(
+            0, 0.0, np.arange(2), values, np.ones(2, dtype=np.int64), 1.0 / values
+        )
+        combined = OccupancyCollector().merge(empty_a).merge(loaded)
+        assert not combined.empty
+        assert combined.num_trips == 2
+        reference = loaded.distribution()
+        assert combined.distribution().values.tolist() == reference.values.tolist()
+        # Exact mode: same contract.
+        combined_exact = OccupancyCollector(exact=True).merge(
+            OccupancyCollector(exact=True)
+        )
+        assert combined_exact.empty
+        with pytest.raises(ValidationError, match="no minimal trips"):
+            combined_exact.distribution()
+
+    def test_empty_destination_subset_comes_back_mergeable(self):
+        # Node 2 never receives an edge: its collector is empty but the
+        # partition still reassembles the full distribution.
+        stream = LinkStream([0, 0], [1, 1], [0, 10], num_nodes=3, directed=True)
+        series = aggregate(stream, 1.0)
+        reference, num_trips = series_occupancy(series)
+        parts = [
+            self.subset_collector(series, np.array([node]))
+            for node in range(series.num_nodes)
+        ]
+        assert parts[2].empty  # no trips arrive at node 2
+        merged = OccupancyCollector()
+        for part in parts:
+            merged.merge(part)
+        assert merged.num_trips == num_trips
+        assert merged.distribution().values.tolist() == reference.values.tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        splits=st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_occupancy_merge_is_associative(self, splits):
+        """((a + b) + c) and (a + (b + c)) build the same distribution."""
+
+        def collector_for(values):
+            collector = OccupancyCollector(bins=16)
+            arr = np.asarray(values)
+            collector.record(
+                0,
+                0.0,
+                np.arange(arr.size),
+                arr,  # arrivals: unused by the collector
+                np.ones(arr.size, dtype=np.int64),
+                1.0 / arr,  # durations chosen so hops/durations == values
+            )
+            return collector
+
+        left = collector_for(splits[0])
+        for chunk in splits[1:]:
+            left.merge(collector_for(chunk))
+        right_tail = collector_for(splits[-1])
+        for chunk in reversed(splits[1:-1]):
+            right_tail = collector_for(chunk).merge(right_tail)
+        right = collector_for(splits[0]).merge(right_tail)
+        assert left.num_trips == right.num_trips
+        assert left.distribution().values.tolist() == right.distribution().values.tolist()
+        assert left.distribution().weights.tolist() == right.distribution().weights.tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.integers(1, 5),  # trips in the batch
+                st.integers(1, 9),  # hop count
+                st.integers(1, 20),  # duration
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        split=st.integers(1, 5),
+    )
+    def test_counting_and_triplist_merge_match_single_collector(self, batches, split):
+        split = min(split, len(batches) - 1)
+
+        def record_into(counting, trip_list, batch):
+            count, hops, duration = batch
+            targets = np.arange(1, count + 1)
+            arrivals = np.full(count, float(duration))
+            hop_arr = np.full(count, hops, dtype=np.int64)
+            durations = np.full(count, float(duration))
+            counting.record(0, 0.0, targets, arrivals, hop_arr, durations)
+            trip_list.record(0, 0.0, targets, arrivals, hop_arr, durations)
+
+        whole_count, whole_trips = CountingCollector(), TripListCollector()
+        for batch in batches:
+            record_into(whole_count, whole_trips, batch)
+
+        parts = [(CountingCollector(), TripListCollector()) for _ in range(2)]
+        for i, batch in enumerate(batches):
+            record_into(*parts[0 if i < split else 1], batch)
+        merged_count = parts[0][0].merge(parts[1][0])
+        merged_trips = parts[0][1].merge(parts[1][1])
+
+        assert merged_count.num_trips == whole_count.num_trips
+        assert merged_count.max_hops == whole_count.max_hops
+        assert merged_count.max_duration == whole_count.max_duration
+        assert len(merged_trips.trips()) == len(whole_trips.trips())
+        assert (
+            sorted(merged_trips.trips().durations.tolist())
+            == sorted(whole_trips.trips().durations.tolist())
+        )
+
+    def test_mismatched_merges_rejected(self):
+        with pytest.raises(ValidationError):
+            OccupancyCollector(bins=16).merge(OccupancyCollector(bins=32))
+        with pytest.raises(ValidationError):
+            OccupancyCollector(exact=True).merge(OccupancyCollector(exact=False))
+        with pytest.raises(ValidationError):
+            OccupancyCollector().merge(CountingCollector())
+        with pytest.raises(ValidationError):
+            DistanceTotals().merge(CountingCollector())
+
+    def test_exact_mode_merge_ignores_bin_counts(self):
+        # Bins are meaningless in exact mode; differing sizes must not
+        # crash the merge (regression: raw numpy broadcast error).
+        a = OccupancyCollector(exact=True, bins=16)
+        b = OccupancyCollector(exact=True, bins=32)
+        values = np.array([0.5, 1.0])
+        for collector in (a, b):
+            collector.record(
+                0,
+                0.0,
+                np.arange(2),
+                values,
+                np.ones(2, dtype=np.int64),
+                1.0 / values,
+            )
+        merged = a.merge(b)
+        assert merged.num_trips == 4
+        assert merged.distribution().total_weight == 4

@@ -109,6 +109,32 @@ class ExplodingTask(DeltaTask):
 
 
 @dataclass(frozen=True)
+class DyingTask(DeltaTask):
+    """Module-level (picklable) task whose worker process dies at Δ = 1.
+
+    It only dies outside the process that built it, so a plan that
+    falls back to in-process evaluation fails the test instead of
+    killing the test runner.
+    """
+
+    parent: int = 0
+
+    @property
+    def kind(self) -> str:
+        return "dying"
+
+    def _token(self) -> tuple:
+        return ()
+
+    def evaluate(self, stream):
+        import os
+
+        if self.delta == 1.0 and os.getpid() != self.parent:
+            os._exit(1)
+        return self.delta
+
+
+@dataclass(frozen=True)
 class RecordingTask(DeltaTask):
     """Task that logs its evaluation into a shared list (thread use only)."""
 
@@ -131,7 +157,7 @@ class RecordingTask(DeltaTask):
 
 class TestBackendRegistry:
     def test_available_names(self):
-        assert available_backends() == ["async", "process", "serial", "thread"]
+        assert available_backends() == ["process", "serial", "thread"]
 
     def test_get_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
@@ -222,6 +248,46 @@ class TestBackendFailures:
         backend.close()
         with pytest.raises(EngineError, match=r"exploding task at delta=8"):
             process_backend.run(synthetic, [ExplodingTask(delta=8.0)])
+
+
+    def test_dead_process_worker_is_a_named_error_and_the_pool_recovers(
+        self, synthetic
+    ):
+        import os
+        import threading
+
+        def run_bounded(engine, tasks):
+            # Run on a helper thread so a hang fails the test instead of
+            # stalling the suite.
+            outcome: dict = {}
+
+            def target():
+                try:
+                    outcome["value"] = engine.run(synthetic, tasks)
+                except BaseException as exc:
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=target, daemon=True)
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "the process backend hung"
+            return outcome
+
+        parent = os.getpid()
+        with SweepEngine("process:2", cache=None) as engine:
+            first = run_bounded(
+                engine,
+                [DyingTask(delta=float(d), parent=parent) for d in range(1, 5)],
+            )
+            assert isinstance(first.get("error"), EngineError)
+            assert "dying task at delta=1 " in str(first["error"])
+            # The broken pool was dropped: the next run starts a fresh one.
+            second = run_bounded(
+                engine,
+                [DyingTask(delta=float(d), parent=parent) for d in range(2, 5)],
+            )
+            assert "error" not in second, second.get("error")
+            assert second["value"] == [2.0, 3.0, 4.0]
 
 
 class TestBackendDeterminism:

@@ -1,4 +1,4 @@
-"""Async execution and the job queue: cancellation, coalescing, limits."""
+"""Cancellation and the job queue: cancel tokens, coalescing, limits."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.engine import (
-    AsyncBackend,
     CancelToken,
     JobQueue,
     SweepEngine,
@@ -20,7 +19,6 @@ from repro.engine import (
     get_backend,
 )
 from repro.engine import jobs as jobs_module
-from repro.engine.cache import SweepCache
 from repro.engine.tasks import DeltaTask
 from repro.utils.errors import AdmissionError, EngineError, JobCancelled
 
@@ -44,19 +42,6 @@ class SquareTask(DeltaTask):
             time.sleep(self.pause)
         self.log.append(self.delta)
         return self.delta**2
-
-
-@dataclass(frozen=True)
-class FailingTask(DeltaTask):
-    @property
-    def kind(self) -> str:
-        return "failing"
-
-    def _token(self) -> tuple:
-        return ()
-
-    def evaluate(self, stream):
-        raise ValueError("numerics blew up")
 
 
 class TestCancelToken:
@@ -115,7 +100,7 @@ class TestCancelToken:
 
 
 class TestBackendCancellation:
-    @pytest.mark.parametrize("spec", ["serial", "thread:2", "async:2"])
+    @pytest.mark.parametrize("spec", ["serial", "thread:2"])
     def test_cancelled_token_fails_fast(self, spec, chain_stream):
         backend = get_backend(spec)
         token = CancelToken()
@@ -137,73 +122,6 @@ class TestBackendCancellation:
             backend.run(chain_stream, tasks, cancel=token)
         # Fail-fast: the deadline stopped the plan well before the tail.
         assert sum(len(t.log) for t in tasks) < len(tasks)
-
-
-class TestPlanHandle:
-    def test_submit_plan_matches_blocking_run(self, chain_stream):
-        tasks = [SquareTask(delta=float(d)) for d in range(1, 9)]
-        with AsyncBackend(2) as backend:
-            handle = backend.submit_plan(chain_stream, tasks)
-            results = handle.result(timeout=10)
-        assert results == [t.delta**2 for t in tasks]
-        assert handle.done()
-
-    def test_ticks_count_every_task(self, chain_stream):
-        ticks = []
-        tasks = [SquareTask(delta=float(d)) for d in range(1, 6)]
-        with AsyncBackend(2) as backend:
-            handle = backend.submit_plan(chain_stream, tasks, tick=ticks.append)
-            handle.result(timeout=10)
-        assert sum(ticks) == len(tasks)
-
-    def test_failure_wins_and_names_task(self, chain_stream):
-        tasks = [SquareTask(delta=1.0), FailingTask(delta=2.0), SquareTask(delta=3.0)]
-        with AsyncBackend(2) as backend:
-            handle = backend.submit_plan(chain_stream, tasks)
-            with pytest.raises(EngineError, match=r"failing task at delta=2 failed"):
-                handle.result(timeout=10)
-
-    def test_done_callback_fires_once_settled(self, chain_stream):
-        seen = []
-        tasks = [SquareTask(delta=1.0)]
-        with AsyncBackend(1) as backend:
-            handle = backend.submit_plan(chain_stream, tasks)
-            handle.result(timeout=10)
-            handle.add_done_callback(seen.append)  # already done: immediate
-        assert seen == [handle]
-
-    def test_cancel_token_aborts_pending_tasks(self, chain_stream):
-        token = CancelToken()
-        tasks = [SquareTask(delta=float(d), pause=0.05) for d in range(1, 30)]
-        with AsyncBackend(1) as backend:
-            handle = backend.submit_plan(chain_stream, tasks, cancel=token)
-            token.cancel("client went away")
-            with pytest.raises(JobCancelled, match="client went away"):
-                handle.result(timeout=10)
-        assert sum(len(t.log) for t in tasks) < len(tasks)
-
-
-class TestEngineSubmit:
-    def test_future_matches_run(self, chain_stream):
-        tasks = [SquareTask(delta=float(d)) for d in range(1, 7)]
-        with SweepEngine("async:2", cache=None) as engine:
-            future = engine.submit(chain_stream, tasks)
-            assert future.result(timeout=10) == [t.delta**2 for t in tasks]
-
-    def test_fully_cached_plan_resolves_immediately(self, chain_stream):
-        tasks = [SquareTask(delta=float(d)) for d in range(1, 5)]
-        with SweepEngine("async:2", cache=SweepCache.build()) as engine:
-            engine.run(chain_stream, tasks)
-            future = engine.submit(chain_stream, tasks)
-            assert future.done()  # no backend trip at all
-            assert future.result(0) == [t.delta**2 for t in tasks]
-
-    def test_blocking_backend_falls_back(self, chain_stream):
-        tasks = [SquareTask(delta=2.0)]
-        with SweepEngine("serial", cache=None) as engine:
-            future = engine.submit(chain_stream, tasks)
-            assert future.done()
-            assert future.result(0) == [4.0]
 
     def test_run_picks_up_scope_token(self, chain_stream):
         token = CancelToken()

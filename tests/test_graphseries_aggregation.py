@@ -214,3 +214,39 @@ class TestDedupOverflow:
                 np.array([0, 0], dtype=np.int64),
                 np.array([1, 1], dtype=np.int64),
             )
+
+
+class TestSeriesMemo:
+    def test_concurrent_callers_aggregate_once(self, monkeypatch):
+        # The per-process series memo must hold when several threads ask
+        # for one Δ at once (daemon runners analysing one stream): the
+        # first aggregates, the others wait for its series.
+        import threading
+
+        import repro.graphseries.aggregation as agg_mod
+        from repro.generators import time_uniform_stream
+
+        stream = time_uniform_stream(12, 6, 5000.0, seed=0)
+        calls = []
+        real = agg_mod.aggregate
+
+        def counting(s, delta, *, origin=None):
+            calls.append(delta)
+            return real(s, delta, origin=origin)
+
+        monkeypatch.setattr(agg_mod, "aggregate", counting)
+        agg_mod.clear_aggregate_cache()
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def fetch(i):
+            barrier.wait()
+            results[i] = agg_mod.aggregate_cached(stream, 123.0)
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert calls == [123.0]  # one aggregation served all four callers
+        assert all(series is results[0] for series in results)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -384,33 +383,9 @@ class TestRealViolationRegressions:
         )
         assert forward == backward == [3, 3, 2]
 
-    def test_plan_handle_attach_is_lint_clean(self):
+    def test_backends_is_lint_clean(self):
         result = lint_paths(
             [str(SRC_REPRO / "engine" / "backends.py")],
             rule_ids=["unlocked-attribute-write"],
         )
         assert result.active_findings == []
-
-    def test_plan_handle_attach_with_completed_futures(self):
-        # Already-finished futures fire their callbacks synchronously on
-        # the attaching thread while _attach holds the (reentrant) lock;
-        # the handle must still settle with results in task order.
-        from repro.engine.backends import PlanHandle
-
-        futures = []
-        for value in (1.0, 4.0, 9.0):
-            future: Future = Future()
-            future.set_result(value)
-            futures.append(future)
-        handle = PlanHandle([object(), object(), object()], tick=None)
-        handle._attach(futures)
-        assert handle.done()
-        assert handle.result(timeout=1) == [1.0, 4.0, 9.0]
-
-    def test_plan_handle_attach_empty_plan_settles(self):
-        from repro.engine.backends import PlanHandle
-
-        handle = PlanHandle([], tick=None)
-        handle._attach([])
-        assert handle.done()
-        assert handle.result(timeout=1) == []

@@ -3,15 +3,13 @@
 The acceptance contract of the plugin system: a measure class defined
 *here* (not in ``repro``) and registered at runtime runs through
 ``occupancy_method(measures=...)``, ``analyze_stream``, and the CLI;
-its results are bit-identical on serial/thread/process backends,
-sharded and unsharded; and a warm cache re-run performs zero additional
-scans.  The new built-ins (``trips``, ``components``, ``reachability``)
+its results are bit-identical on serial/thread/process backends; and a
+warm cache re-run performs zero additional scans.  The new built-ins (``trips``, ``components``, ``reachability``)
 must match independent brute-force recomputation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +96,8 @@ class HopHistogramMeasure(MeasureSpec):
     def make_collector(self) -> HopHistogramCollector:
         return HopHistogramCollector(self.max_hops)
 
-    def finalize(self, delta, geometry, payload, collectors):
-        merged = HopHistogramCollector(self.max_hops)
-        for collector in collectors:
-            merged.merge(collector)
-        return merged.counts.tolist()
+    def finalize(self, delta, geometry, payload, collector):
+        return collector.counts.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +137,7 @@ class TestRegistry:
             def name(self) -> str:
                 return "hop_hist"
 
-            def finalize(self, delta, geometry, payload, collectors):
+            def finalize(self, delta, geometry, payload, collector):
                 return None
 
         with pytest.raises(EngineError, match="already registered"):
@@ -168,7 +163,7 @@ class TestRegistry:
             def name(self) -> str:
                 return "no_defaults"
 
-            def finalize(self, delta, geometry, payload, collectors):
+            def finalize(self, delta, geometry, payload, collector):
                 return None
 
         with pytest.raises(EngineError, match="instantiable with no"):
@@ -183,7 +178,7 @@ class TestRegistry:
             def name(self) -> str:
                 return "ephemeral"
 
-            def finalize(self, delta, geometry, payload, collectors):
+            def finalize(self, delta, geometry, payload, collector):
                 return None
 
         assert "ephemeral" in available_measures()
@@ -314,28 +309,21 @@ class TestPluginEndToEnd:
         assert "hop_hist at gamma:" in out
 
     @pytest.mark.parametrize(
-        "backend_factory,shards",
-        list(
-            itertools.product(
-                [
-                    lambda: None,
-                    lambda: ThreadBackend(jobs=4),
-                    lambda: ProcessBackend(jobs=2),
-                ],
-                [1, 4],
-            )
-        ),
+        "backend_factory",
+        [
+            lambda: None,
+            lambda: ThreadBackend(jobs=4),
+            lambda: ProcessBackend(jobs=2),
+        ],
+        ids=["serial", "thread", "process"],
     )
-    def test_bit_identical_across_backends_and_shards(
-        self, stream, backend_factory, shards
-    ):
+    def test_bit_identical_across_backends(self, stream, backend_factory):
         deltas = [50.0, 500.0, 5000.0]
         reference = occupancy_method(
             stream,
             deltas=deltas,
             measures=(HopHistogramMeasure(), TripsMeasure(max_samples=40)),
             engine=SweepEngine(cache=None),
-            shards=1,
         )
         with SweepEngine(backend_factory(), cache=None) as engine:
             run = occupancy_method(
@@ -343,7 +331,6 @@ class TestPluginEndToEnd:
                 deltas=deltas,
                 measures=(HopHistogramMeasure(), TripsMeasure(max_samples=40)),
                 engine=engine,
-                shards=shards,
             )
         assert run.gamma == reference.gamma
         assert run.companions["hop_hist"] == reference.companions["hop_hist"]
@@ -669,7 +656,7 @@ class TestEntryPointDiscovery:
             def name(self):
                 return "ep_spark"
 
-            def finalize(self, delta, geometry, payload, collectors):
+            def finalize(self, delta, geometry, payload, collector):
                 return None
 
         monkeypatch.setattr(
@@ -691,7 +678,7 @@ class TestEntryPointDiscovery:
             def name(self):
                 return "ep_hooked"
 
-            def finalize(self, delta, geometry, payload, collectors):
+            def finalize(self, delta, geometry, payload, collector):
                 return None
 
         def hook():

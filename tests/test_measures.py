@@ -1,17 +1,15 @@
 """Tests for the fused measure pipeline: one aggregation + one scan per
 Δ serving a whole measure set, per-measure cache isolation, and the
-distance measure's shard-merge algebra.
+distance measure's merge algebra.
 
 The acceptance contract: ``analyze_stream`` requesting occupancy +
 classical measures performs exactly one aggregation and one backward
 scan per Δ (asserted via the scan/aggregation instrumentation counters),
 with results bit-identical to dedicated per-measure sweeps on every
-backend, sharded and unsharded.
+backend.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
@@ -143,23 +141,19 @@ class TestFusedEvaluation:
         assert metrics.snapshot == sweep.points[1].snapshot
 
     @pytest.mark.parametrize(
-        "backend_factory,shards",
-        list(
-            itertools.product(
-                [
-                    lambda: None,
-                    lambda: ThreadBackend(jobs=4),
-                    lambda: ProcessBackend(jobs=2),
-                ],
-                [1, 3],
-            )
-        ),
+        "backend_factory",
+        [
+            lambda: None,
+            lambda: ThreadBackend(jobs=4),
+            lambda: ProcessBackend(jobs=2),
+        ],
+        ids=["serial", "thread", "process"],
     )
-    def test_fused_sweep_bit_identical_on_backend_and_shard_grid(
-        self, stream, backend_factory, shards
+    def test_fused_sweep_bit_identical_across_backends(
+        self, stream, backend_factory
     ):
         """Multi-collector scans vs separate single-measure scans, across
-        all backends x shard counts."""
+        all backends."""
         deltas = [50.0, 500.0, 5000.0]
         reference_occ = occupancy_method(
             stream, deltas=deltas, engine=SweepEngine(cache=None)
@@ -173,7 +167,6 @@ class TestFusedEvaluation:
                 deltas=deltas,
                 measures=("classical",),
                 engine=engine,
-                shards=shards,
             )
         assert fused.gamma == reference_occ.gamma
         for pa, pb in zip(fused.points, reference_occ.points):
@@ -368,15 +361,6 @@ class TestDistanceMeasureSharding:
             assert merged.stats(series.num_nodes, series.num_steps) == (
                 reference.stats(series.num_nodes, series.num_steps)
             )
-
-    def test_sharded_classical_sweep_matches_serial(self, stream):
-        deltas = [50.0, 500.0]
-        plain = classical_sweep(stream, deltas, engine=SweepEngine(cache=None))
-        sharded = classical_sweep(
-            stream, deltas, engine=SweepEngine(cache=None), shards=4
-        )
-        for ca, cb in zip(sharded.points, plain.points):
-            assert_identical_classical(ca, cb)
 
     def test_distance_sums_are_exact_integers(self, series):
         totals = DistanceTotals()

@@ -102,7 +102,7 @@ def _targets_for(mode, num_nodes):
 class RecordLog:
     """A ``record``-only collector logging every call, argument types
     included (the third-party consumer shape the fallback adapter
-    serves), with the shard and checkpoint contracts so it can ride
+    serves), with the merge and checkpoint contracts so it can ride
     checkpointed and resumed scans."""
 
     def __init__(self):
@@ -150,7 +150,7 @@ class BatchTally:
 
     @property
     def empty(self):
-        return True  # the tally is shared, never per shard
+        return True  # the tally is shared, never per collector
 
 
 class TestKernelBitIdentity:

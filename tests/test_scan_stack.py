@@ -203,8 +203,8 @@ class SlowMeasure(MeasureSpec):
     def make_collector(self):
         return _SlowCollector(self.pause)
 
-    def finalize(self, delta, geometry, payload, collectors):
-        return collectors[0].num_trips
+    def finalize(self, delta, geometry, payload, collector):
+        return collector.num_trips
 
 
 #: Which collector (in creation order) the failing measure breaks.
@@ -237,8 +237,8 @@ class BrokenMeasure(MeasureSpec):
         _FAIL["made"] += 1
         return _BrokenCollector(index == _FAIL["at"])
 
-    def finalize(self, delta, geometry, payload, collectors):
-        return collectors[0].num_trips
+    def finalize(self, delta, geometry, payload, collector):
+        return collector.num_trips
 
 
 @pytest.fixture(scope="module")

@@ -64,7 +64,7 @@ class SnailMeasure(MeasureSpec):
         time.sleep(self.pause)
         return len(series)
 
-    def finalize(self, delta, geometry, payload, collectors):
+    def finalize(self, delta, geometry, payload, collector):
         return payload
 
 
@@ -82,8 +82,8 @@ def stream():
 
 @pytest.fixture
 def service():
-    # jobs=2 keeps auto-sharding off for the grids used here (enough
-    # tasks per plan), so scan counts stay exactly one per Δ.
+    # Two pool workers and two runners: each Δ is one task on the shared
+    # thread pool, so scan counts stay exactly one per Δ.
     with AnalysisService(jobs=2, runners=2, max_pending=8) as svc:
         yield svc
 

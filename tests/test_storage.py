@@ -31,7 +31,7 @@ from repro.datasets import (
 )
 from repro.datasets.catalog import catalog_root
 from repro.engine import SweepEngine, plan_measure_sweep
-from repro.engine.tasks import AnalysisShardTask, AnalysisTask
+from repro.engine.tasks import AnalysisTask
 from repro.linkstream import LinkStream, write_tsv
 from repro.reporting import render_analysis
 from repro.storage import (
@@ -486,16 +486,12 @@ class TestSpanTasks:
         for bad in ((3.0, 3.0), (5.0, 1.0), (0.0, float("inf"))):
             with pytest.raises(EngineError, match="span"):
                 AnalysisTask(delta=1.0, measures=specs, span=bad)
-            with pytest.raises(EngineError, match="span"):
-                AnalysisShardTask(delta=1.0, measures=specs, span=bad)
 
-    def test_shards_propagate_span(self):
+    def test_narrow_propagates_span(self):
         from repro.engine import normalize_measures
 
         specs = normalize_measures(self.MEASURES)
         task = AnalysisTask(delta=2.0, measures=specs, span=(0.0, 6.0))
-        shards = task.shard(3)
-        assert all(s.span == (0.0, 6.0) for s in shards)
         assert task.narrow([0]).span == (0.0, 6.0)
 
     def test_spanned_evaluation_equals_restricted_stream(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.occupancy import OccupancyCollector, series_occupancy
+from repro.generators import time_uniform_stream
 from repro.graphseries import GraphSeries, aggregate
 from repro.linkstream import LinkStream
 from repro.temporal import (
@@ -13,6 +15,7 @@ from repro.temporal import (
     scan_stream,
     series_distance_stats,
 )
+from repro.utils.errors import ValidationError
 
 
 def series_trips(series):
@@ -212,3 +215,90 @@ class TestDistances:
             )
             merged.merge(shard)
         assert merged.stats(series.num_nodes, series.num_steps) == reference
+
+
+class TestScanTargets:
+    @pytest.fixture(scope="class")
+    def series(self):
+        return aggregate(time_uniform_stream(12, 6, 5000.0, seed=0), 500.0)
+
+    def test_disjoint_targets_partition_the_trip_set(self, series):
+        full = scan_series(series)
+        subset_trips = [
+            scan_series(
+                series, targets=np.arange(i, series.num_nodes, 3)
+            ).num_trips
+            for i in range(3)
+        ]
+        assert sum(subset_trips) == full.num_trips
+        assert all(count > 0 for count in subset_trips)
+
+    def test_full_target_set_matches_unrestricted(self, series):
+        collector_full = TripListCollector()
+        scan_series(series, collector_full)
+        collector_all = TripListCollector()
+        scan_series(
+            collector=collector_all,
+            series=series,
+            targets=np.arange(series.num_nodes),
+        )
+        full = collector_full.trips()
+        restricted = collector_all.trips()
+        assert full.v.tolist() == restricted.v.tolist()
+        assert full.durations.tolist() == restricted.durations.tolist()
+
+    def test_restricted_scan_only_reports_chosen_destinations(self, series):
+        targets = np.array([0, 5, 7])
+        collector = TripListCollector()
+        scan_series(series, collector, targets=targets)
+        assert set(collector.trips().v.tolist()) <= set(targets.tolist())
+
+    def test_empty_targets_rejected(self, series):
+        with pytest.raises(ValidationError):
+            scan_series(series, targets=np.array([], dtype=np.int64))
+
+    def test_out_of_range_targets_rejected(self, series):
+        with pytest.raises(ValidationError):
+            scan_series(series, targets=[series.num_nodes])
+        with pytest.raises(ValidationError):
+            scan_series(series, targets=[-1])
+
+    def test_distance_totals_compose_with_targets(self, series):
+        # Distance statistics used to be incompatible with a target
+        # restriction (the hard-wired compute_distances flag); as a
+        # collector-style consumer they restrict and merge like every
+        # other one.
+        reference = DistanceTotals()
+        scan_series(series, reference)
+        merged = DistanceTotals()
+        for i in range(3):
+            part = DistanceTotals()
+            scan_series(series, part, targets=np.arange(i, series.num_nodes, 3))
+            merged.merge(part)
+        assert merged.stats(series.num_nodes, series.num_steps) == (
+            reference.stats(series.num_nodes, series.num_steps)
+        )
+
+    def test_multi_collector_scan_feeds_all_consumers_once(self, series):
+        # One pass, many measures: a fused consumer set sees exactly what
+        # dedicated single-consumer scans see.
+        occupancy_alone, num_trips = series_occupancy(series)
+        totals_alone = DistanceTotals()
+        scan_series(series, totals_alone)
+
+        occupancy = OccupancyCollector()
+        totals = DistanceTotals()
+        counting = CountingCollector()
+        result = scan_series(series, [occupancy, totals, counting])
+        assert counting.num_trips == num_trips == occupancy.num_trips
+        assert result.num_trips == num_trips
+        fused_distribution = occupancy.distribution()
+        assert fused_distribution.values.tolist() == occupancy_alone.values.tolist()
+        assert fused_distribution.weights.tolist() == occupancy_alone.weights.tolist()
+        assert totals.stats(series.num_nodes, series.num_steps) == (
+            totals_alone.stats(series.num_nodes, series.num_steps)
+        )
+
+    def test_unknown_consumer_rejected(self, series):
+        with pytest.raises(ValidationError, match="neither a trip collector"):
+            scan_series(series, object())
