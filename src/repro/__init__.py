@@ -81,8 +81,9 @@ aggregation and one scan per Δ, bit-identical to running the sweeps
 separately.  Results are cached per measure, so a warm occupancy cache
 plus a cold classical request re-scans each Δ exactly once, computing
 only the missing measure; aggregated series themselves are shared
-through :func:`~repro.graphseries.aggregate_cached`, a process-wide
-content-keyed memo warmed by sweeps and one-shot helpers alike.
+through :func:`~repro.graphseries.aggregate_cached`, which reads the
+one per-process series store: sweeps, re-sweeps with other measures and
+one-shot helpers alike find a ``G_Δ`` any of them built.
 
 Six measures ship built in: ``occupancy``, ``classical``, ``metrics``,
 ``trips`` (bounded minimal-trip samples with exact trip/hop/duration
@@ -241,12 +242,14 @@ untouched.  The append pipeline makes growth incremental end to end:
   zero-event append performs zero scans.
 
 The engine drives all of this through
-:class:`~repro.engine.IncrementalScanSession`, a process-wide
-content-keyed store (always on; ``REPRO_INCREMENTAL_MAX_BYTES`` caps
-it, ``0`` stores no checkpoints; ``repro cache stats`` reports it, the
-checkpoint states apart) — so a warm sweep on a grown stream re-scans only the
-unsettled windows of each Δ,
-with results bit-identical to a cold run
+:class:`~repro.engine.IncrementalScanSession`, which attaches each
+scan's record to its series' entry in the same per-process series
+store (:mod:`repro.graphseries.aggregation`: one content key, one LRU,
+one byte budget over series and records; always on;
+``REPRO_INCREMENTAL_MAX_BYTES`` caps it, ``0`` stores no checkpoints;
+``repro cache stats`` reports it, the checkpoint states apart) — so a
+warm sweep on a grown stream re-scans only the unsettled windows of
+each Δ, with results bit-identical to a cold run
 (``benchmarks/bench_ablation_incremental_append.py`` pins the >= 3x
 wall-clock win, the counter-verified work bounds, and the equivalence).
 The daemon exposes the same pipeline over HTTP: ``POST /v1/append``
@@ -271,9 +274,9 @@ instruments opens/prunes/materializations).
 The catalog layer (:mod:`repro.datasets.catalog`) names such stores:
 ``repro datasets ingest mytrace --events trace.tsv.gz`` cuts a raw
 event file into partitions under ``$REPRO_DATASETS_DIR/mytrace``
-(chunked reading, ``REPRO_INGEST_CHUNK_EVENTS``; partition size,
-``REPRO_PARTITION_EVENTS``), recording content hashes per partition and
-the stream fingerprint in the manifest.  ``repro datasets list | info
+(chunked reading; ``--partition-events`` sets the partition size),
+recording content hashes per partition and the stream fingerprint in
+the manifest.  ``repro datasets list | info
 [--verify] | index`` inspect, integrity-check, and rebuild the
 manifest; :func:`~repro.datasets.open_dataset` returns a lazy
 partition-backed stream whose analyses are bit-identical to the
@@ -300,7 +303,7 @@ Every one-shot ``repro analyze`` pays process startup and cold caches.
 ``repro serve`` keeps them warm instead: a long-lived daemon
 (:mod:`repro.service`, stdlib HTTP — no dependencies) owns one
 :class:`~repro.engine.SweepEngine` (thread backend, shared worker pool,
-memory+disk sweep cache, process-wide series memo) and serves analyze
+memory+disk sweep cache, per-process series store) and serves analyze
 and sweep requests over a small JSON API.  Streams register once by
 content fingerprint (``POST /v1/streams`` — idempotent), jobs are
 asynchronous (``POST /v1/analyze`` returns a job id immediately;

@@ -715,8 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="target events per partition "
-        f"(default: ${partitioned.PARTITION_EVENTS_ENV_VAR} or "
-        f"{partitioned.DEFAULT_PARTITION_EVENTS})",
+        f"(default: {partitioned.DEFAULT_PARTITION_EVENTS})",
     )
     datasets.add_argument(
         "--force",
@@ -787,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the long-lived analysis daemon",
         description="Serve analyses over HTTP+JSON from one warm "
-        "process: registered streams, the aggregation memo, and the "
+        "process: registered streams, the series store, and the "
         "sweep-result cache persist across requests, so repeat "
         "analyses are pure cache hits. Identical in-flight requests "
         "coalesce onto one computation; the job backlog is bounded "

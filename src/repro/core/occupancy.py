@@ -159,7 +159,7 @@ class OccupancyCollector:
 
         The frozen span keeps only its nonzero bins (bin indices plus
         counts): a span covers a few windows, so it touches a few dozen
-        of the thousands of bins, and the incremental store holds many
+        of the thousands of bins, and the series store holds many
         spans.
         """
         if not self._exact and self._index is None:
@@ -241,8 +241,8 @@ def stream_occupancy_at(
 
     Returns ``(distribution, series, num_trips)``.  Aggregation goes
     through :func:`~repro.graphseries.aggregation.aggregate_cached`, so
-    an interactive call at some Δ warms the same series memo the sweep
-    engine's fused tasks read (and vice versa).
+    an interactive call at some Δ reads the series a sweep stored in the
+    per-process series store (and vice versa).
     """
     series = aggregate_cached(stream, delta, origin=origin)
     distribution, num_trips = series_occupancy(

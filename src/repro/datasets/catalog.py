@@ -44,13 +44,13 @@ import numpy as np
 from repro.linkstream.io import read_event_arrays
 from repro.linkstream.stream import LinkStream
 from repro.storage.partitioned import (
+    DEFAULT_PARTITION_EVENTS,
     MANIFEST_NAME,
     PartitionedStorage,
     chain_boundaries,
     chain_manifest_digest,
     parse_partition_filename,
     partition_content_hash,
-    partition_events_default,
     plan_partition_cuts,
     write_manifest,
 )
@@ -94,8 +94,9 @@ def ingest_stream(
     """Write ``stream`` into the catalog as dataset ``name``.
 
     The stream's canonical columns are cut into partitions (about
-    ``partition_events`` each, ``REPRO_PARTITION_EVENTS`` by default;
-    runs of equal timestamps are never split), each partition is
+    ``partition_events`` each, by default :data:`~repro.storage.
+    partitioned.DEFAULT_PARTITION_EVENTS`; runs of equal timestamps are
+    never split), each partition is
     content-hashed, and the manifest records the stream fingerprint,
     the chained partition digest, and prefix fingerprints at up to
     :data:`~repro.storage.partitioned.CHAIN_MAX` partition cuts.
@@ -108,7 +109,7 @@ def ingest_stream(
             "(pass overwrite/--force to replace it)"
         )
     if partition_events is None:
-        partition_events = partition_events_default()
+        partition_events = DEFAULT_PARTITION_EVENTS
     cuts = plan_partition_cuts(stream.timestamps, partition_events)
     chain = tuple(
         (count, stream.prefix_fingerprint(count))
@@ -150,8 +151,8 @@ def ingest_file(
     """Ingest a raw event file (tsv/csv/jsonl, ``.gz`` ok) by name.
 
     The file is parsed in bounded chunks
-    (:func:`repro.linkstream.io.read_event_arrays`,
-    ``REPRO_INGEST_CHUNK_EVENTS``) so peak parse memory is one chunk of
+    (:func:`repro.linkstream.io.read_event_arrays`, ``chunk_events``
+    each) so peak parse memory is one chunk of
     Python objects plus the packed columns.  Returns the manifest dict.
     """
     u, v, t, labels = read_event_arrays(
@@ -337,7 +338,7 @@ def reindex_dataset(name: str, *, root: str | Path | None = None) -> dict:
         "partition_events": (
             previous["partition_events"]
             if previous is not None
-            else partition_events_default()
+            else DEFAULT_PARTITION_EVENTS
         ),
         "manifest_digest": chain_manifest_digest(
             [entry["sha256"] for entry in entries]

@@ -22,36 +22,38 @@ are bit-identical to from-scratch computation (property-tested across
 measure stacks and straddling-window appends), which is why cache
 keys never distinguish warm from cold evaluation.
 
-The store is process-global and bounded by one byte budget
-(``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB, LRU over streams),
-which also caps a single scan's checkpoint record.  Reuse is always on:
-every scan records, offline analyses included.  A checkpoint keeps only
-its finite cells (a packed bitmask plus narrow keys), so a cold sweep of
-the four paper replicas keeps ~20 MB of records, and a long-lived
-service process keeps them warm across appends.  ``REPRO_INCREMENTAL_MAX_BYTES=0`` stores no checkpoints (every
-resume finds nothing to settle on); results are identical either way.
+Both live in the one per-process series store of
+:mod:`repro.graphseries.aggregation`: this module splices from an
+ancestor's entry and attaches each scan's record to its stream's entry,
+under that store's key (``(stream fingerprint, Δ, origin)``), LRU and
+byte budget (``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB), which
+also caps a single scan's checkpoint record.  Reuse is always on: every
+scan records, offline analyses included.  A checkpoint keeps only its
+finite cells (a packed bitmask plus narrow keys), so a cold sweep of the
+four paper replicas keeps ~20 MB of records, and a long-lived service
+process keeps them warm across appends.
+``REPRO_INCREMENTAL_MAX_BYTES=0`` stores no checkpoints (every resume
+finds nothing to settle on); results are identical either way.
 
-Keys are content-derived: ``(stream fingerprint, Δ, origin)`` addresses
-a stream entry, and ``(include_self, consumer tokens)`` a scan record
-within it.  A record is only ever replayed for the same measure stack
-(the consumer tokens pin collector construction parameters) and an
-unchanged node count, so a stale or foreign record cannot be spliced
-into a result.
+Within an entry, ``(include_self, consumer tokens)`` keys a scan record.
+A record is only ever replayed for the same measure stack (the consumer
+tokens pin collector construction parameters) and an unchanged node
+count, so a stale or foreign record cannot be spliced into a result.
 """
 
 from __future__ import annotations
-
-import os
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.graphseries.aggregation import (
     aggregate_cached,
     aggregate_prefix_extended,
-    lookup_memoized_series,
-    memoize_series,
+    clear_aggregate_cache,
+    series_key,
+    store_get,
+    store_max_bytes,
+    store_put,
+    store_snapshot,
     window_index,
 )
 from repro.graphseries.series import GraphSeries
@@ -64,36 +66,13 @@ from repro.temporal.reachability import (
     consumer_list,
     scan_series,
 )
-from repro.utils.errors import AggregationError, EngineError
-
-#: Default byte budget for the process-global incremental store.
-INCREMENTAL_MAX_BYTES = 512 * 1024 * 1024
+from repro.utils.errors import AggregationError
 
 #: Observability counters: ``records`` counts scan records committed,
 #: ``resumes`` counts scans that ran with a resume plan attached,
 #: ``splices`` counts series built by prefix splicing.  Monotone, for
 #: benches and tests (never read by any computation).
 INCREMENTAL_COUNTS = {"records": 0, "resumes": 0, "splices": 0}
-
-_STORE: "OrderedDict[tuple, _StreamEntry]" = OrderedDict()
-_STORE_LOCK = threading.Lock()
-
-
-def _max_bytes() -> int:
-    raw = os.environ.get("REPRO_INCREMENTAL_MAX_BYTES")
-    if raw is None:
-        return INCREMENTAL_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EngineError(
-            f"REPRO_INCREMENTAL_MAX_BYTES must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise EngineError(
-            f"REPRO_INCREMENTAL_MAX_BYTES must be >= 0, got {value}"
-        )
-    return value
 
 
 def _approx_nbytes(obj, depth: int = 3) -> int:
@@ -139,66 +118,31 @@ class _ScanRecord:
         self.nbytes = self.checkpoint_bytes + _approx_nbytes(self.spans)
 
 
-class _StreamEntry:
-    """Everything cached for one ``(fingerprint, Δ, origin)``."""
-
-    __slots__ = ("series", "num_nodes", "num_events", "scans", "nbytes")
-
-    def __init__(
-        self, series: GraphSeries, num_events: int
-    ) -> None:
-        self.series = series
-        self.num_nodes = int(series.num_nodes)
-        self.num_events = int(num_events)
-        self.scans: dict[tuple, _ScanRecord] = {}
-        self.nbytes = 0
-        self.refresh_nbytes()
-
-    def refresh_nbytes(self) -> None:
-        series_bytes = (
-            self.series.edge_steps.nbytes
-            + self.series.edge_sources.nbytes
-            + self.series.edge_targets.nbytes
-        )
-        self.nbytes = series_bytes + sum(
-            record.nbytes for record in self.scans.values()
-        )
-
-
-def _evict_locked() -> None:
-    budget = _max_bytes()
-    total = sum(entry.nbytes for entry in _STORE.values())
-    while total > budget and len(_STORE) > 1:
-        _key, entry = _STORE.popitem(last=False)
-        total -= entry.nbytes
-
-
 def incremental_stats() -> dict:
-    """Snapshot of the store: entry/record/checkpoint counts, bytes, and
-    counters.  ``nbytes`` is everything the budget counts (series,
-    checkpoint states and consumer spans); ``checkpoint_bytes`` is the
-    checkpoint states alone."""
-    with _STORE_LOCK:
-        records = [r for e in _STORE.values() for r in e.scans.values()]
-        return {
-            "streams": len(_STORE),
-            "scan_records": len(records),
-            "checkpoints": sum(len(r.checkpoints) for r in records),
-            "checkpoint_bytes": sum(r.checkpoint_bytes for r in records),
-            "nbytes": sum(e.nbytes for e in _STORE.values()),
-            "max_bytes": _max_bytes(),
-            "counts": dict(INCREMENTAL_COUNTS),
-        }
+    """Snapshot of the series store: entry/record/checkpoint counts,
+    bytes, and counters.  ``nbytes`` is everything the budget counts
+    (series, checkpoint states and consumer spans); ``checkpoint_bytes``
+    is the checkpoint states alone."""
+    nbytes, per_entry = store_snapshot()
+    records = [record for entry in per_entry for record in entry]
+    return {
+        "streams": len(per_entry),
+        "scan_records": len(records),
+        "checkpoints": sum(len(r.checkpoints) for r in records),
+        "checkpoint_bytes": sum(r.checkpoint_bytes for r in records),
+        "nbytes": nbytes,
+        "max_bytes": store_max_bytes(),
+        "counts": dict(INCREMENTAL_COUNTS),
+    }
 
 
-def clear_incremental_store() -> None:
-    """Drop every cached series and scan record (counters persist)."""
-    with _STORE_LOCK:
-        _STORE.clear()
+#: The scan records live in the one series store, so clearing one clears
+#: the other.
+clear_incremental_store = clear_aggregate_cache
 
 
 class IncrementalScanSession:
-    """One (stream, Δ) evaluation's view of the incremental store.
+    """One (stream, Δ) evaluation's view of the series store.
 
     Binds a stream, an aggregation geometry, and a scan identity
     (``include_self`` and the measure stack's ``consumer_tokens``), then
@@ -233,34 +177,22 @@ class IncrementalScanSession:
         self._origin = origin
         self._include_self = bool(include_self)
         self._consumer_tokens = tuple(consumer_tokens)
-        canonical = origin
-        if canonical is not None and float(canonical) == stream.t_min:
-            canonical = None
-        self._origin_token = (
-            None if canonical is None else repr(float(canonical))
-        )
-        self._base_key = (
-            stream.fingerprint(),
-            repr(self._delta),
-            self._origin_token,
-        )
+        self._key = series_key(stream, self._delta, origin)
         self._scan_key = (self._include_self, self._consumer_tokens)
         self._series: GraphSeries | None = None
 
     # -- ancestry ---------------------------------------------------------
 
     def _ancestor_keys(self):
-        """Ancestor ``(base_key, append_point)`` pairs, largest prefix first.
+        """Ancestor ``(key, append_point)`` pairs, largest prefix first.
 
         The chain records ``(event_count, fingerprint)`` per extend;
         reversing it probes the most recent (longest) ancestor first, so
-        a warm hit reuses the maximal prefix.
+        a warm hit reuses the maximal prefix.  An ancestor keys as this
+        stream does, with its own fingerprint.
         """
         for count, fingerprint in reversed(self._stream.fingerprint_chain):
-            yield (
-                (fingerprint, repr(self._delta), self._origin_token),
-                int(count),
-            )
+            yield (fingerprint, *self._key[1:]), int(count)
 
     def _effective_origin(self) -> float:
         return (
@@ -286,57 +218,43 @@ class IncrementalScanSession:
     # -- the aggregation stage --------------------------------------------
 
     def series(self) -> GraphSeries:
-        """The stream aggregated at Δ, spliced from a warm prefix if any."""
-        if self._series is not None:
-            return self._series
-        series = lookup_memoized_series(
-            self._stream, self._delta, origin=self._origin
-        )
-        if series is None:
-            series = self._splice_series()
-            if series is not None:
-                memoize_series(
-                    self._stream, self._delta, series, origin=self._origin
+        """The stream aggregated at Δ: its store entry, else spliced from
+        a warm ancestor's entry, else :func:`aggregate_cached`."""
+        if self._series is None:
+            entry = store_get(self._key)
+            series = entry.series if entry is not None else self._splice()
+            if series is None:
+                series = aggregate_cached(
+                    self._stream, self._delta, origin=self._origin
                 )
-        if series is None:
-            series = aggregate_cached(
-                self._stream, self._delta, origin=self._origin
-            )
-        with _STORE_LOCK:
-            self._touch_entry_locked(series)
-            _evict_locked()
-        self._series = series
-        return series
+            self._series = series
+        return self._series
 
-    def _splice_series(self) -> GraphSeries | None:
-        parent: GraphSeries | None = None
-        append_point = 0
-        with _STORE_LOCK:
-            for key, count in self._ancestor_keys():
-                entry = _STORE.get(key)
-                if entry is None or entry.num_nodes != self._stream.num_nodes:
-                    continue
-                if not 0 < count < self._stream.num_events:
-                    continue
-                if count != entry.num_events:
-                    continue
-                _STORE.move_to_end(key)
-                parent, append_point = entry.series, count
-                break
-        if parent is None:
-            return None
-        try:
-            series = aggregate_prefix_extended(
-                self._stream,
-                self._delta,
-                prefix_series=parent,
-                prefix_events=append_point,
-                origin=self._origin,
-            )
-        except AggregationError:
-            return None
-        INCREMENTAL_COUNTS["splices"] += 1
-        return series
+    def _splice(self) -> GraphSeries | None:
+        num_events = self._stream.num_events
+        for key, count in self._ancestor_keys():
+            if not 0 < count < num_events:
+                continue
+            entry = store_get(key)
+            if (
+                entry is None
+                or entry.num_events != count
+                or entry.series.num_nodes != self._stream.num_nodes
+            ):
+                continue
+            try:
+                series = aggregate_prefix_extended(
+                    self._stream,
+                    self._delta,
+                    prefix_series=entry.series,
+                    prefix_events=count,
+                    origin=self._origin,
+                )
+            except AggregationError:
+                return None
+            INCREMENTAL_COUNTS["splices"] += 1
+            return store_put(self._key, series, num_events).series
+        return None
 
     # -- the scan stage ---------------------------------------------------
 
@@ -366,7 +284,7 @@ class IncrementalScanSession:
         return ScanJob(
             series,
             items,
-            CheckpointRecorder(max_bytes=_max_bytes()),
+            CheckpointRecorder(max_bytes=store_max_bytes()),
             self._resume_plan(series),
         )
 
@@ -383,65 +301,46 @@ class IncrementalScanSession:
         return result
 
     def commit(self, job: ScanJob) -> None:
-        """Store a finished scan's checkpoint record for future appends."""
-        if job.checkpoints is None:
+        """Attach a finished scan's checkpoint record to the stream's
+        store entry for future appends."""
+        recorder = job.checkpoints
+        if recorder is None:
             return
         if job.resume is not None:
             INCREMENTAL_COUNTS["resumes"] += 1
-        self._commit_scan(job.series, job.checkpoints)
+        store_put(
+            self._key,
+            job.series,
+            self._stream.num_events,
+            token=self._scan_key,
+            record=_ScanRecord(
+                recorder.checkpoints, recorder.spans, recorder.span_trips
+            ),
+        )
+        INCREMENTAL_COUNTS["records"] += 1
 
     def _resume_plan(self, series: GraphSeries) -> ResumePlan | None:
-        with _STORE_LOCK:
-            # A record for this very stream (re-analysis, or an empty
-            # append preserving the fingerprint): every window settles.
-            entry = _STORE.get(self._base_key)
-            if entry is not None and entry.num_nodes == series.num_nodes:
-                record = entry.scans.get(self._scan_key)
-                if record is not None and record.checkpoints:
-                    _STORE.move_to_end(self._base_key)
-                    return ResumePlan(
-                        record.checkpoints,
-                        record.spans,
-                        record.span_trips,
-                        limit=int(series.num_steps),
-                    )
-            for key, count in self._ancestor_keys():
-                entry = _STORE.get(key)
-                if entry is None or entry.num_nodes != series.num_nodes:
-                    continue
-                record = entry.scans.get(self._scan_key)
-                if record is None or not record.checkpoints:
-                    continue
-                if count <= 0:
-                    continue
-                _STORE.move_to_end(key)
-                plan = ResumePlan(
-                    record.checkpoints,
-                    record.spans,
-                    record.span_trips,
-                    limit=self._suffix_limit(count, series.num_steps),
-                )
-                if len(plan):
-                    return plan
+        # This very stream first (re-analysis, or an empty append
+        # preserving the fingerprint): every window settles.  Then the
+        # ancestors, below the first window the append touched.
+        for key, count in ((self._key, None), *self._ancestor_keys()):
+            if count is not None and count <= 0:
+                continue
+            entry = store_get(key)
+            if entry is None or entry.series.num_nodes != series.num_nodes:
+                continue
+            record = entry.records.get(self._scan_key)
+            if record is None or not record.checkpoints:
+                continue
+            plan = ResumePlan(
+                record.checkpoints,
+                record.spans,
+                record.span_trips,
+                limit=(
+                    int(series.num_steps) if count is None
+                    else self._suffix_limit(count, series.num_steps)
+                ),
+            )
+            if len(plan):
+                return plan
         return None
-
-    def _commit_scan(
-        self, series: GraphSeries, recorder: CheckpointRecorder
-    ) -> None:
-        record = _ScanRecord(
-            recorder.checkpoints, recorder.spans, recorder.span_trips
-        )
-        with _STORE_LOCK:
-            entry = self._touch_entry_locked(series)
-            entry.scans[self._scan_key] = record
-            entry.refresh_nbytes()
-            INCREMENTAL_COUNTS["records"] += 1
-            _evict_locked()
-
-    def _touch_entry_locked(self, series: GraphSeries) -> _StreamEntry:
-        entry = _STORE.get(self._base_key)
-        if entry is None:
-            entry = _StreamEntry(series, self._stream.num_events)
-            _STORE[self._base_key] = entry
-        _STORE.move_to_end(self._base_key)
-        return entry

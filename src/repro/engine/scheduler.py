@@ -157,11 +157,11 @@ class SweepEngine:
                     parts[i][j] = part
                     self.cache.put(keys[i][j], part, weight=weights[j])
 
-        # The aggregated series the run materialized stay in the bounded
-        # process-wide memo (repro.graphseries.aggregate_cached) on
-        # purpose: validation and one-shot follow-ups re-read the series
-        # a sweep just built.  Callers wanting the memory back call
-        # clear_aggregate_cache().
+        # The aggregated series and scan records the run built stay in
+        # the per-process series store (repro.graphseries.aggregation)
+        # on purpose: validation, one-shot follow-ups, re-sweeps with
+        # other measures and the next append re-read them.  Callers
+        # wanting the memory back call clear_aggregate_cache().
 
         self.progress.on_finish(total)
         return [tasks[i].assemble(parts[i]) for i in range(total)]

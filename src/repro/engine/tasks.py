@@ -179,7 +179,7 @@ class AnalysisTask(DeltaTask):
     """Aggregate at Δ once, scan once, emit one result per measure.
 
     The fused per-Δ evaluation: the measure set shares a single
-    aggregation (through the process-wide series memo) and a single
+    aggregation (through the per-process series store) and a single
     backward scan feeding every measure's collector.  ``evaluate``
     returns a dict mapping measure name to its result; the scheduler
     caches each entry under its own per-measure key (see

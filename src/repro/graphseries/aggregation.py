@@ -11,10 +11,19 @@ policies, all provided here for comparison studies: overlapping windows,
 cumulative windows (all starting at the beginning of the study), and
 adaptive variable-length windows that close once the forming snapshot
 "matures" (its density stabilizes), after Soundarajan et al.
+
+Every consumer of one ``G_Δ`` reads it from one per-process **series
+store** (:func:`aggregate_cached`): an LRU of :class:`SeriesEntry`
+objects under one content key (:func:`series_key`), one lock and one
+byte budget (``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB).  The
+incremental engine (:mod:`repro.engine.incremental`) splices a grown
+stream's series from its ancestor's entry and attaches its scan records
+to the entries, so the budget covers both.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from typing import Any
@@ -23,7 +32,7 @@ import numpy as np
 
 from repro.graphseries.series import GraphSeries
 from repro.linkstream.stream import LinkStream
-from repro.utils.errors import AggregationError
+from repro.utils.errors import AggregationError, EngineError
 
 #: Aggregation instrumentation: how many series this process has
 #: materialized from scratch (``"aggregate"``) and how many were spliced
@@ -117,33 +126,155 @@ def aggregate(
     )
 
 
-#: Small per-process memo of aggregated series, keyed on content
-#: (stream fingerprint, Δ, origin), so every consumer of the same
-#: ``G_Δ`` — a sweep task, a one-shot occupancy call, a validation pass,
-#: concurrent daemon requests — shares one materialization instead of re-windowing
-#: the stream.  Content keys can never serve a stale series; the bound
-#: keeps a long sweep from hoarding memory.
-_SERIES_MEMO: OrderedDict[tuple, Any] = OrderedDict()
+#: Default byte budget of the series store.
+INCREMENTAL_MAX_BYTES = 512 * 1024 * 1024
+
+
+class SeriesEntry:
+    """Everything the store keeps for one ``(stream, Δ, origin)``: the
+    series, the stream's event count, and the scan records
+    :mod:`repro.engine.incremental` attaches (opaque here; each has an
+    ``nbytes``), keyed by scan identity.  ``nbytes`` is the series
+    arrays plus every record."""
+
+    __slots__ = ("series", "num_events", "records", "nbytes")
+
+    def __init__(self, series: GraphSeries, num_events: int) -> None:
+        self.series = series
+        self.num_events = int(num_events)
+        self.records: dict[tuple, Any] = {}
+        self.nbytes = (
+            series.edge_steps.nbytes
+            + series.edge_sources.nbytes
+            + series.edge_targets.nbytes
+        )
+
+
+#: The series store, LRU first: every consumer of the same ``G_Δ`` — a
+#: sweep task, a one-shot occupancy call, a validation pass, concurrent
+#: daemon requests, the next append's splice — shares one entry.
+#: Content keys can never serve a stale series.
+_STORE: OrderedDict[tuple, SeriesEntry] = OrderedDict()
+_STORE_LOCK = threading.Lock()
+#: Running byte total of every entry (kept equal to the sum of their
+#: ``nbytes``), checked against the budget on every put.
+_STORE_BYTES = 0
 #: Keys currently being aggregated, so concurrent callers wanting one Δ
 #: wait for the first thread's result instead of all recomputing it.
 _SERIES_IN_FLIGHT: dict[tuple, threading.Event] = {}
-_SERIES_MEMO_LOCK = threading.Lock()
-_SERIES_MEMO_MAX = 4
+
+
+def store_max_bytes() -> int:
+    """The store's byte budget: ``REPRO_INCREMENTAL_MAX_BYTES``, by
+    default 512 MiB.  It also caps a single scan's checkpoint record."""
+    raw = os.environ.get("REPRO_INCREMENTAL_MAX_BYTES")
+    if raw is None:
+        return INCREMENTAL_MAX_BYTES
+    try:
+        value = int(raw)
+    except ValueError:
+        raise EngineError(
+            f"REPRO_INCREMENTAL_MAX_BYTES must be an integer, got {raw!r}"
+        ) from None
+    if value < 0:
+        raise EngineError(
+            f"REPRO_INCREMENTAL_MAX_BYTES must be >= 0, got {value}"
+        )
+    return value
+
+
+def series_key(
+    stream: LinkStream, delta: float, origin: float | None = None
+) -> tuple:
+    """The store key of ``stream`` aggregated at Δ from ``origin``:
+    ``(fingerprint, Δ, origin)``.
+
+    An explicit origin equal to the default (the first event) keys the
+    same as no origin: the series are identical, and callers that
+    resolve the default themselves (validation) must still hit entries
+    warmed by callers that do not (the sweep engine).  A stream's
+    ancestors (appends keep ``t_min``) key as this tuple with their own
+    fingerprint in front.
+    """
+    if origin is not None and float(origin) == stream.t_min:
+        origin = None
+    return (
+        stream.fingerprint(),
+        repr(float(delta)),
+        None if origin is None else repr(float(origin)),
+    )
+
+
+def store_get(key: tuple) -> SeriesEntry | None:
+    """The entry under ``key`` (now the most recently used), or ``None``."""
+    with _STORE_LOCK:
+        return _get_locked(key)
+
+
+def _get_locked(key: tuple) -> SeriesEntry | None:
+    entry = _STORE.get(key)
+    if entry is not None:
+        _STORE.move_to_end(key)
+    return entry
+
+
+def store_put(
+    key: tuple,
+    series: GraphSeries,
+    num_events: int,
+    *,
+    token: tuple | None = None,
+    record: Any = None,
+) -> SeriesEntry:
+    """Insert ``series`` under ``key`` unless an entry is there (then
+    that entry stays), attach ``record`` under ``token`` if given, mark
+    the entry most recently used and evict down to the budget.
+
+    Eviction drops whole entries, series and records together, least
+    recently used first, and always leaves the most recent one.
+    """
+    global _STORE_BYTES
+    with _STORE_LOCK:
+        entry = _STORE.get(key)
+        if entry is None:
+            entry = _STORE[key] = SeriesEntry(series, num_events)
+            _STORE_BYTES += entry.nbytes
+        if token is not None:
+            old = entry.records.get(token)
+            grown = record.nbytes - (0 if old is None else old.nbytes)
+            entry.records[token] = record
+            entry.nbytes += grown
+            _STORE_BYTES += grown
+        _STORE.move_to_end(key)
+        budget = store_max_bytes()
+        while _STORE_BYTES > budget and len(_STORE) > 1:
+            _key, evicted = _STORE.popitem(last=False)
+            _STORE_BYTES -= evicted.nbytes
+        return entry
+
+
+def store_snapshot() -> tuple[int, list[list]]:
+    """``(nbytes, records)``: the running byte total and each entry's
+    attached records (one list per entry, LRU first), read together."""
+    with _STORE_LOCK:
+        return _STORE_BYTES, [list(e.records.values()) for e in _STORE.values()]
 
 
 def clear_aggregate_cache() -> None:
-    """Drop all memoized aggregated series (in this process).
+    """Drop every entry of the series store (in this process): series
+    and scan records alike.
 
-    The memo deliberately outlives individual sweeps — validation and
-    one-shot helpers re-read the series a sweep just built — and is
-    bounded to the :data:`_SERIES_MEMO_MAX` most recent entries, so at
-    most that many aggregated series stay pinned.  Call this to release
-    the memory sooner (e.g. after analyzing a very large stream in a
-    long-lived process).  Pool worker processes keep their own bounded
-    memos; those die with the pool.
+    The store deliberately outlives individual sweeps — validation,
+    one-shot helpers and the next append re-read what a sweep built —
+    within its byte budget (:func:`store_max_bytes`).  Call this to
+    release the memory sooner (e.g. after analyzing a very large stream
+    in a long-lived process).  Pool worker processes keep their own
+    stores; those die with the pool.
     """
-    with _SERIES_MEMO_LOCK:
-        _SERIES_MEMO.clear()
+    global _STORE_BYTES
+    with _STORE_LOCK:
+        _STORE.clear()
+        _STORE_BYTES = 0
 
 
 def aggregate_cached(
@@ -152,7 +283,7 @@ def aggregate_cached(
     *,
     origin: float | None = None,
 ) -> GraphSeries:
-    """:func:`aggregate`, behind the process-wide bounded series memo.
+    """:func:`aggregate`, behind the per-process series store.
 
     Bit-identical to :func:`aggregate` — a :class:`GraphSeries` is
     immutable, so sharing one instance is free correctness-wise.  Use it
@@ -160,106 +291,33 @@ def aggregate_cached(
     fused per-Δ tasks and the one-shot
     helpers (:func:`~repro.core.occupancy.stream_occupancy_at`,
     validation, spreading fidelity) all route through here, so an
-    interactive call warms the same memo a sweep reads.  Thread-safe;
-    concurrent requests for one key aggregate once.
+    interactive call reads the series a sweep stored, and vice versa.
+    Thread-safe; concurrent requests for one key aggregate once.
     """
-    # An explicit origin equal to the default (the first event) keys the
-    # same as no origin: the series are identical, and callers that
-    # resolve the default themselves (validation) must still hit entries
-    # warmed by callers that do not (the sweep engine).
-    if origin is not None and float(origin) == stream.t_min:
-        origin = None
-    key = (
-        stream.fingerprint(),
-        repr(float(delta)),
-        None if origin is None else repr(float(origin)),
-    )
-    with _SERIES_MEMO_LOCK:
-        if key in _SERIES_MEMO:
-            _SERIES_MEMO.move_to_end(key)
-            return _SERIES_MEMO[key]
+    key = series_key(stream, delta, origin)
+    with _STORE_LOCK:
+        entry = _get_locked(key)
+        if entry is not None:
+            return entry.series
         pending = _SERIES_IN_FLIGHT.get(key)
         if pending is None:
             _SERIES_IN_FLIGHT[key] = threading.Event()
     if pending is not None:
         pending.wait()
-        with _SERIES_MEMO_LOCK:
-            series = _SERIES_MEMO.get(key)
-        if series is not None:
-            return series
+        entry = store_get(key)
+        if entry is not None:
+            return entry.series
         # The computing thread failed or the entry was evicted under
         # memory pressure; fall through and aggregate locally.
         return aggregate(stream, float(delta), origin=origin)
     try:
         series = aggregate(stream, float(delta), origin=origin)
-        with _SERIES_MEMO_LOCK:
-            _SERIES_MEMO[key] = series
-            _SERIES_MEMO.move_to_end(key)
-            while len(_SERIES_MEMO) > _SERIES_MEMO_MAX:
-                _SERIES_MEMO.popitem(last=False)
-        return series
+        return store_put(key, series, stream.num_events).series
     finally:
-        with _SERIES_MEMO_LOCK:
+        with _STORE_LOCK:
             event = _SERIES_IN_FLIGHT.pop(key, None)
         if event is not None:
             event.set()
-
-
-def lookup_memoized_series(
-    stream: LinkStream,
-    delta: float,
-    *,
-    origin: float | None = None,
-) -> GraphSeries | None:
-    """The memoized series for ``(stream, Δ, origin)``, or ``None``.
-
-    A read-only probe of the :func:`aggregate_cached` memo that never
-    aggregates on a miss — the incremental-append path uses it to decide
-    between reusing a warm series and splicing one from a cached prefix.
-    """
-    if origin is not None and float(origin) == stream.t_min:
-        origin = None
-    key = (
-        stream.fingerprint(),
-        repr(float(delta)),
-        None if origin is None else repr(float(origin)),
-    )
-    with _SERIES_MEMO_LOCK:
-        series = _SERIES_MEMO.get(key)
-        if series is not None:
-            _SERIES_MEMO.move_to_end(key)
-        return series
-
-
-def memoize_series(
-    stream: LinkStream,
-    delta: float,
-    series: GraphSeries,
-    *,
-    origin: float | None = None,
-) -> None:
-    """Insert a series into the :func:`aggregate_cached` memo.
-
-    The incremental-append path materializes spliced series outside
-    :func:`aggregate_cached`; registering them here under the same
-    content key lets every later consumer (sweep tasks, validation
-    passes) share the splice exactly as they would share a
-    from-scratch aggregation.  Keys are content-derived, so a wrong
-    series cannot be installed for a key without breaking the stream
-    fingerprint itself.
-    """
-    if origin is not None and float(origin) == stream.t_min:
-        origin = None
-    key = (
-        stream.fingerprint(),
-        repr(float(delta)),
-        None if origin is None else repr(float(origin)),
-    )
-    with _SERIES_MEMO_LOCK:
-        _SERIES_MEMO[key] = series
-        _SERIES_MEMO.move_to_end(key)
-        while len(_SERIES_MEMO) > _SERIES_MEMO_MAX:
-            _SERIES_MEMO.popitem(last=False)
 
 
 def aggregate_prefix_extended(

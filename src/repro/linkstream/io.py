@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import os
 from collections.abc import Hashable, Iterator
 from pathlib import Path
 from typing import TextIO
@@ -35,26 +34,7 @@ _COMMENT_PREFIXES = ("#", "%")
 
 #: Chunk size (events) for the bounded-memory array readers used by the
 #: dataset catalog's ingest path.
-INGEST_CHUNK_ENV_VAR = "REPRO_INGEST_CHUNK_EVENTS"
 DEFAULT_INGEST_CHUNK_EVENTS = 65536
-
-
-def ingest_chunk_events() -> int:
-    """Ingest chunk size: ``REPRO_INGEST_CHUNK_EVENTS`` or the default."""
-    raw = os.environ.get(INGEST_CHUNK_ENV_VAR)
-    if raw is None:
-        return DEFAULT_INGEST_CHUNK_EVENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise LinkStreamError(
-            f"{INGEST_CHUNK_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise LinkStreamError(
-            f"{INGEST_CHUNK_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def _open_text(path: str | Path, mode: str) -> TextIO:
@@ -126,7 +106,7 @@ def read_event_arrays(
     The catalog's ingest reader: labels are mapped to dense indices in
     first-seen order (exactly as :meth:`LinkStream.from_triples`), but
     parsed rows are flushed into numpy columns every ``chunk_events``
-    events (``REPRO_INGEST_CHUNK_EVENTS``, default 65536) so peak
+    events (default :data:`DEFAULT_INGEST_CHUNK_EVENTS`) so peak
     ingest memory holds one
     chunk of Python objects plus the packed columns — not a Python list
     of every event in the file.
@@ -136,7 +116,7 @@ def read_event_arrays(
     whole-file readers' output.
     """
     if chunk_events is None:
-        chunk_events = ingest_chunk_events()
+        chunk_events = DEFAULT_INGEST_CHUNK_EVENTS
     if chunk_events <= 0:
         raise LinkStreamError(f"chunk_events must be positive, got {chunk_events}")
     labels: list[Hashable] = []

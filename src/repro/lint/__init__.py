@@ -2,7 +2,7 @@
 
 The paper's method rests on exact, reproducible quantities —
 integer-exact occupancy evidence, bit-identical Δ evaluations whatever
-the backend or shard layout — and the engine re-proves those properties
+the backend or cache state — and the engine re-proves those properties
 in every test run.  This package turns the conventions those tests rely
 on into machine-checked **contracts**: an AST-based checker that walks
 ``src/repro`` (or any path) and flags code that would silently break
@@ -15,7 +15,7 @@ Enforced contracts (rule families)
 dataclass fields *are* its cache identity: ``MeasureSpec.token()``
 derives from them automatically, so a parameter that is not an
 annotated field silently drops out of the cache key — exactly the
-``include_isolated``-style shard-key collision PR 4 fixed by hand.
+``include_isolated``-style cache-key collision PR 4 fixed by hand.
 The rules flag plain (unannotated) class-level assignments on
 ``MeasureSpec`` subclasses, ``scoring_fields`` entries that name no
 dataclass field, hand-rolled ``token``/``collector_token`` overrides
@@ -32,19 +32,22 @@ processes), calls to ``random.*`` / ``time.time()`` / ``id()`` /
 ``hash()`` (randomness must route through :mod:`repro.utils.rng`;
 clocks must be explicit and monotonic; ``hash``/``id`` vary per
 process), and float accumulation inside collectors whose merge
-contract is integer-exact (float sums are order-dependent, so shard
+contract is integer-exact (float sums are order-dependent, so span
 merges would stop being bit-identical).
 
 **Collector contract** (``collector-contract``,
 ``collector-merge-inplace``).  Any class defining ``record`` feeds the
-backward scan and must survive within-Δ sharding: it must also define
-an in-place ``merge`` (returning ``self`` or ``None``, never a fresh
-object) and the ``empty`` property — the parity gaps PR 2 and PR 4
-closed by hand on ``OccupancyCollector`` and ``ChainCollector``.
+backward scan and must survive being merged back from parts (the
+incremental splice of cached spans, ``scan_series(targets=)``
+subsets): it must also define an in-place ``merge`` (returning
+``self`` or ``None``, never a fresh object) and the ``empty`` property
+— the parity gaps PR 2 and PR 4 closed by hand on
+``OccupancyCollector`` and ``ChainCollector``.
 
 **Lock discipline** (``unlocked-attribute-write``,
-``lock-order-cycle``).  In the concurrency core (``engine/`` and
-``service/``), a class that owns a ``threading.Lock`` / ``RLock`` /
+``lock-order-cycle``).  In the concurrency core (``engine/``,
+``service/``, ``storage/`` and ``graphseries/``, home of the series
+store), a class that owns a ``threading.Lock`` / ``RLock`` /
 ``Condition`` must write its private ``self._*`` attributes inside a
 ``with self.<lock>:`` block (or in ``__init__``, before the object is
 shared; helper methods named ``*_locked`` are assumed called with the

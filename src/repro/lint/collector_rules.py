@@ -1,12 +1,13 @@
 """Collector-contract rules.
 
 Anything with a ``record`` (or batched ``record_batch``) method feeds
-the backward scan, and the within-Δ sharding layer (PR 2) may split its
-input across workers and fold the shards back together.  That only reassembles bit-identically
-when every collector also implements in-place ``merge`` and exposes
-``empty`` so zero-trip shards can be recognized — the parity gaps
-PR 2 and PR 4 closed by hand on ``OccupancyCollector`` and
-``ChainCollector``.
+the backward scan, whose parts are merged back together: the
+incremental splice folds cached window spans into a resumed scan's
+collectors, and ``scan_series(targets=)`` splits the destinations into
+disjoint subsets.  That only reassembles bit-identically when every
+collector also implements in-place ``merge`` and exposes ``empty`` so
+zero-trip parts can be recognized — the parity gaps PR 2 and PR 4
+closed by hand on ``OccupancyCollector`` and ``ChainCollector``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class CollectorContractRule(Rule):
     id = "collector-contract"
     summary = "collector defines record without merge/empty"
     hint = (
-        "a class with record() feeds the sharded scan: add an in-place "
-        "merge(other) and an `empty` property so shards reassemble and "
-        "zero-trip shards are recognizable"
+        "a class with record() feeds the scan, whose parts are merged "
+        "back (incremental splice, targets= subsets): add an in-place "
+        "merge(other) and an `empty` property so parts reassemble and "
+        "zero-trip parts are recognizable"
     )
 
     def check(self, module: ModuleContext) -> list[Finding]:
@@ -69,7 +71,7 @@ class CollectorContractRule(Rule):
                         module,
                         node,
                         f"{node.name} defines {feed}() but no merge(); "
-                        "sharded scans cannot reassemble it",
+                        "spliced or split scans cannot reassemble it",
                     )
                 )
             if "empty" not in methods:
@@ -78,7 +80,7 @@ class CollectorContractRule(Rule):
                         module,
                         node,
                         f"{node.name} defines {feed}() but no `empty` "
-                        "property; zero-trip shards are undetectable",
+                        "property; zero-trip spans are undetectable",
                     )
                 )
             else:
@@ -107,7 +109,7 @@ class MergeInPlaceRule(Rule):
     summary = "collector merge() returns a new object"
     hint = (
         "merge(other) must mutate self in place and return self or None "
-        "— the shard fold keeps references to the accumulators it "
+        "— the span fold keeps references to the collectors it "
         "merges into, so a returned fresh object is silently dropped"
     )
 

@@ -5,7 +5,7 @@ Scope: modules under ``engine/``, ``temporal/``, ``graphseries/``,
 flow through, including the stream-storage backends whose column loads
 and fingerprints feed every cache key.  The contract is that results
 are pure functions of the stream and the parameters: same input, same
-bits, on every backend and shard layout.
+bits, on every backend, cache state and splice of cached spans.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class FloatAccumulationRule(_DeterminismRule):
     summary = "float accumulation inside an integer-exact collector"
     hint = (
         "collector merges must be integer-exact (float += is "
-        "order-dependent, so shard merges stop being bit-identical); "
+        "order-dependent, so span merges stop being bit-identical); "
         "accumulate integer numerators and divide once in finalize"
     )
 
@@ -267,7 +267,7 @@ class FloatAccumulationRule(_DeterminismRule):
                                 module,
                                 child,
                                 f"{node.name}.{method.name} accumulates a "
-                                "float expression; shard merges will not "
+                                "float expression; span merges will not "
                                 "be bit-identical",
                             )
                         )

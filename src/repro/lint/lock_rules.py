@@ -1,10 +1,11 @@
 """Lock-discipline rules for the concurrency core.
 
-Scope: ``engine/``, ``service/`` and ``storage/`` — the job queue,
-caches, backends and the daemon, where one warm process serves many
-clients and a missed lock is a data race on shared sweep state, and
-the storage backends whose lazily-cached columns are shared across
-service threads — plus ``tests/``, so the lock-owning test doubles
+Scope: ``engine/``, ``service/``, ``storage/`` and ``graphseries/`` —
+the job queue, caches, backends and the daemon, where one warm process
+serves many clients and a missed lock is a data race on shared sweep
+state, the storage backends whose lazily-cached columns are shared
+across service threads, and the per-process series store — plus
+``tests/``, so the lock-owning test doubles
 (fake backends, counting evaluators, service fixtures) honour the
 same discipline instead of rotting into bad examples of it.
 
@@ -34,7 +35,7 @@ from repro.lint.base import (
 )
 from repro.lint.findings import Finding
 
-_SCOPE = ("engine", "service", "tests", "storage")
+_SCOPE = ("engine", "service", "tests", "storage", "graphseries")
 
 #: Methods assumed to run with the instance lock already held (convention)
 #: or before the instance is shared.

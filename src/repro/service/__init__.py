@@ -1,7 +1,7 @@
 """The analysis service: a long-lived daemon serving repro analyses.
 
 Offline, every ``repro analyze`` pays process startup, a cold
-aggregation memo, and a cold sweep cache.  The service keeps all of that
+series store, and a cold sweep cache.  The service keeps all of that
 warm in one process: :class:`AnalysisService` owns the streams (by
 content fingerprint), one shared :class:`~repro.engine.SweepEngine` on
 the ``thread`` backend, and a :class:`~repro.engine.JobQueue` providing

@@ -97,7 +97,7 @@ def reachability_fidelity(
 
     points = []
     for delta in np.asarray(deltas, dtype=np.float64):
-        # Shares the process-wide series memo with the sweep engine, so
+        # Shares the per-process series store with the sweep engine, so
         # probing Δ values a sweep already aggregated costs no window
         # pass.
         series = aggregate_cached(stream, float(delta), origin=origin)

@@ -11,14 +11,12 @@ from repro.storage.columnar import ColumnarStorage
 from repro.storage.partitioned import (
     DEFAULT_PARTITION_EVENTS,
     MANIFEST_NAME,
-    PARTITION_EVENTS_ENV_VAR,
     PartitionedStorage,
 )
 
 __all__ = [
     "DEFAULT_PARTITION_EVENTS",
     "MANIFEST_NAME",
-    "PARTITION_EVENTS_ENV_VAR",
     "STORAGE_COUNTS",
     "ColumnarStorage",
     "PartitionedStorage",

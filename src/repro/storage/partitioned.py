@@ -53,8 +53,7 @@ from repro.utils.errors import StorageError
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-catalog-v1"
 
-#: Target events per partition file (``REPRO_PARTITION_EVENTS`` overrides).
-PARTITION_EVENTS_ENV_VAR = "REPRO_PARTITION_EVENTS"
+#: Target events per partition file (``partition_events=`` overrides).
 DEFAULT_PARTITION_EVENTS = 262_144
 
 #: Partitions per directory bucket (keeps directories listing-friendly).
@@ -62,24 +61,6 @@ BUCKET_SIZE = 64
 
 #: At most this many prefix fingerprints are recorded on the chain.
 CHAIN_MAX = 16
-
-
-def partition_events_default() -> int:
-    """Ingest partition size: ``REPRO_PARTITION_EVENTS`` or the default."""
-    raw = os.environ.get(PARTITION_EVENTS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PARTITION_EVENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise StorageError(
-            f"{PARTITION_EVENTS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise StorageError(
-            f"{PARTITION_EVENTS_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 # -- structured filenames -------------------------------------------------
@@ -286,7 +267,7 @@ class PartitionedStorage(StreamStorage):
                 f"unknown PartitionedStorage options: {sorted(kwargs)}"
             )
         if partition_events is None:
-            partition_events = partition_events_default()
+            partition_events = DEFAULT_PARTITION_EVENTS
 
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)

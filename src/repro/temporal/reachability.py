@@ -2080,6 +2080,12 @@ class _Slot:
                 if finish is not None:
                     finish()
             if self.captures:
+                # Freeze the last span's trip collectors as a capture
+                # does (an occupancy span keeps its nonzero bins) and
+                # drop their successors.  Accumulators stay live: their
+                # handoff allocates fresh state (n × n matrices).
+                for collector in self.collectors:
+                    collector.segment_handoff()
                 if recorder is not None:
                     recorder.store_span(self.items, trips - self.span_base)
                 self.assembly.append(tuple(self.items))

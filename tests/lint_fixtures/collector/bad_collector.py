@@ -1,4 +1,4 @@
-"""Fixture: a collector that sharded scans cannot reassemble."""
+"""Fixture: a collector that spliced or split scans cannot reassemble."""
 
 
 class LonelyCollector:
@@ -10,7 +10,7 @@ class LonelyCollector:
 
 
 class BatchOnlyCollector:
-    """Batched feed without merge/empty — just as unshardable."""
+    """Batched feed without merge/empty — just as unmergeable."""
 
     def __init__(self) -> None:
         self.count = 0

@@ -119,7 +119,7 @@ class TestCacheCli:
         store = DiskStore(tmp_path)
         for i in range(3):
             put_sized(store, key(i), 64)
-        # One recorded scan in this process's incremental store.
+        # One recorded scan in this process's series store.
         IncrementalScanSession(
             time_uniform_stream(8, 2, 400.0, seed=1), delta=10.0
         ).scan(CountingCollector())

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import incremental
+from repro.graphseries import aggregation as agg_mod
 from repro.engine.incremental import IncrementalScanSession
 from repro.engine.measures import ClassicalMeasure, OccupancyMeasure
 from repro.engine.tasks import AnalysisTask
@@ -218,15 +219,29 @@ class TestMemoStalenessRegression:
         series_base = aggregate_cached(base, delta)
         u, v, t = append_batch(base)
         grown = base.extend(u, v, t)
-        series_grown = aggregate_cached(grown, delta)
-        assert series_grown.num_steps >= series_base.num_steps
         fresh = aggregate(scratch_equivalent(grown), delta)
+        before = dict(AGGREGATION_COUNTS)
+        # The grown stream's series is spliced from the parent's entry
+        # (one splice, no aggregation) but never served by it.
+        series_grown = IncrementalScanSession(grown, delta=delta).series()
+        assert AGGREGATION_COUNTS == {
+            "aggregate": before["aggregate"],
+            "incremental": before["incremental"] + 1,
+        }
+        assert series_grown is not series_base
+        assert series_grown.num_steps >= series_base.num_steps
+        assert series_grown.num_edges_total > series_base.num_edges_total
         assert np.array_equal(series_grown.edge_steps, fresh.edge_steps)
         assert np.array_equal(series_grown.edge_sources, fresh.edge_sources)
         assert np.array_equal(series_grown.edge_targets, fresh.edge_targets)
-        # The base's cached series still serves the base.
+        # Each stream's own entry serves it, with no further work.
+        assert aggregate_cached(grown, delta) is series_grown
         again = aggregate_cached(base, delta)
         assert again is series_base
+        assert AGGREGATION_COUNTS == {
+            "aggregate": before["aggregate"],
+            "incremental": before["incremental"] + 1,
+        }
 
     def test_empty_extend_hits_the_same_cache_entry(self):
         base = small_stream()
@@ -845,6 +860,143 @@ class TestIncrementalSession:
         clear_aggregate_cache()
         cold = task.evaluate(grown)
         assert repr(warm) == repr(cold)
+
+
+class TestSeriesStore:
+    """The one per-process store: series and scan records together."""
+
+    @staticmethod
+    def _entry_sum():
+        entries = list(agg_mod._STORE.values())
+        for entry in entries:
+            series = entry.series
+            assert entry.nbytes == (
+                series.edge_steps.nbytes
+                + series.edge_sources.nbytes
+                + series.edge_targets.nbytes
+                + sum(r.nbytes for r in entry.records.values())
+            )
+        return sum(entry.nbytes for entry in entries)
+
+    def test_sweep_then_one_shots_and_other_measures_never_reaggregate(self):
+        from repro.core.classical import classical_sweep
+        from repro.core.occupancy import stream_occupancy_at
+        from repro.core.saturation import occupancy_method
+        from repro.engine import SweepCache, SweepEngine
+
+        stream = small_stream(m=300, span=3000.0)
+        before = AGGREGATION_COUNTS["aggregate"]
+        with SweepEngine("serial", cache=SweepCache()) as engine:
+            result = occupancy_method(stream, num_deltas=28, engine=engine)
+        deltas = result.deltas
+        assert deltas.size == 28
+        assert AGGREGATION_COUNTS["aggregate"] == before + 28
+
+        # Another measure set on a fresh result cache: every series is
+        # read from the store.
+        before = AGGREGATION_COUNTS["aggregate"]
+        with SweepEngine("serial", cache=SweepCache()) as engine:
+            classical_sweep(
+                stream, deltas, compute_distances=False, engine=engine
+            )
+        assert AGGREGATION_COUNTS["aggregate"] == before
+
+        # The one-shot helper at every grid Δ, origin spelled out or not.
+        for delta in deltas:
+            stream_occupancy_at(stream, float(delta))
+            stream_occupancy_at(stream, float(delta), origin=stream.t_min)
+        assert AGGREGATION_COUNTS["aggregate"] == before
+
+    def test_running_total_tracks_puts_records_evictions_and_clears(
+        self, monkeypatch
+    ):
+        streams = [small_stream(seed=seed) for seed in range(5)]
+
+        def put_both(stream):
+            IncrementalScanSession(stream, delta=100.0).scan(_consumer_set())
+            assert agg_mod._STORE_BYTES == self._entry_sum()
+            aggregate_cached(stream, 250.0)
+            assert agg_mod._STORE_BYTES == self._entry_sum()
+
+        put_both(streams[0])
+        pair = agg_mod._STORE_BYTES
+        assert len(agg_mod._STORE) == 2 and pair > 0
+        # Room for about two streams' entries, not for all five.
+        budget = int(2.5 * pair)
+        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_BYTES", str(budget))
+        for stream in streams[1:]:
+            put_both(stream)
+            assert agg_mod._STORE_BYTES <= budget
+        # Committing again for the same scan identity replaces the record.
+        last = agg_mod.series_key(streams[-1], 100.0)
+        records = agg_mod.store_get(last).records
+        assert len(records) == 1
+        IncrementalScanSession(streams[-1], delta=100.0).scan(_consumer_set())
+        assert len(records) == 1
+        assert agg_mod._STORE_BYTES == self._entry_sum() <= budget
+
+        # The oldest entries went whole: series and records together.
+        first = agg_mod.series_key(streams[0], 100.0)
+        assert agg_mod.store_get(first) is None
+        stats = incremental.incremental_stats()
+        assert stats["streams"] == len(agg_mod._STORE) < 2 * len(streams)
+        assert stats["scan_records"] == sum(
+            len(entry.records) for entry in agg_mod._STORE.values()
+        )
+        assert stats["nbytes"] == agg_mod._STORE_BYTES
+        before = dict(AGGREGATION_COUNTS)
+        IncrementalScanSession(streams[0], delta=100.0).series()
+        assert AGGREGATION_COUNTS["aggregate"] == before["aggregate"] + 1
+
+        # One store, so either name clears series and records alike.
+        assert incremental.clear_incremental_store is clear_aggregate_cache
+        incremental.clear_incremental_store()
+        assert agg_mod._STORE_BYTES == self._entry_sum() == 0
+        assert incremental.incremental_stats()["streams"] == 0
+
+    def test_running_total_holds_under_concurrent_writers(self, monkeypatch):
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        stream = small_stream()
+        series = aggregate(stream, 100.0)
+        keys = [("fp%d" % i, repr(100.0), None) for i in range(8)]
+        record_bytes = (100, 250, 400)
+        # A budget of a few entries, so writers evict each other's.
+        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_BYTES", "20000")
+        errors = []
+
+        def writer(offset):
+            try:
+                for i in range(3000):
+                    key = keys[(i * 3 + offset) % len(keys)]
+                    nbytes = record_bytes[(i + offset) % len(record_bytes)]
+                    agg_mod.store_put(
+                        key,
+                        series,
+                        stream.num_events,
+                        token=(offset % 2,),
+                        record=SimpleNamespace(nbytes=nbytes),
+                    )
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert agg_mod._STORE_BYTES == self._entry_sum() > 0
 
 
 @st.composite

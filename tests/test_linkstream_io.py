@@ -16,7 +16,6 @@ from repro.linkstream import (
     write_jsonl,
     write_tsv,
 )
-from repro.linkstream.io import ingest_chunk_events
 from repro.utils.errors import LinkStreamError
 
 
@@ -174,18 +173,6 @@ class TestChunkedReader:
             np.int64,
             np.float64,
         )
-
-    def test_chunk_env_var(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INGEST_CHUNK_EVENTS", raising=False)
-        assert ingest_chunk_events() == 65536
-        monkeypatch.setenv("REPRO_INGEST_CHUNK_EVENTS", "128")
-        assert ingest_chunk_events() == 128
-        monkeypatch.setenv("REPRO_INGEST_CHUNK_EVENTS", "-1")
-        with pytest.raises(LinkStreamError, match="REPRO_INGEST_CHUNK_EVENTS"):
-            ingest_chunk_events()
-        monkeypatch.setenv("REPRO_INGEST_CHUNK_EVENTS", "lots")
-        with pytest.raises(LinkStreamError, match="REPRO_INGEST_CHUNK_EVENTS"):
-            ingest_chunk_events()
 
     def test_invalid_chunk_argument_rejected(self, events_file):
         with pytest.raises(LinkStreamError, match="chunk_events"):

@@ -113,7 +113,7 @@ class TestFusedEvaluation:
         s0, a0 = scan_count(), aggregation_count()
         results = task.evaluate(stream)
         assert scan_count() - s0 == 1
-        assert aggregation_count() - a0 <= 1  # <= : the series memo may hit
+        assert aggregation_count() - a0 <= 1  # <= : the series store may hit
         assert set(results) == {"occupancy", "classical", "metrics"}
 
     def test_fused_equals_dedicated_single_measure_scans(self, stream):

@@ -296,16 +296,6 @@ class TestPartitionedStorage:
         clone_sliced = pickle.loads(pickle.dumps(sliced))
         assert clone_sliced == stream.restrict_time(2.0, 5.0)
 
-    def test_partition_events_env_override(self, tmp_path, monkeypatch):
-        stream = sample_stream()
-        monkeypatch.setenv("REPRO_PARTITION_EVENTS", "6")
-        manifest = ingest_stream(stream, "env", root=str(tmp_path))
-        assert manifest["partition_events"] == 6
-        assert len(manifest["partitions"]) == stream.num_events // 6
-        monkeypatch.setenv("REPRO_PARTITION_EVENTS", "zero")
-        with pytest.raises(StorageError, match="REPRO_PARTITION_EVENTS"):
-            ingest_stream(stream, "bad", root=str(tmp_path))
-
 
 class TestCatalog:
     def test_root_resolution(self, tmp_path, monkeypatch):
