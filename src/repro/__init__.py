@@ -173,8 +173,8 @@ to the windows where they must see the state.
 The kernel is **bit-identical** to the per-source reference loop
 :func:`repro.temporal.bruteforce.reference_scan` — same trips in the
 same order, same collector and accumulator state, across
-directed/undirected input, ``targets`` subsets, ``include_self``,
-checkpoints and resumes, and every backend.  The tests and
+directed/undirected input, ``include_self``, checkpoints and
+resumes, and every backend.  The tests and
 ``benchmarks/bench_ablation_scan_kernel.py`` (which also pins the
 >= 3x speedup over the loop) hold it to that.
 
@@ -357,10 +357,9 @@ gating job next to the tests:
   Rules: ``unsorted-set-iteration``, ``nondeterministic-call``,
   ``float-accumulation``.
 * **Collector contract.**  Any class with ``record`` feeds the
-  backward scan, whose incremental splice and ``targets=`` subsets
-  merge collectors back together, so it must also define in-place
-  ``merge`` and the ``empty`` property, or reassembly silently drops
-  its state.  Rules: ``collector-contract``, ``collector-merge-inplace``.
+  backward scan, whose incremental splice merges collectors back
+  together, so it must also define in-place ``merge`` and the
+  ``empty`` property, or reassembly silently drops its state.  Rules: ``collector-contract``, ``collector-merge-inplace``.
 * **Lock discipline.**  In ``engine/``, ``service/`` (the daemon of
   PR 5) and ``storage/`` (whose lazily-cached columns are shared
   across service threads) — and in ``tests/``, whose lock-owning

@@ -30,8 +30,6 @@ from repro.core.report import StreamReport, analyze_stream
 from repro.core.saturation import SaturationResult, SweepPoint, occupancy_method
 from repro.core.stability import StabilityResult, gamma_stability
 from repro.core.sweep import (
-    divisor_delta_grid,
-    linear_delta_grid,
     log_delta_grid,
     refine_grid,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "score_distribution",
     "shannon_method",
     "log_delta_grid",
-    "linear_delta_grid",
-    "divisor_delta_grid",
     "refine_grid",
     "classical_sweep",
     "ClassicalSweep",

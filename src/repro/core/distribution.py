@@ -98,7 +98,7 @@ class OccupancyDistribution:
         The shards' integer bin counts (and exact atoms at 1) are summed
         before a single :meth:`from_histogram` call, so the result is
         bit-identical to a histogram accumulated in one pass.  The
-        engine's own shard reassembly merges live collectors instead
+        engine's incremental splice merges live collectors instead
         (:meth:`~repro.core.occupancy.OccupancyCollector.merge`); this is
         the equivalent entry point for callers holding raw histogram
         arrays (e.g. pooled from files or remote workers).
@@ -266,16 +266,6 @@ class OccupancyDistribution:
         # Same ulp guard as shannon_entropy: survival values touching 1
         # from above would otherwise push the integral a hair below 0.
         return max(0.0, float(-(lengths * surv * np.log(surv)).sum()))
-
-    # -- combination ------------------------------------------------------------
-
-    def merge(self, other: "OccupancyDistribution") -> "OccupancyDistribution":
-        """Pooled distribution, weighting each side by its total mass."""
-        values = np.concatenate([self._values, other._values])
-        weights = np.concatenate(
-            [self._weights * self._total, other._weights * other._total]
-        )
-        return OccupancyDistribution(values, weights)
 
 
 def uniform_reference(atoms: int = 512) -> OccupancyDistribution:

@@ -112,13 +112,12 @@ class OccupancyCollector:
     def merge(self, other: "OccupancyCollector") -> "OccupancyCollector":
         """Absorb another collector's mass (in-place; returns ``self``).
 
-        Collectors fed from disjoint parts of one scan (the window spans
-        the incremental splice reassembles, or disjoint ``targets=``
-        subsets) sum back — histogram counts and the exact atom at 1 are
-        integer tallies, exact-mode chunks are disjoint trip subsets —
-        to precisely the accumulator one whole scan would have produced,
-        so the merged :meth:`distribution` is bit-identical to it.
-        ``other`` is read, never mutated.
+        Collectors fed from disjoint window spans of one scan (which the
+        incremental splice reassembles) sum back — histogram counts and
+        the exact atom at 1 are integer tallies, exact-mode chunks are
+        disjoint trip subsets — to precisely the accumulator one whole
+        scan would have produced, so the merged :meth:`distribution` is
+        bit-identical to it.  ``other`` is read, never mutated.
         """
         if not isinstance(other, OccupancyCollector):
             raise ValidationError(
@@ -184,8 +183,8 @@ class OccupancyCollector:
     def empty(self) -> bool:
         """Whether the collector holds no trips yet.
 
-        A legitimately common state: a window span or destination subset
-        that receives zero trips, or a freshly built merge accumulator.
+        A legitimately common state: a window span that receives zero
+        trips, or a freshly built merge accumulator.
         Empty collectors record and :meth:`merge` like any other; only
         :meth:`distribution` — final assembly — requires mass.
         """

@@ -3,8 +3,9 @@
 The occupancy method varies Δ "from its minimal value, the resolution of
 the timestamps, until the whole length T of study" (Section 4).  A
 logarithmic grid matches how the phenomenon unfolds (the distribution
-drifts over orders of magnitude); a divisor grid honours the paper's
-formal ``Δ = T/K`` constraint when exactness matters.
+drifts over orders of magnitude).  The paper's formal ``Δ = T/K``
+constraint is relaxed to half-open windows (see
+:mod:`repro.graphseries.aggregation`).
 """
 
 from __future__ import annotations
@@ -49,37 +50,6 @@ def _default_max_delta(stream: LinkStream) -> float:
     event (windows are half-open; Δ = span would spill the last event
     into a sliver second window)."""
     return stream.span * (1.0 + 1e-9)
-
-
-def linear_delta_grid(
-    stream: LinkStream,
-    *,
-    num: int = 40,
-    min_delta: float | None = None,
-    max_delta: float | None = None,
-) -> np.ndarray:
-    """Linearly spaced window lengths (for zooming into a narrow range)."""
-    if num < 2:
-        raise SweepError("a sweep needs at least two window lengths")
-    low = stream.resolution() if min_delta is None else float(min_delta)
-    high = _default_max_delta(stream) if max_delta is None else float(max_delta)
-    if not 0 < low < high:
-        raise SweepError(f"invalid sweep bounds [{low}, {high}]")
-    return np.unique(np.linspace(low, high, num))
-
-
-def divisor_delta_grid(stream: LinkStream, *, num: int = 40) -> np.ndarray:
-    """Window lengths of the exact form ``Δ = T/K`` (Definition 1).
-
-    Picks ``K`` values log-spaced between 1 and ``T / resolution`` and
-    returns the corresponding Δ, deduplicated and ascending.
-    """
-    if num < 2:
-        raise SweepError("a sweep needs at least two window lengths")
-    span = _default_max_delta(stream)
-    max_k = max(int(span / stream.resolution()), 1)
-    ks = np.unique(np.geomspace(1, max_k, num).round().astype(np.int64))
-    return np.unique(span / ks[::-1])
 
 
 def refine_grid(deltas: np.ndarray, best_index: int, *, points: int = 8) -> np.ndarray:

@@ -993,8 +993,8 @@ class ReachabilityMeasure(MeasureSpec):
     Rides the backward scan through an
     :class:`~repro.temporal.reachability.EarliestArrivalAccumulator`:
     the same closed-form departure-run folding as the classical distance
-    statistics, kept per ordered pair instead of summed globally, and
-    scattered into ``n × n`` matrices by the accumulator's columns.
+    statistics, kept per ordered pair instead of summed globally, as
+    ``n × n`` matrices.
     """
 
     scans = True
@@ -1012,14 +1012,16 @@ class ReachabilityMeasure(MeasureSpec):
 
     def finalize(self, delta, geometry, payload, collector):
         n = geometry.num_nodes
-        reach = np.zeros((n, n), dtype=np.int64)
-        dist = np.zeros((n, n), dtype=np.int64)
-        hops = np.zeros((n, n), dtype=np.int64)
-        if collector.cols is not None:
-            # Fresh matrices: the accumulator's own stay untouched.
-            reach[:, collector.cols] = collector.reach_steps
-            dist[:, collector.cols] = collector.dist_sum
-            hops[:, collector.cols] = collector.hops_sum
+        if collector.reach_steps is None:
+            # The scan never ran (no begin): nothing is reachable.
+            reach, dist, hops = (
+                np.zeros((n, n), dtype=np.int64) for _ in range(3)
+            )
+        else:
+            # Copies: the accumulator's own matrices stay untouched.
+            reach = collector.reach_steps.copy()
+            dist = collector.dist_sum.copy()
+            hops = collector.hops_sum.copy()
         np.fill_diagonal(reach, 0)
         np.fill_diagonal(dist, 0)
         np.fill_diagonal(hops, 0)

@@ -4,25 +4,20 @@ Aggregating a link stream on time windows yields a *series of graphs*
 (Definition 1 of the paper): one snapshot per window, whose edges are the
 node pairs having at least one event inside the window.  This package
 provides the compact :class:`GraphSeries` container, the aggregation
-engines (disjoint windows per the paper, plus the overlapping /
-cumulative / adaptive variants its related-work section surveys), and
-per-snapshot graph metrics.
+engines (disjoint windows per the paper, plus the adaptive variant its
+related-work section surveys), and per-series graph metrics.
 """
 
 from repro.graphseries.aggregation import (
     aggregate,
     aggregate_adaptive,
     aggregate_cached,
-    aggregate_cumulative,
-    aggregate_overlapping,
     clear_aggregate_cache,
     window_index,
 )
 from repro.graphseries.metrics import (
     SeriesMetrics,
-    connected_component_sizes,
     series_metrics,
-    snapshot_metrics,
 )
 from repro.graphseries.series import GraphSeries
 from repro.graphseries.snapshot import Snapshot
@@ -33,12 +28,8 @@ __all__ = [
     "aggregate",
     "aggregate_cached",
     "clear_aggregate_cache",
-    "aggregate_overlapping",
-    "aggregate_cumulative",
     "aggregate_adaptive",
     "window_index",
-    "snapshot_metrics",
     "series_metrics",
     "SeriesMetrics",
-    "connected_component_sizes",
 ]

@@ -6,11 +6,10 @@ of constant length Δ, window ``k`` covering ``[origin + kΔ, origin + (k+1)Δ)`
 constraint ``Δ = T/K`` is relaxed to a half-open cover, which any Δ sweep
 needs in practice.
 
-The related-work section of the paper surveys three other window
-policies, all provided here for comparison studies: overlapping windows,
-cumulative windows (all starting at the beginning of the study), and
-adaptive variable-length windows that close once the forming snapshot
-"matures" (its density stabilizes), after Soundarajan et al.
+The related-work section of the paper surveys other window policies;
+the one a baseline uses is provided here: adaptive variable-length
+windows that close once the forming snapshot "matures" (its density
+stabilizes), after Soundarajan et al.
 
 Every consumer of one ``G_Δ`` reads it from one per-process **series
 store** (:func:`aggregate_cached`): an LRU of :class:`SeriesEntry`
@@ -400,105 +399,6 @@ def aggregate_prefix_extended(
         directed=stream.directed,
         delta=float(delta),
         origin=float(origin),
-    )
-
-
-def aggregate_overlapping(
-    stream: LinkStream,
-    delta: float,
-    stride: float,
-    *,
-    origin: float | None = None,
-) -> GraphSeries:
-    """Aggregate on overlapping windows: window ``k`` covers
-    ``[origin + k·stride, origin + k·stride + delta)``.
-
-    With ``stride == delta`` this reduces to :func:`aggregate`.  Note that
-    consecutive overlapping snapshots share events, so temporal-path
-    semantics on the result double-count time; the paper's propagation
-    analysis assumes disjoint windows (this variant exists for the
-    window-policy comparison studies of the related work).
-    """
-    if not stream.num_events:
-        raise AggregationError("cannot aggregate an empty stream")
-    if delta <= 0 or stride <= 0:
-        raise AggregationError("window length and stride must be positive")
-    if stride > delta:
-        raise AggregationError("stride larger than the window leaves gaps")
-    if origin is None:
-        origin = stream.t_min
-    span_end = stream.t_max
-    num_steps = int(np.floor((span_end - origin) / stride)) + 1
-    x = stream.timestamps - origin
-    # Event at relative time x belongs to window k iff k·stride <= x < k·stride + delta,
-    # i.e. (x - delta)/stride < k <= x/stride.
-    first = np.floor((x - delta) / stride).astype(np.int64) + 1
-    first = np.maximum(first, 0)
-    last = np.floor(x / stride).astype(np.int64)
-    counts = np.maximum(last - first + 1, 0)
-    steps = np.repeat(first, counts) + _ragged_offsets(counts)
-    u = np.repeat(stream.sources, counts)
-    v = np.repeat(stream.targets, counts)
-    steps, u, v = _dedup_rows(steps, u, v)
-    return GraphSeries(
-        stream.num_nodes,
-        num_steps,
-        steps,
-        u,
-        v,
-        directed=stream.directed,
-        delta=None,
-        origin=float(origin),
-    )
-
-
-def _ragged_offsets(counts: np.ndarray) -> np.ndarray:
-    """``[0,1,..,c0-1, 0,1,..,c1-1, ...]`` for repeat-based expansion."""
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    ends = counts.cumsum()
-    offsets = np.arange(total, dtype=np.int64)
-    return offsets - np.repeat(ends - counts, counts)
-
-
-def aggregate_cumulative(
-    stream: LinkStream,
-    delta: float,
-    *,
-    origin: float | None = None,
-) -> GraphSeries:
-    """Aggregate on growing windows all starting at the beginning of study.
-
-    Window ``k`` covers ``[origin, origin + (k+1)·delta)`` — the
-    "windows all start at the beginning of the period" policy of the
-    related work ([21, 31, 14, 37] in the paper).  Snapshot ``k`` is the
-    union of the first ``k+1`` disjoint snapshots.
-    """
-    disjoint = aggregate(stream, delta, origin=origin)
-    num_steps = disjoint.num_steps
-    num_nodes = disjoint.num_nodes
-    # An edge first appearing in window k is present in windows k..K-1.
-    key = disjoint.edge_sources * num_nodes + disjoint.edge_targets
-    order = np.lexsort((disjoint.edge_steps, key))
-    key_sorted = key[order]
-    step_sorted = disjoint.edge_steps[order]
-    first_of_pair = np.ones(key_sorted.size, dtype=bool)
-    first_of_pair[1:] = key_sorted[1:] != key_sorted[:-1]
-    first_step = step_sorted[first_of_pair]
-    pair_key = key_sorted[first_of_pair]
-    counts = (num_steps - first_step).astype(np.int64)
-    steps = np.repeat(first_step, counts) + _ragged_offsets(counts)
-    pairs = np.repeat(pair_key, counts)
-    return GraphSeries(
-        num_nodes,
-        num_steps,
-        steps,
-        pairs // num_nodes,
-        pairs % num_nodes,
-        directed=stream.directed,
-        delta=None,
-        origin=disjoint.origin,
     )
 
 

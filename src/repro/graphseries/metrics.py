@@ -1,4 +1,4 @@
-"""Per-snapshot and per-series graph metrics.
+"""Per-series graph metrics.
 
 These are the "classical parameters" of Section 3 of the paper (Figure 2):
 density, degree, number of non-isolated vertices, size of the largest
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphseries.series import GraphSeries
-from repro.graphseries.snapshot import Snapshot
 
 
 def _component_sizes_from_edges(
@@ -58,40 +57,10 @@ def component_sizes(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The public face of the union-find above, for callers that hold raw
     ``(u, v)`` edge arrays (e.g. per-window iteration over a series)
-    rather than a :class:`Snapshot`.  Isolated nodes are not reported.
+    rather than a :class:`~repro.graphseries.snapshot.Snapshot`.
+    Isolated nodes are not reported.
     """
     return _component_sizes_from_edges(num_nodes, u, v)
-
-
-def connected_component_sizes(snapshot: Snapshot, *, include_isolated: bool = False) -> np.ndarray:
-    """Sizes of the snapshot's (weakly) connected components, descending.
-
-    With ``include_isolated`` each edge-free node counts as a size-1
-    component.
-    """
-    sizes = _component_sizes_from_edges(
-        snapshot.num_nodes, snapshot.edge_sources, snapshot.edge_targets
-    )
-    if include_isolated:
-        isolated = snapshot.num_nodes - snapshot.non_isolated_count()
-        if isolated:
-            sizes = np.concatenate([sizes, np.ones(isolated, dtype=np.int64)])
-    return np.sort(sizes)[::-1]
-
-
-def snapshot_metrics(snapshot: Snapshot) -> dict[str, float]:
-    """Classical parameters of a single snapshot."""
-    sizes = _component_sizes_from_edges(
-        snapshot.num_nodes, snapshot.edge_sources, snapshot.edge_targets
-    )
-    return {
-        "num_edges": float(snapshot.num_edges),
-        "density": snapshot.density(),
-        "mean_degree": float(snapshot.degree_counts().mean()) if snapshot.num_nodes else 0.0,
-        "non_isolated": float(snapshot.non_isolated_count()),
-        "largest_component": float(sizes.max()) if sizes.size else 0.0,
-        "num_components": float(sizes.size),
-    }
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 A *link stream* (the paper's raw input) is a finite collection of triplets
 ``(u, v, t)``: nodes ``u`` and ``v`` interact at time ``t``.  This package
-provides the columnar :class:`LinkStream` container, file readers/writers,
-stream surgery operations and descriptive statistics.
+provides the columnar :class:`LinkStream` container, file readers and a
+TSV writer, stream surgery operations and descriptive statistics.
 """
 
 from repro.linkstream.intervals import IntervalStream
@@ -11,17 +11,11 @@ from repro.linkstream.io import (
     iter_triples,
     read_csv,
     read_event_arrays,
-    read_jsonl,
     read_tsv,
-    write_csv,
-    write_jsonl,
     write_tsv,
 )
 from repro.linkstream.operations import (
     concatenate,
-    deduplicate,
-    relabel,
-    reverse_time,
     subsample_events,
 )
 from repro.linkstream.statistics import (
@@ -43,15 +37,9 @@ __all__ = [
     "read_tsv",
     "write_tsv",
     "read_csv",
-    "write_csv",
-    "read_jsonl",
-    "write_jsonl",
     "read_event_arrays",
     "iter_triples",
     "concatenate",
-    "deduplicate",
-    "relabel",
-    "reverse_time",
     "subsample_events",
     "node_event_counts",
     "pair_event_counts",

@@ -1,12 +1,13 @@
-"""Readers and writers for link streams.
+"""Readers for link streams, and a TSV writer.
 
-Supported formats:
+Supported input formats:
 
 * **TSV / CSV** — one event per line.  The default column order
   ``u v t`` matches the KONECT / SNAP dumps of the paper's four traces;
   the order is configurable via ``columns``.
 * **JSON lines** — one ``{"u": ..., "v": ..., "t": ...}`` object per line,
-  convenient for labeled nodes.
+  convenient for labeled nodes (:func:`iter_triples`,
+  :func:`read_event_arrays`).
 
 Lines starting with ``#`` or ``%`` are treated as comments in the
 delimited formats (KONECT uses ``%``).
@@ -190,35 +191,13 @@ def read_csv(
     return _parse_delimited(path, ",", columns, directed)
 
 
-def read_jsonl(path: str | Path, *, directed: bool = True) -> LinkStream:
-    """Read a JSON-lines event file with ``u``, ``v``, ``t`` keys."""
-    return LinkStream.from_triples(_iter_jsonl_triples(path), directed=directed)
-
-
 def write_tsv(stream: LinkStream, path: str | Path, *, columns: str = "u v t") -> None:
     """Write one ``u<TAB>v<TAB>t`` line per event (order configurable)."""
-    _write_delimited(stream, path, "\t", columns)
-
-
-def write_csv(stream: LinkStream, path: str | Path, *, columns: str = "u v t") -> None:
-    """Write one ``u,v,t`` line per event (order configurable)."""
-    _write_delimited(stream, path, ",", columns)
-
-
-def _write_delimited(stream: LinkStream, path: str | Path, sep: str, columns: str) -> None:
     order = columns.split()
     if sorted(order) != ["t", "u", "v"]:
         raise LinkStreamError(f"columns must be a permutation of 'u v t', got {columns!r}")
     with _open_text(path, "w") as handle:
         for u, v, t in stream.events():
             fields = {"u": u, "v": v, "t": t}
-            handle.write(sep.join(str(fields[c]) for c in order))
-            handle.write("\n")
-
-
-def write_jsonl(stream: LinkStream, path: str | Path) -> None:
-    """Write one JSON object per event."""
-    with _open_text(path, "w") as handle:
-        for u, v, t in stream.events():
-            handle.write(json.dumps({"u": u, "v": v, "t": t}))
+            handle.write("\t".join(str(fields[c]) for c in order))
             handle.write("\n")

@@ -6,7 +6,7 @@ objects; streams themselves are immutable.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -49,58 +49,6 @@ def concatenate(streams: Sequence[LinkStream]) -> LinkStream:
     else:
         u = v = t = np.empty(0, dtype=np.int64)
     return LinkStream(u, v, t, directed=directed, num_nodes=len(labels), labels=labels)
-
-
-def deduplicate(stream: LinkStream) -> LinkStream:
-    """Drop exact duplicate events ``(u, v, t)``."""
-    if not stream.num_events:
-        return stream.copy()
-    stacked = np.stack([stream.timestamps, stream.sources, stream.targets])
-    __, keep = np.unique(stacked, axis=1, return_index=True)
-    keep.sort()
-    return LinkStream(
-        stream.sources[keep],
-        stream.targets[keep],
-        stream.timestamps[keep],
-        directed=stream.directed,
-        num_nodes=stream.num_nodes,
-        labels=stream.labels,
-    )
-
-
-def relabel(stream: LinkStream, mapping: Mapping[Hashable, Hashable]) -> LinkStream:
-    """Rename nodes; labels missing from ``mapping`` keep their old name."""
-    new_labels = [mapping.get(lab, lab) for lab in stream.labels]
-    if len(set(new_labels)) != len(new_labels):
-        raise LinkStreamError("relabeling collapses two nodes onto the same label")
-    return LinkStream(
-        stream.sources,
-        stream.targets,
-        stream.timestamps,
-        directed=stream.directed,
-        num_nodes=stream.num_nodes,
-        labels=new_labels,
-    )
-
-
-def reverse_time(stream: LinkStream) -> LinkStream:
-    """Mirror the stream in time: event at ``t`` moves to ``t_max - (t - t_min)``.
-
-    Useful for testing time-symmetric properties (a temporal path of the
-    reversed stream is a reversed temporal path of the original when links
-    are undirected).
-    """
-    if not stream.num_events:
-        return stream.copy()
-    mirrored = stream.t_max - (stream.timestamps - stream.t_min)
-    return LinkStream(
-        stream.sources,
-        stream.targets,
-        mirrored,
-        directed=stream.directed,
-        num_nodes=stream.num_nodes,
-        labels=stream.labels,
-    )
 
 
 def subsample_events(

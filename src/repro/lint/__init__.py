@@ -37,12 +37,10 @@ merges would stop being bit-identical).
 
 **Collector contract** (``collector-contract``,
 ``collector-merge-inplace``).  Any class defining ``record`` feeds the
-backward scan and must survive being merged back from parts (the
-incremental splice of cached spans, ``scan_series(targets=)``
-subsets): it must also define an in-place ``merge`` (returning
-``self`` or ``None``, never a fresh object) and the ``empty`` property
-— the parity gaps PR 2 and PR 4 closed by hand on
-``OccupancyCollector`` and ``ChainCollector``.
+backward scan and must survive being merged back from window spans (the
+incremental splice of cached spans): it must also define an in-place
+``merge`` (returning ``self`` or ``None``, never a fresh object) and
+the ``empty`` property.
 
 **Lock discipline** (``unlocked-attribute-write``,
 ``lock-order-cycle``).  In the concurrency core (``engine/``,

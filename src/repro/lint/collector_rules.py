@@ -1,13 +1,10 @@
 """Collector-contract rules.
 
 Anything with a ``record`` (or batched ``record_batch``) method feeds
-the backward scan, whose parts are merged back together: the
-incremental splice folds cached window spans into a resumed scan's
-collectors, and ``scan_series(targets=)`` splits the destinations into
-disjoint subsets.  That only reassembles bit-identically when every
-collector also implements in-place ``merge`` and exposes ``empty`` so
-zero-trip parts can be recognized — the parity gaps PR 2 and PR 4
-closed by hand on ``OccupancyCollector`` and ``ChainCollector``.
+the backward scan, whose window spans the incremental splice folds back
+into a resumed scan's collectors.  That only reassembles bit-identically
+when every collector also implements in-place ``merge`` and exposes
+``empty`` so zero-trip spans can be recognized.
 """
 
 from __future__ import annotations
@@ -54,10 +51,10 @@ class CollectorContractRule(Rule):
     id = "collector-contract"
     summary = "collector defines record without merge/empty"
     hint = (
-        "a class with record() feeds the scan, whose parts are merged "
-        "back (incremental splice, targets= subsets): add an in-place "
-        "merge(other) and an `empty` property so parts reassemble and "
-        "zero-trip parts are recognizable"
+        "a class with record() feeds the scan, whose window spans the "
+        "incremental splice merges back: add an in-place merge(other) "
+        "and an `empty` property so spans reassemble and zero-trip "
+        "spans are recognizable"
     )
 
     def check(self, module: ModuleContext) -> list[Finding]:
@@ -71,7 +68,7 @@ class CollectorContractRule(Rule):
                         module,
                         node,
                         f"{node.name} defines {feed}() but no merge(); "
-                        "spliced or split scans cannot reassemble it",
+                        "spliced scans cannot reassemble it",
                     )
                 )
             if "empty" not in methods:

@@ -9,13 +9,12 @@ results bit-identical to offline output.
 """
 
 from repro.reporting.analysis import render_analysis
-from repro.reporting.ascii import line_chart, scatter_chart
+from repro.reporting.ascii import scatter_chart
 from repro.reporting.tables import format_float, render_table
 
 __all__ = [
     "render_table",
     "format_float",
-    "line_chart",
     "scatter_chart",
     "render_analysis",
 ]

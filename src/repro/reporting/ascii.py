@@ -1,4 +1,4 @@
-"""ASCII line and scatter charts for terminal reports."""
+"""ASCII scatter charts for terminal reports."""
 
 from __future__ import annotations
 
@@ -93,25 +93,3 @@ def scatter_chart(
     lines.append(" " * (margin + 1) + legend)
     return "\n".join(lines)
 
-
-def line_chart(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    *,
-    width: int = 72,
-    height: int = 20,
-    logx: bool = False,
-    title: str | None = None,
-    xlabel: str = "",
-    ylabel: str = "",
-) -> str:
-    """Single-series convenience wrapper over :func:`scatter_chart`."""
-    return scatter_chart(
-        {"y": (xs, ys)},
-        width=width,
-        height=height,
-        logx=logx,
-        title=title,
-        xlabel=xlabel,
-        ylabel=ylabel,
-    )

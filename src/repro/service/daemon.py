@@ -178,10 +178,17 @@ class AnalysisService:
         fmt: str = "tsv",
         directed: bool = True,
     ) -> str:
-        """Register a stream from an uploaded event-file body."""
+        """Register a stream from an uploaded event-file body in one of
+        ``repro analyze --format``'s formats, ``tsv`` or ``csv``; any
+        other ``fmt`` is a 400."""
+        if fmt not in ("tsv", "csv"):
+            raise ServiceError(
+                f"unknown upload format {fmt!r}; expected 'tsv' or 'csv'",
+                status=400,
+            )
         reader = read_csv if fmt == "csv" else read_tsv
         handle = tempfile.NamedTemporaryFile(
-            "w", suffix=f".{fmt}", encoding="utf-8", delete=False
+            "w", suffix=".events", encoding="utf-8", delete=False
         )
         try:
             handle.write(text)

@@ -8,7 +8,6 @@ stream, plus reference brute-force implementations used to verify it.
 
 from repro.temporal.bruteforce import (
     bruteforce_component_sizes,
-    bruteforce_earliest_arrival,
     bruteforce_minimal_trips,
     bruteforce_pair_reachability,
     enumerate_temporal_paths,
@@ -39,10 +38,8 @@ from repro.temporal.reachability import (
     ResumePlan,
     ScanCheckpoint,
     ScanResult,
-    blocked_pair_reachability,
     scan_series,
     scan_stream,
-    series_distance_stats,
 )
 from repro.temporal.trips import PairTripIndex, TripSet, check_pareto
 
@@ -59,14 +56,12 @@ __all__ = [
     "record_batch_fallback",
     "scan_series",
     "scan_stream",
-    "blocked_pair_reachability",
     "ScanCheckpoint",
     "CheckpointRecorder",
     "ResumePlan",
     "SCAN_ROWS",
     "SCAN_WINDOWS",
     "SCAN_BATCHES",
-    "series_distance_stats",
     "ScanResult",
     "DistanceStats",
     "DistanceTotals",
@@ -74,7 +69,6 @@ __all__ = [
     "forward_earliest_arrival",
     "earliest_arrival_path",
     "temporal_path_is_valid",
-    "bruteforce_earliest_arrival",
     "bruteforce_minimal_trips",
     "bruteforce_pair_reachability",
     "bruteforce_component_sizes",

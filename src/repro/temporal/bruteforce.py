@@ -41,7 +41,6 @@ from repro.temporal.reachability import (
     INT_INF,
     ScanResult,
     _split_consumers,
-    _target_columns,
 )
 from repro.temporal.trips import TripSet
 from repro.utils.errors import ValidationError
@@ -128,22 +127,6 @@ def minimal_trips_from_paths(
                 trips.append((u, v, dep, arr, hops))
     trips.sort()
     return trips
-
-
-def bruteforce_earliest_arrival(
-    obj: GraphSeries | LinkStream,
-    source: int,
-    depart_time: float,
-    *,
-    max_hops: int = 8,
-) -> np.ndarray:
-    """Earliest arrivals from exhaustive path enumeration (toy inputs)."""
-    arrival = np.full(obj.num_nodes, np.inf)
-    for path in enumerate_temporal_paths(obj, max_hops=max_hops):
-        if path[0][0] == source and path[0][2] >= depart_time:
-            v = path[-1][1]
-            arrival[v] = min(arrival[v], path[-1][2])
-    return arrival
 
 
 def bruteforce_minimal_trips(
@@ -270,7 +253,6 @@ def reference_scan(
     collector=None,
     *,
     include_self: bool = False,
-    targets: np.ndarray | None = None,
     snapshots: dict | None = None,
 ) -> ScanResult:
     """The backward scan as a per-source Python loop (the kernel oracle).
@@ -280,8 +262,8 @@ def reference_scan(
     arrival state ``A`` in real window indices (timestamps for a stream,
     float ``inf`` when they are floats) and the hop state ``H`` apart.
     All continuation reads come from a pre-window stash, so updates
-    within a window never chain.  Takes the consumers, ``include_self``
-    and ``targets`` of :func:`~repro.temporal.reachability.scan_series`,
+    within a window never chain.  Takes the consumers and
+    ``include_self`` of :func:`~repro.temporal.reachability.scan_series`,
     and feeds trip collectors one ``record`` per (window, source) pair
     with a scalar departure and state accumulators one ``observe_row``
     per row, with the same ``begin``/``close_run``/``finish`` hooks.
@@ -305,13 +287,12 @@ def reference_scan(
     if accumulators and not extra:
         raise ValidationError("state accumulators need a GraphSeries")
     n = obj.num_nodes
-    cols, col_of, width = _target_columns(targets, n)
     for accumulator in accumulators:
         begin = getattr(accumulator, "begin", None)
         if begin is not None:
-            begin(n, obj.num_steps, cols)
-    A = np.full((n, width), np.inf if dtype is np.float64 else INT_INF, dtype=dtype)
-    H = np.full((n, width), HOP_INF, dtype=np.int64)
+            begin(n, obj.num_steps)
+    A = np.full((n, n), np.inf if dtype is np.float64 else INT_INF, dtype=dtype)
+    H = np.full((n, n), HOP_INF, dtype=np.int64)
     num_trips = 0
     num_windows = 0
     last = None
@@ -345,10 +326,8 @@ def reference_scan(
                 hop = np.where(cont_A == arr, cont_H, HOP_INF).min(axis=0) + 1
             # A direct hop arrives at the current window itself, always
             # earlier than any continuation (which departs at the next).
-            tpos = hop_targets if col_of is None else col_of[hop_targets]
-            tpos = tpos[tpos >= 0]
-            arr[tpos] = time_value
-            hop[tpos] = 1
+            arr[hop_targets] = time_value
+            hop[hop_targets] = 1
             u_pos = int(np.searchsorted(involved, u))
             old_A = stash_A[u_pos]
             old_H = stash_H[u_pos]
@@ -358,23 +337,21 @@ def reference_scan(
             new_H = np.where(improved | tie_better, hop, old_H)
             A[u] = new_A
             H[u] = new_H
-            self_col = u if col_of is None else int(col_of[u])
             for accumulator in accumulators:
                 accumulator.observe_row(
-                    u, time_value, old_A, old_H, new_A, new_H, self_col
+                    u, time_value, old_A, old_H, new_A, new_H, u
                 )
-            if not include_self and self_col >= 0:
-                improved[self_col] = False
+            if not include_self:
+                improved[u] = False
             chosen = np.flatnonzero(improved)
             num_trips += chosen.size
             if collectors and chosen.size:
                 arrivals = new_A[chosen]
-                node_targets = chosen if cols is None else cols[chosen]
                 hops = new_H[chosen]
                 durations = arrivals - time_value + extra
                 for trip_collector in collectors:
                     trip_collector.record(
-                        u, time_value, node_targets, arrivals, hops, durations
+                        u, time_value, chosen, arrivals, hops, durations
                     )
     for accumulator in accumulators:
         if last is not None:

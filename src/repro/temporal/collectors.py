@@ -9,12 +9,11 @@ decoupled from storage via this small protocol.
 
 Every built-in collector implements the **merge contract**: an in-place
 ``merge(other)`` that absorbs a sibling collector fed from a disjoint
-part of the same scan — a window span the incremental splice reuses
-(:mod:`repro.engine.incremental`), or a disjoint ``targets=`` subset —
-and an ``empty`` property flagging a collector that has seen no trips
-yet (a legitimately common state for a span or subset that receives
-nothing).  Merging disjoint parts reproduces exactly what one whole
-scan would have collected.
+window span of the same scan — a span the incremental splice reuses
+(:mod:`repro.engine.incremental`) — and an ``empty`` property flagging
+a collector that has seen no trips yet (a legitimately common state for
+a span that receives nothing).  Merging the spans reproduces exactly
+what one whole scan would have collected.
 
 The scan kernel buffers the trips of many runs of windows and feeds
 collectors one flattened multi-source batch at a time through
@@ -272,9 +271,9 @@ class TripListCollector:
     def merge(self, other: "TripListCollector") -> "TripListCollector":
         """Absorb another collector's batches (in-place; returns ``self``).
 
-        Used to reassemble a scan from disjoint parts (spliced window
-        spans, ``targets=`` subsets): each part sees a disjoint subset
-        of the trips, so concatenating batch lists loses nothing.  Batch
+        Used to reassemble a scan from spliced window spans: each span
+        sees a disjoint subset of the trips, so concatenating batch
+        lists loses nothing.  Batch
         order follows merge order, not global scan order.  Capped
         collectors must share ``max_trips`` and ``seed``; the merged
         retained set is the bottom-``max_trips`` of the union —

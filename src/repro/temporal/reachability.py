@@ -89,8 +89,7 @@ One kernel, the **run kernel**, runs every scan.
   per group holding its hop targets rank-major (all first hops, then
   all second hops, ...) followed by its sources; the direct hops as
   flat positions in the group's candidate rows with their keys
-  ``rank * K + 1`` (a ``targets=`` restriction drops the hops outside
-  it here); and per hop rank the prefix length to fold.
+  ``rank * K + 1``; and per hop rank the prefix length to fold.
 * *The step.*  The per-group body is a short, fixed sequence of
   state-dependent numpy calls (:func:`_apply_run`): one gather yields
   the continuation rows and the old rows; each further hop rank folds
@@ -158,8 +157,8 @@ One kernel, the **run kernel**, runs every scan.
 
 The kernel is bit-identical to the reference loop — same trips in the
 same order, same collector states, same accumulator sums — across
-directed/undirected input, ``targets`` subsets, ``include_self``,
-checkpoints, resumes, and every backend.  :data:`SCAN_ROWS`,
+directed/undirected input, ``include_self``, checkpoints, resumes,
+and every backend.  :data:`SCAN_ROWS`,
 :data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally its work per scan
 kind (per process), next to the pass counter :data:`SCAN_COUNTS`.
 
@@ -176,33 +175,18 @@ scan, not one scan per measure.  Two consumer shapes exist:
 * **state accumulators** (anything with ``observe_row(...)`` /
   ``close_run(...)`` — see :class:`DistanceTotals`) watch the arrival
   matrix itself and fold per-departure-step quantities in closed form.
-  An accumulator may additionally define ``begin(num_nodes, num_steps,
-  cols)``, called once before the backward pass with the scan's exact
-  geometry (``cols`` is the target restriction, ``None`` for a full
-  scan), and ``finish()``, called once after it — the hooks per-pair
-  accumulators use to allocate their state and fold its tail.
+  An accumulator may additionally define ``begin(num_nodes,
+  num_steps)``, called once before the backward pass with the scan's
+  exact geometry, and ``finish()``, called once after it — the hooks
+  per-pair accumulators use to allocate their state and fold its tail.
 
 :class:`DistanceTotals` is the accumulator behind the classical distance
 statistics (Figure 2 bottom); it used to be hard-wired into the scan via
 a ``compute_distances`` flag and is now an ordinary member of the
-consumer set, mergeable across disjoint ``targets`` subsets and window
-spans exactly like the trip collectors.  :class:`EarliestArrivalAccumulator` keeps the same sums
-*per ordered pair* instead of globally — the state behind the engine's
+consumer set, splicable across window spans like the trip collectors.
+:class:`EarliestArrivalAccumulator` keeps the same sums *per ordered
+pair* instead of globally — the state behind the engine's
 ``reachability`` measure.
-
-The recursion couples the *rows* of the state (row ``u`` reads the rows
-of ``u``'s out-neighbours) but never its columns: ``A[u, v]`` depends
-only on entries ``A[w, v]`` of the same column ``v``.  Each column — one
-trip destination — is therefore an independent dynamic program, which is
-what :func:`scan_series`'s ``targets=`` restriction exploits: the state
-shrinks to the chosen columns, per-window work drops proportionally, and
-the trips found are exactly the full scan's trips whose destination lies
-in the subset.  Disjoint target subsets covering ``V`` partition the
-trip set — and partition the finite arrival entries, so a restricted
-:class:`DistanceTotals` holds exactly the full scan's contributions for
-its columns.  Restricted scans therefore merge back bit-identically
-for every consumer; :func:`blocked_pair_reachability` scans one block
-of destinations at a time this way.
 """
 
 from __future__ import annotations
@@ -316,18 +300,11 @@ class DistanceTotals:
     form.
 
     All sums are kept as exact Python integers — every contribution is an
-    integer, so the accumulated totals are associative under
-    :meth:`merge` regardless of how the scan was split or merged, and
-    the final means divide once at :meth:`stats` time.  (The former
-    float-accumulation path agreed bit-for-bit below 2**53 but was
-    neither merge-stable nor exact beyond it.)
-
-    A scan restricted to a destination subset (``targets=``) accumulates
-    exactly the full scan's contributions for its columns: columns are
-    independent dynamic programs and the diagonal entry ``(u, u)`` lives
-    in exactly one subset.  Disjoint subsets covering the node set
-    therefore :meth:`merge` back into precisely the unrestricted
-    accumulator.
+    integer, so spliced window spans (:meth:`absorb_segment`) add up to
+    exactly the whole scan's sums, and the final means divide once at
+    :meth:`stats` time.  (The former float-accumulation path agreed
+    bit-for-bit below 2**53 but was neither splice-stable nor exact
+    beyond it.)
     """
 
     __slots__ = ("S", "C", "SH", "dist_sum", "hops_sum", "count_sum")
@@ -356,16 +333,13 @@ class DistanceTotals:
         the window being processed (both unused here — the totals are
         global and folded run-wise through :meth:`close_run` — but part
         of the accumulator contract so per-pair accumulators can fold
-        row-wise instead).  ``self_col`` is the column position of the
-        row's own node (the diagonal entry, excluded from distance
-        statistics), or -1 when the scan's target restriction excludes
-        that node.
+        row-wise instead).  ``self_col`` is the column of the row's own
+        node: the diagonal entry, excluded from distance statistics.
         """
         old_finite = old_A < INT_INF
         new_finite = new_A < INT_INF
-        if self_col >= 0:
-            old_finite[self_col] = False
-            new_finite[self_col] = False
+        old_finite[self_col] = False
+        new_finite[self_col] = False
         self.S += int(new_A[new_finite].sum()) - int(old_A[old_finite].sum())
         self.C += int(new_finite.sum()) - int(old_finite.sum())
         self.SH += int(new_H[new_finite].sum()) - int(old_H[old_finite].sum())
@@ -383,17 +357,15 @@ class DistanceTotals:
         """Vectorized :meth:`observe_row` over one batch of source rows.
 
         ``old_A``/``old_H``/``new_A``/``new_H`` are ``(len(sources),
-        width)`` matrices, ``self_cols`` the per-row diagonal column
-        (-1 where the target restriction excludes the row's node).  The
-        totals are sums of exact integers, so folding the whole batch at
-        once is bit-identical to per-row :meth:`observe_row` calls.
+        num_nodes)`` matrices, ``self_cols`` the per-row diagonal column.
+        The totals are sums of exact integers, so folding the whole batch
+        at once is bit-identical to per-row :meth:`observe_row` calls.
         """
         old_finite = old_A < INT_INF
         new_finite = new_A < INT_INF
-        diag_rows = np.flatnonzero(self_cols >= 0)
-        if diag_rows.size:
-            old_finite[diag_rows, self_cols[diag_rows]] = False
-            new_finite[diag_rows, self_cols[diag_rows]] = False
+        rows = np.arange(self_cols.size)
+        old_finite[rows, self_cols] = False
+        new_finite[rows, self_cols] = False
         self.S += int(new_A[new_finite].sum()) - int(old_A[old_finite].sum())
         self.C += int(new_finite.sum()) - int(old_finite.sum())
         self.SH += int(new_H[new_finite].sum()) - int(old_H[old_finite].sum())
@@ -415,26 +387,6 @@ class DistanceTotals:
         self.hops_sum += run_len * self.SH
         self.count_sum += run_len * self.C
 
-    def merge(self, other: "DistanceTotals") -> "DistanceTotals":
-        """Absorb another accumulator's sums (in-place; returns ``self``).
-
-        Accumulators fed from disjoint ``targets=`` subsets of the same
-        series sum back — all six tallies are exact integers — to
-        precisely the accumulator an unrestricted scan would have
-        produced.
-        """
-        if not isinstance(other, DistanceTotals):
-            raise ValidationError(
-                f"cannot merge DistanceTotals with {type(other).__name__}"
-            )
-        self.S += other.S
-        self.C += other.C
-        self.SH += other.SH
-        self.dist_sum += other.dist_sum
-        self.hops_sum += other.hops_sum
-        self.count_sum += other.count_sum
-        return self
-
     def segment_handoff(self) -> "DistanceTotals":
         """Freeze this accumulator as a scan segment; return its successor.
 
@@ -454,11 +406,10 @@ class DistanceTotals:
     def absorb_segment(self, other: "DistanceTotals") -> "DistanceTotals":
         """Add a cached span's *contributions* (in-place; returns ``self``).
 
-        Unlike :meth:`merge` — the ``targets=`` rule, which also sums
-        the window-state totals — splicing a contiguous window span must add
-        only the departure-run sums: the span's ``S``/``C``/``SH`` are
-        scan state already carried forward by the handoff chain (zero on
-        stored segments), never a contribution.  Reads but never mutates
+        Splicing a contiguous window span adds only the departure-run
+        sums: the span's ``S``/``C``/``SH`` are scan state already
+        carried forward by the handoff chain (zero on stored segments),
+        never a contribution.  Reads but never mutates
         ``other``, so cached segments survive any number of splices.
         """
         if not isinstance(other, DistanceTotals):
@@ -473,10 +424,8 @@ class DistanceTotals:
     def stats(self, num_nodes: int, num_steps: int) -> DistanceStats:
         """Assemble the accumulated sums into :class:`DistanceStats`.
 
-        ``num_nodes`` and ``num_steps`` give the support of the means —
-        the *full* series geometry, so accumulators of ``targets=``
-        subsets must be merged first (a lone subset would report a
-        fraction over the wrong denominator).
+        ``num_nodes`` and ``num_steps`` give the support of the means:
+        the series geometry.
         """
         total_possible = num_nodes * (num_nodes - 1) * num_steps
         count = self.count_sum
@@ -493,14 +442,13 @@ class EarliestArrivalAccumulator:
 
     The same closed-form departure-run folding as
     :class:`DistanceTotals`, kept *per ordered pair* instead of
-    globally: for every source ``u`` and every scanned destination
-    column ``c`` the accumulator counts the departure steps from which
-    ``u`` reaches ``c`` (``reach_steps``) and sums the corresponding
-    distances in window counts (``dist_sum``, each finite entry
-    contributing ``A - t + 1`` per departure step ``t``) and minimum hop
-    counts (``hops_sum``).  All three are exact ``int64`` matrices of
-    shape ``(num_nodes, num_columns)``, column ``j`` describing
-    destination node ``cols[j]``.
+    globally: for every source ``u`` and every destination ``v`` the
+    accumulator counts the departure steps from which ``u`` reaches
+    ``v`` (``reach_steps``) and sums the corresponding distances in
+    window counts (``dist_sum``, each finite entry contributing ``A - t
+    + 1`` per departure step ``t``) and minimum hop counts
+    (``hops_sum``).  All three are exact ``int64`` matrices of shape
+    ``(num_nodes, num_nodes)``.
 
     Folding is **row-wise**: a state row only changes when the scan
     updates it, so each row's current values are constant over the
@@ -509,13 +457,9 @@ class EarliestArrivalAccumulator:
     width)`` per row update, the same order as the update itself — and
     :meth:`finish` folds each row's final values down to departure step
     0.  (:meth:`close_run`, the global-run hook, is a deliberate no-op
-    here.)  A target-restricted scan accumulates exactly the full
-    scan's columns for its ``cols`` (columns are independent dynamic
-    programs), so disjoint destination subsets reassemble the full
-    matrices by plain column scatter, as the engine's ``reachability``
-    measure scatters its one accumulator.
+    here.)
 
-    Diagonal entries (``cols[j] == u``) are accumulated like any other
+    Diagonal entries (``u == v``) are accumulated like any other
     and must be masked by the consumer (the measure zeroes them, per the
     paper's pairs-of-distinct-nodes convention).
     """
@@ -523,7 +467,6 @@ class EarliestArrivalAccumulator:
     __slots__ = (
         "num_nodes",
         "num_steps",
-        "cols",
         "reach_steps",
         "dist_sum",
         "hops_sum",
@@ -535,7 +478,6 @@ class EarliestArrivalAccumulator:
     def __init__(self) -> None:
         self.num_nodes = 0
         self.num_steps = 0
-        self.cols: np.ndarray | None = None
         self.reach_steps: np.ndarray | None = None
         self.dist_sum: np.ndarray | None = None
         self.hops_sum: np.ndarray | None = None
@@ -543,24 +485,17 @@ class EarliestArrivalAccumulator:
         self._H: np.ndarray | None = None
         self._row_hi: np.ndarray | None = None
 
-    def begin(
-        self, num_nodes: int, num_steps: int, cols: np.ndarray | None
-    ) -> None:
-        """Allocate state for a scan of ``num_nodes`` rows over the
-        destination columns ``cols`` (``None`` = the full node set)."""
+    def begin(self, num_nodes: int, num_steps: int) -> None:
+        """Allocate state for a scan of ``num_nodes`` nodes over
+        ``num_steps`` departure steps."""
         self.num_nodes = int(num_nodes)
         self.num_steps = int(num_steps)
-        self.cols = (
-            np.arange(num_nodes, dtype=np.int64)
-            if cols is None
-            else np.asarray(cols, dtype=np.int64)
-        )
-        width = self.cols.size
-        self.reach_steps = np.zeros((num_nodes, width), dtype=np.int64)
-        self.dist_sum = np.zeros((num_nodes, width), dtype=np.int64)
-        self.hops_sum = np.zeros((num_nodes, width), dtype=np.int64)
-        self._A = np.full((num_nodes, width), INT_INF, dtype=np.int64)
-        self._H = np.full((num_nodes, width), HOP_INF, dtype=np.int64)
+        shape = (num_nodes, num_nodes)
+        self.reach_steps = np.zeros(shape, dtype=np.int64)
+        self.dist_sum = np.zeros(shape, dtype=np.int64)
+        self.hops_sum = np.zeros(shape, dtype=np.int64)
+        self._A = np.full(shape, INT_INF, dtype=np.int64)
+        self._H = np.full(shape, HOP_INF, dtype=np.int64)
         #: Highest departure step whose contribution for the row's
         #: *current* values is still pending.  The initial all-infinite
         #: rows contribute nothing, so starting at the last step is safe.
@@ -696,7 +631,6 @@ class EarliestArrivalAccumulator:
         live = EarliestArrivalAccumulator()
         live.num_nodes = self.num_nodes
         live.num_steps = self.num_steps
-        live.cols = self.cols
         live.reach_steps = np.zeros_like(self.reach_steps)
         live.dist_sum = np.zeros_like(self.dist_sum)
         live.hops_sum = np.zeros_like(self.hops_sum)
@@ -712,7 +646,7 @@ class EarliestArrivalAccumulator:
         self, other: "EarliestArrivalAccumulator"
     ) -> "EarliestArrivalAccumulator":
         """Add a cached span's contribution matrices (in-place; returns
-        ``self``).  Both sides must cover the same destination columns.
+        ``self``).  Both sides must come from scans of one node set.
         Reads but never mutates ``other``, so cached segments survive
         any number of splices."""
         if not isinstance(other, EarliestArrivalAccumulator):
@@ -720,12 +654,13 @@ class EarliestArrivalAccumulator:
                 "cannot splice EarliestArrivalAccumulator with "
                 f"{type(other).__name__}"
             )
-        if self.cols is None or other.cols is None or not np.array_equal(
-            self.cols, other.cols
+        if (
+            self.reach_steps is None
+            or other.reach_steps is None
+            or self.reach_steps.shape != other.reach_steps.shape
         ):
             raise ValidationError(
-                "cannot splice reachability segments over different "
-                "destination columns"
+                "cannot splice reachability segments of different shapes"
             )
         self.reach_steps += other.reach_steps
         self.dist_sum += other.dist_sum
@@ -1105,7 +1040,7 @@ class _RowBuffer:
     """
 
     __slots__ = (
-        "slots", "K", "extra", "cols", "include_self", "width",
+        "slots", "K", "extra", "include_self", "width",
         "cap", "mask", "keys", "dtype", "block", "lo", "rows", "trips",
         "handoffs", "slot",
     )
@@ -1115,7 +1050,6 @@ class _RowBuffer:
         slots: list,
         K: int,
         extra: int,
-        cols: np.ndarray | None,
         include_self: bool,
         width: int,
         dtype: type,
@@ -1123,7 +1057,6 @@ class _RowBuffer:
         self.slots = slots
         self.K = K
         self.extra = extra
-        self.cols = cols
         self.include_self = include_self
         self.width = width
         #: Rows that make up the cell bound (at least one).
@@ -1180,10 +1113,8 @@ class _RowBuffer:
         self.block = None
         mask = self.mask[:rows]
         if not self.include_self:
-            diag = block.self_cols[lo:lo + rows]
+            diag = block.sources[lo:lo + rows]
             at = np.arange(0, rows * self.width, self.width) + diag
-            if self.cols is not None:
-                at = at[diag >= 0]
             mask.reshape(-1)[at] = False
         if (
             block.slots is None
@@ -1218,7 +1149,7 @@ class _RowBuffer:
         trip = (
             block.sources[row_idx],
             block.ranks[row_idx],
-            col_idx if self.cols is None else self.cols[col_idx],
+            col_idx,
             ranks,
             hops,
         )
@@ -1303,9 +1234,7 @@ class _RunBlock:
     * ``rows`` (the stacked state row each segment writes: scan ``s``
       owns rows ``[s * n, (s + 1) * n)``), ``sources`` (the segment's
       node), ``ranks`` (the rank of its departure window in its scan),
-      ``slots`` (its scan; ``None`` for a stack of one) and
-      ``self_cols`` (its diagonal column, -1 outside a ``targets=``
-      restriction);
+      and ``slots`` (its scan; ``None`` for a stack of one);
     * ``order``, the position of each segment in delivery order (scan
       by scan, each in segment order; ``None`` when laid-out order
       already is delivery order), which the row buffer uses to put the
@@ -1316,13 +1245,12 @@ class _RunBlock:
       so one ``P[...]`` gather yields both the continuation rows and
       the old rows;
     * ``dpos``/``dkey``, per group the direct hops as flat positions in
-      the group's candidate rows (``row * width + column``) with their
-      packed keys ``rank * K + 1``; a ``targets=`` restriction drops
-      the hops whose target lies outside it.
+      the group's candidate rows (``row * n + column``) with their
+      packed keys ``rank * K + 1``.
     """
 
     __slots__ = (
-        "rows", "sources", "ranks", "slots", "self_cols", "order",
+        "rows", "sources", "ranks", "slots", "order",
         "gather", "dpos", "dkey",
     )
 
@@ -1439,10 +1367,8 @@ def _stack_block(
     pieces: list,
     n: int,
     K: int,
-    col_of: np.ndarray | None,
     stacked: bool,
     max_rows: int,
-    width: int,
     dtype: type,
 ) -> tuple[list[int], list[tuple]]:
     """Lay out one lockstep block of a stack as one :class:`_RunBlock`.
@@ -1453,9 +1379,10 @@ def _stack_block(
     stack of several scans from a stack of one.  Returns, per step, its
     window count and the kernel's ``(block, g0, g1, groups)`` layout
     (see :func:`_apply_run`): a step of more than ``max_rows`` hops
-    commits as several groups of whole segments; ``width`` and
-    ``dtype`` are the state's.  Everything here is state-independent,
-    so the numpy calls of a step do not grow with the stack.
+    commits as several groups of whole segments; ``n`` is the node
+    count (the state's width) and ``dtype`` the state's.  Everything
+    here is state-independent, so the numpy calls of a step do not grow
+    with the stack.
     """
     nsteps = max(step0 + r1 - r0 for _, _, r0, r1, step0 in pieces)
     windows = np.zeros(nsteps, dtype=np.int64)
@@ -1550,9 +1477,6 @@ def _stack_block(
         rank -= starts[seg_of]
         hop_order = np.lexsort((seg_row, rank, hop_group))
         rank = rank[hop_order]
-    block.self_cols = (
-        block.sources if col_of is None else col_of[block.sources]
-    )
     # Per group: its hops' rows rank-major, then its laid-out rows.  The
     # sort keeps every group's hops inside the group's own range, so
     # hop_group also gives the group of a sorted position.
@@ -1563,19 +1487,13 @@ def _stack_block(
     del at, hop_order, hop_rows
     block.gather[np.arange(nseg) + group_hops[1:][g_of]] = block.rows
     # Direct hops, in segment order: flat positions in the candidate rows.
-    tcols = v if col_of is None else col_of[v]
     dpos = seg_row
-    dpos *= width
-    dpos += tcols
+    dpos *= n
+    dpos += v
     dkey = ranks[seg_of]
     dkey *= K
     dkey += 1
     direct_at = group_hops
-    if col_of is not None:
-        keep = tcols >= 0
-        dpos = dpos[keep]
-        dkey = dkey[keep]
-        direct_at = np.append(0, np.cumsum(keep))[group_hops]
     block.dpos = dpos
     block.dkey = dkey.astype(dtype, copy=False)
     # Folds: per group and rank >= 1, where the rank's rows start in the
@@ -1721,7 +1639,7 @@ def _apply_run(
             # Scans with accumulators run one window per run.
             _observe(
                 accumulators, block.sources[s0:s0 + nseg], step, old, new,
-                rows.slots[0].table, block.self_cols[s0:s0 + nseg],
+                rows.slots[0].table,
             )
         if rows.rows >= rows.cap:
             rows.flush()
@@ -1737,10 +1655,10 @@ def _observe(
     old: np.ndarray,
     new: np.ndarray,
     table: np.ndarray,
-    self_cols: np.ndarray,
 ) -> None:
     """Feed one committed group of a window to the state accumulators,
-    its rows decoded to real window indices through ``table``.
+    its rows decoded to real window indices through ``table`` (a row's
+    diagonal column is its source).
 
     Rows come in laid-out order (sources are unique within a window, so
     ``observe_rows`` sees the same rows in some order); the per-row
@@ -1752,38 +1670,13 @@ def _observe(
     for accumulator in accumulators:
         observe_rows = getattr(accumulator, "observe_rows", None)
         if observe_rows is not None:
-            observe_rows(sources, step, old_A, old_H, new_A, new_H, self_cols)
+            observe_rows(sources, step, old_A, old_H, new_A, new_H, sources)
         else:
             for i in np.argsort(sources).tolist():
                 accumulator.observe_row(
                     int(sources[i]), step, old_A[i], old_H[i], new_A[i],
-                    new_H[i], int(self_cols[i]),
+                    new_H[i], int(sources[i]),
                 )
-
-
-def _target_columns(
-    targets, num_nodes: int
-) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Validate a destination restriction; returns ``(cols, col_of, width)``.
-
-    ``cols`` is the sorted, deduplicated node-id subset (the state's
-    column order), ``col_of`` the node-id -> column-position map (-1 for
-    excluded nodes).  ``targets=None`` means the full node set, encoded
-    as ``(None, None, num_nodes)`` so the unrestricted scan pays nothing.
-    """
-    if targets is None:
-        return None, None, num_nodes
-    cols = np.unique(np.asarray(targets, dtype=np.int64))
-    if not cols.size:
-        raise ValidationError("target restriction must name at least one node")
-    if cols[0] < 0 or cols[-1] >= num_nodes:
-        raise ValidationError(
-            f"target node indices must lie in [0, {num_nodes}), "
-            f"got range [{cols[0]}, {cols[-1]}]"
-        )
-    col_of = np.full(num_nodes, -1, dtype=np.int64)
-    col_of[cols] = np.arange(cols.size, dtype=np.int64)
-    return cols, col_of, int(cols.size)
 
 
 @dataclass
@@ -1822,7 +1715,6 @@ def scan_series(
     collector=None,
     *,
     include_self: bool = False,
-    targets: np.ndarray | None = None,
     checkpoints: CheckpointRecorder | None = None,
     resume: ResumePlan | None = None,
 ) -> ScanResult:
@@ -1845,16 +1737,6 @@ def scan_series(
         considers pairs of distinct nodes; off by default).  Applies to
         every trip collector of the set; distance accumulators always
         exclude the diagonal, per the definition.
-    targets:
-        Optional node-id subset restricting the scan to minimal trips
-        *arriving* in the subset.  The arrival-matrix columns are
-        independent dynamic programs (see the module docstring), so the
-        restricted scan does proportionally less work and feeds every
-        consumer exactly the full scan's contributions for destinations
-        in ``targets`` (:func:`blocked_pair_reachability` scans
-        destination blocks this way).
-        A restricted :class:`DistanceTotals` holds partial sums; merge
-        the subsets before calling :meth:`~DistanceTotals.stats`.
     checkpoints:
         Optional :class:`CheckpointRecorder` capturing bounded scan-state
         snapshots plus per-span consumer contributions for later resume.
@@ -1878,7 +1760,7 @@ def scan_series(
     job = ScanJob(series, collector, checkpoints, resume)
     return _scan(
         [job], "series", [series.nonempty_steps()], 1,
-        include_self=include_self, targets=targets,
+        include_self=include_self,
     )[0]
 
 
@@ -2177,7 +2059,6 @@ def _scan(
     extra: int,
     *,
     include_self: bool,
-    targets: np.ndarray | None = None,
     check: Callable[[int], None] | None = None,
 ) -> list[ScanResult]:
     """The backward scans of a stack of ``jobs`` (one node set), each
@@ -2185,7 +2066,6 @@ def _scan(
     ``tables`` entry (durations ``arr - dep + extra``), work tallied
     under ``kind``; see :func:`scan_series` and :func:`scan_stack`."""
     n = jobs[0].series.num_nodes
-    cols, col_of, width = _target_columns(targets, n)
     slots = [
         _Slot(index, job, table)
         for index, (job, table) in enumerate(zip(jobs, tables))
@@ -2193,11 +2073,10 @@ def _scan(
     for slot in slots:
         for accumulator in slot.accumulators:
             # Geometry hook: per-pair accumulators allocate their state
-            # from the scan's exact shape (row count, destination
-            # columns).
+            # from the scan's exact shape.
             begin = getattr(accumulator, "begin", None)
             if begin is not None:
-                begin(n, slot.series.num_steps, cols)
+                begin(n, slot.series.num_steps)
     # Rank steps: arrivals are ranks < W and no minimal trip takes more
     # than W hops (each hop departs one nonempty window later), so the
     # packed keys stay below (W + 1) * (W + 2).  A stack packs every
@@ -2211,16 +2090,14 @@ def _scan(
     K = a_inf + 2
     # Every key is below K * K: int32 holds them unless W >= 46340.
     dtype = np.int32 if K * K <= np.iinfo(np.int32).max else np.int64
-    P = np.full((len(slots) * n, width), a_inf * K + (K - 1), dtype=dtype)
+    P = np.full((len(slots) * n, n), a_inf * K + (K - 1), dtype=dtype)
     #: Committed rows not yet turned into trips (see *The scan kernel*).
-    rows = _RowBuffer(slots, K, extra, cols, include_self, width, dtype)
+    rows = _RowBuffer(slots, K, extra, include_self, n, dtype)
     steps = _Lockstep(
         slots,
         partial(
-            _stack_block, n=n, K=K, col_of=col_of, stacked=len(slots) > 1,
-            dtype=dtype,
-            max_rows=max(BATCH_CELL_BUDGET // (len(slots) * width), 1),
-            width=width,
+            _stack_block, n=n, K=K, stacked=len(slots) > 1, dtype=dtype,
+            max_rows=max(BATCH_CELL_BUDGET // (len(slots) * n), 1),
         ),
         lambda head: _before_block(rows, check, head),
     )
@@ -2271,72 +2148,6 @@ def _scan(
             raise
         slot = steps.head if rows.slot is None else rows.slot
         raise StackedScanError(slot, exc) from exc
-
-
-def series_distance_stats(
-    series: GraphSeries,
-    *,
-    targets: np.ndarray | None = None,
-) -> DistanceStats:
-    """Classical distance statistics of a series in one dedicated scan.
-
-    Convenience wrapper over ``scan_series(series, DistanceTotals())`` —
-    the measure pipeline (:mod:`repro.engine.tasks`) fuses the same
-    accumulator with other measures instead of paying a scan per measure.
-    With ``targets`` the statistics cover only trips arriving in the
-    subset (the means and fraction are still normalized by the full
-    geometry — merge the accumulators of disjoint subsets yourself).
-    """
-    totals = DistanceTotals()
-    scan_series(series, totals, targets=targets)
-    return totals.stats(series.num_nodes, series.num_steps)
-
-
-def blocked_pair_reachability(
-    series: GraphSeries,
-    *,
-    block_cols: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full per-pair reachability matrices, computed in destination blocks.
-
-    Returns ``(reach_steps, dist_sum, hops_sum)`` — three int64
-    ``(n, n)`` matrices with zero diagonals, bit-identical to
-    :func:`repro.temporal.bruteforce.bruteforce_pair_reachability` — by
-    chunking :class:`EarliestArrivalAccumulator` over destination-column
-    blocks of ``block_cols`` columns.  The arrival-matrix columns are
-    independent dynamic programs, so each block is an ordinary
-    ``targets=``-restricted scan and its accumulator matrices scatter
-    into the full result; peak accumulator memory drops from
-    ``O(n * n)`` to ``O(n * block_cols)`` per block (the three output
-    matrices still hold ``n * n``).
-
-    ``block_cols`` defaults to a width sized so one block's working set
-    (three int64 accumulator matrices plus scan state, ~48 bytes per
-    cell) stays near 64 MiB.
-    """
-    n = series.num_nodes
-    if block_cols is None:
-        block_cols = max(1, min(n, (64 << 20) // (48 * max(n, 1))))
-    elif block_cols < 1:
-        raise ValidationError(
-            f"block_cols must be a positive integer, got {block_cols}"
-        )
-    width = int(block_cols)
-    reach = np.zeros((n, n), dtype=np.int64)
-    dist = np.zeros((n, n), dtype=np.int64)
-    hops = np.zeros((n, n), dtype=np.int64)
-    for lo in range(0, n, width):
-        cols = np.arange(lo, min(lo + width, n), dtype=np.int64)
-        accumulator = EarliestArrivalAccumulator()
-        scan_series(series, accumulator, targets=cols)
-        reach[:, cols] = accumulator.reach_steps
-        dist[:, cols] = accumulator.dist_sum
-        hops[:, cols] = accumulator.hops_sum
-    idx = np.arange(n)
-    reach[idx, idx] = 0
-    dist[idx, idx] = 0
-    hops[idx, idx] = 0
-    return reach, dist, hops
 
 
 def scan_stream(

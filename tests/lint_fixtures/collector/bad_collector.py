@@ -1,4 +1,4 @@
-"""Fixture: a collector that spliced or split scans cannot reassemble."""
+"""Fixture: a collector that spliced scans cannot reassemble."""
 
 
 class LonelyCollector:

@@ -144,13 +144,6 @@ class TestEntropies:
 
 
 class TestMerge:
-    def test_merge_pools_mass(self):
-        a = OccupancyDistribution([0.2], [2])
-        b = OccupancyDistribution([0.8], [2])
-        merged = a.merge(b)
-        assert merged.weights.tolist() == [0.5, 0.5]
-        assert merged.total_weight == 4
-
     def test_sum_of_histograms_matches_single_histogram(self):
         rng = np.random.default_rng(5)
         parts = [rng.integers(0, 50, size=32) for _ in range(3)]

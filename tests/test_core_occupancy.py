@@ -11,8 +11,9 @@ from repro.generators import time_uniform_stream
 from repro.graphseries import aggregate
 from repro.linkstream import LinkStream
 from repro.temporal.collectors import CountingCollector, TripListCollector
-from repro.temporal.reachability import DistanceTotals, scan_series
+from repro.temporal.reachability import DistanceTotals
 from repro.utils.errors import ValidationError
+from tests.splicing import spliced_scans
 
 
 class TestCollector:
@@ -108,39 +109,23 @@ class TestCollectorMerges:
     def series(self):
         return aggregate(time_uniform_stream(12, 6, 5000.0, seed=0), 500.0)
 
-    @staticmethod
-    def subset_collector(series, targets, **kwargs):
-        collector = OccupancyCollector(**kwargs)
-        scan_series(series, collector, targets=targets)
-        return collector
-
-    def test_target_subsets_merge_bit_identically(self, series):
+    def test_window_spans_merge_bit_identically(self, series):
         reference, num_trips = series_occupancy(series)
-        parts = [
-            self.subset_collector(series, np.arange(i, series.num_nodes, 4))
-            for i in range(4)
-        ]
-        merged = OccupancyCollector()
-        for part in parts:
-            merged.merge(part)
-        assert merged.num_trips == num_trips
-        distribution = merged.distribution()
-        assert distribution.values.tolist() == reference.values.tolist()
-        assert distribution.weights.tolist() == reference.weights.tolist()
-        assert distribution.total_weight == reference.total_weight
+        for merged in spliced_scans(series, OccupancyCollector):
+            assert merged.num_trips == num_trips
+            distribution = merged.distribution()
+            assert distribution.values.tolist() == reference.values.tolist()
+            assert distribution.weights.tolist() == reference.weights.tolist()
+            assert distribution.total_weight == reference.total_weight
 
-    def test_exact_mode_target_subsets_merge_bit_identically(self, series):
+    def test_exact_mode_window_spans_merge_bit_identically(self, series):
         reference, __ = series_occupancy(series, exact=True)
-        merged = OccupancyCollector(exact=True)
-        for i in range(3):
-            merged.merge(
-                self.subset_collector(
-                    series, np.arange(i, series.num_nodes, 3), exact=True
-                )
-            )
-        distribution = merged.distribution()
-        assert distribution.values.tolist() == reference.values.tolist()
-        assert distribution.weights.tolist() == reference.weights.tolist()
+        for merged in spliced_scans(
+            series, lambda: OccupancyCollector(exact=True)
+        ):
+            distribution = merged.distribution()
+            assert distribution.values.tolist() == reference.values.tolist()
+            assert distribution.weights.tolist() == reference.weights.tolist()
 
     def test_frozen_span_keeps_only_nonzero_bins(self):
         # segment_handoff freezes a checkpoint span as (bin index, count)
@@ -164,9 +149,9 @@ class TestCollectorMerges:
         assert span.distribution().values.tolist() == reference.values.tolist()
 
     def test_empty_collectors_merge_and_only_final_assembly_fails(self):
-        # A destination subset can legitimately receive zero trips: the
-        # empty collector must merge like any other, and only a merged
-        # total of zero may fail — at final assembly.
+        # A collector can legitimately hold zero trips (a fresh
+        # successor, a merge target): it must merge like any other, and
+        # only a merged total of zero may fail — at final assembly.
         empty_a = OccupancyCollector()
         empty_b = OccupancyCollector()
         assert empty_a.empty
@@ -192,23 +177,6 @@ class TestCollectorMerges:
         assert combined_exact.empty
         with pytest.raises(ValidationError, match="no minimal trips"):
             combined_exact.distribution()
-
-    def test_empty_destination_subset_comes_back_mergeable(self):
-        # Node 2 never receives an edge: its collector is empty but the
-        # partition still reassembles the full distribution.
-        stream = LinkStream([0, 0], [1, 1], [0, 10], num_nodes=3, directed=True)
-        series = aggregate(stream, 1.0)
-        reference, num_trips = series_occupancy(series)
-        parts = [
-            self.subset_collector(series, np.array([node]))
-            for node in range(series.num_nodes)
-        ]
-        assert parts[2].empty  # no trips arrive at node 2
-        merged = OccupancyCollector()
-        for part in parts:
-            merged.merge(part)
-        assert merged.num_trips == num_trips
-        assert merged.distribution().values.tolist() == reference.values.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -297,7 +265,7 @@ class TestCollectorMerges:
         with pytest.raises(ValidationError):
             OccupancyCollector().merge(CountingCollector())
         with pytest.raises(ValidationError):
-            DistanceTotals().merge(CountingCollector())
+            DistanceTotals().absorb_segment(CountingCollector())
 
     def test_exact_mode_merge_ignores_bin_counts(self):
         # Bins are meaningless in exact mode; differing sizes must not

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import divisor_delta_grid, linear_delta_grid, log_delta_grid, refine_grid
+from repro.core import log_delta_grid, refine_grid
 from repro.linkstream import LinkStream
 from repro.utils.errors import SweepError
 
@@ -32,24 +32,6 @@ class TestLogGrid:
     def test_rejects_bad_bounds(self, stream):
         with pytest.raises(SweepError):
             log_delta_grid(stream, min_delta=100.0, max_delta=10.0)
-
-
-class TestLinearGrid:
-    def test_even_spacing(self, stream):
-        grid = linear_delta_grid(stream, num=5, min_delta=10, max_delta=50)
-        assert grid.tolist() == [10, 20, 30, 40, 50]
-
-
-class TestDivisorGrid:
-    def test_deltas_divide_span(self, stream):
-        grid = divisor_delta_grid(stream, num=10)
-        for delta in grid:
-            k = stream.span / delta
-            assert k == pytest.approx(round(k))
-
-    def test_includes_full_span(self, stream):
-        grid = divisor_delta_grid(stream, num=10)
-        assert grid[-1] == pytest.approx(stream.span)
 
 
 class TestRefine:

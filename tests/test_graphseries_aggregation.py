@@ -6,8 +6,6 @@ import pytest
 from repro.graphseries import (
     aggregate,
     aggregate_adaptive,
-    aggregate_cumulative,
-    aggregate_overlapping,
     window_index,
 )
 from repro.linkstream import LinkStream
@@ -76,38 +74,6 @@ class TestDisjointAggregation:
         series = aggregate(chain_stream, 2.0)
         assert series.delta == 2.0
         assert series.origin == chain_stream.t_min
-
-
-class TestOverlappingAggregation:
-    def test_reduces_to_disjoint_when_stride_equals_delta(self, figure1_stream):
-        disjoint = aggregate(figure1_stream, 4.0)
-        overlapping = aggregate_overlapping(figure1_stream, 4.0, 4.0)
-        left = {(s, int(a), int(b)) for s, us, vs in disjoint.edge_groups() for a, b in zip(us, vs)}
-        right = {(s, int(a), int(b)) for s, us, vs in overlapping.edge_groups() for a, b in zip(us, vs)}
-        assert left == right
-
-    def test_event_lands_in_multiple_windows(self):
-        stream = LinkStream([0, 0], [1, 1], [0, 9])
-        series = aggregate_overlapping(stream, 4.0, 2.0)
-        # Event at t=9 (relative) is in windows starting at 6 and 8 -> k=3,4.
-        steps = sorted(s for s, __, __ in series.edge_groups())
-        assert steps == [0, 3, 4]
-
-    def test_stride_larger_than_window_rejected(self, chain_stream):
-        with pytest.raises(AggregationError):
-            aggregate_overlapping(chain_stream, 2.0, 3.0)
-
-
-class TestCumulativeAggregation:
-    def test_snapshots_grow(self, figure1_stream):
-        series = aggregate_cumulative(figure1_stream, 4.0)
-        sizes = [s.num_edges for s in series.snapshots()]
-        assert sizes == sorted(sizes)
-
-    def test_last_snapshot_is_total_aggregate(self, figure1_stream):
-        series = aggregate_cumulative(figure1_stream, 4.0)
-        total = aggregate(figure1_stream, figure1_stream.span + 1)
-        assert series.snapshot(series.num_steps - 1).num_edges == total.num_edges_total
 
 
 class TestAdaptiveAggregation:

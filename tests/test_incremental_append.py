@@ -4,8 +4,8 @@ Covers the append-only :meth:`LinkStream.extend` contract (ordering,
 dtype, and node-set guards; the chained prefix fingerprint), the
 memo-staleness regression (a grown stream never inherits its base's
 memoized statistics), the checkpoint/resume scan machinery behind
-:class:`IncrementalScanSession`, blocked-column per-pair reachability
-against the brute-force oracle, and the headline property: extend +
+:class:`IncrementalScanSession`, per-pair reachability of scans planned
+in blocks of any width against the brute-force oracle, and the headline property: extend +
 analyze is bit-identical to from-scratch analysis, including
 straddling-window and empty appends.
 """
@@ -40,7 +40,6 @@ from repro.temporal import (
     SCAN_WINDOWS,
     ScanCheckpoint,
     TripListCollector,
-    blocked_pair_reachability,
     bruteforce_pair_reachability,
     reference_scan,
     scan_series,
@@ -468,41 +467,6 @@ class TestPackedCheckpoints:
         ]
         assert bounded.nbytes == costs[0] + costs[1]
 
-    def test_target_restricted_checkpoints_and_resume(self):
-        base, grown, limit = _grown_pair()
-        n = base.num_nodes
-        cols = np.array([1, 4, 6, 9], dtype=np.int64)
-        recorder = CheckpointRecorder()
-        scan_series(
-            base, _consumer_set(), targets=cols, checkpoints=recorder
-        )
-        assert recorder.checkpoints
-        restricted = {}
-        reference_scan(base, targets=cols, snapshots=restricted)
-        full = _snapshots(base)
-        for ckpt in recorder.checkpoints:
-            assert ckpt.shape == (n, cols.size)
-            assert ckpt.mask.nbytes == -(-n * cols.size // 8)
-            assert _same_snapshot(
-                (ckpt.last_processed, ckpt.A, ckpt.H), restricted[ckpt.window]
-            )
-            last, A, H = full[ckpt.window]
-            assert _same_snapshot(
-                (ckpt.last_processed, ckpt.A, ckpt.H),
-                (last, A[:, cols], H[:, cols]),
-            )
-        plan = ResumePlan(
-            recorder.checkpoints, recorder.spans, recorder.span_trips,
-            limit=limit,
-        )
-        consumers = _consumer_set()
-        before = SCAN_WINDOWS["series"]
-        scan_series(grown, consumers, targets=cols, resume=plan)
-        assert SCAN_WINDOWS["series"] - before < grown.nonempty_steps().size
-        fresh = _consumer_set()
-        scan_series(grown, fresh, targets=cols)
-        assert _consumer_state(consumers) == _consumer_state(fresh)
-
 
 def _snapshots(series):
     """Every window's incoming ``(last_processed, A, H)`` from the
@@ -709,14 +673,29 @@ class TestCheckpointContract:
 
 class TestBlockedPairReachability:
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("block_cols", [1, 3, 7, 64])
-    def test_matches_bruteforce_oracle(self, directed, block_cols):
+    @pytest.mark.parametrize("plan_block", [1, 3, 7, 64])
+    def test_matches_bruteforce_oracle(self, directed, plan_block, monkeypatch):
+        # The scan plans its runs in blocks of plan_block windows (a run
+        # never spans two blocks, and the row buffer flushes at each
+        # block change); the per-pair totals must not depend on it.
         series = aggregate(small_stream(n=7, m=120, directed=directed), 90.0)
-        got = blocked_pair_reachability(series, block_cols=block_cols)
+        assert series.nonempty_steps().size > 7  # 1, 3 and 7 split the scan
+        monkeypatch.setattr(reachability, "LAST_PLAN_BLOCK", plan_block)
+        accumulator = EarliestArrivalAccumulator()
+        scan_series(series, accumulator)
         expected = bruteforce_pair_reachability(series)
+        off_diagonal = ~np.eye(7, dtype=bool)
+        got = (
+            accumulator.reach_steps, accumulator.dist_sum,
+            accumulator.hops_sum,
+        )
         for got_matrix, expected_matrix in zip(got, expected):
-            assert np.array_equal(got_matrix, expected_matrix)
+            assert np.array_equal(
+                got_matrix[off_diagonal], expected_matrix[off_diagonal]
+            )
 
+
+class TestEarliestArrivalAccumulator:
     @pytest.mark.parametrize(
         "scan", [scan_series, reference_scan], ids=["batched", "legacy"]
     )
@@ -744,29 +723,6 @@ class TestBlockedPairReachability:
                 got_matrix[off_diagonal], expected_matrix[off_diagonal]
             )
         assert expected[0][0, 4] > 0  # the untouched column is reached
-
-    @pytest.mark.parametrize("directed", [True, False])
-    def test_target_restriction_folds_its_columns(self, directed):
-        series = aggregate(small_stream(n=7, m=120, directed=directed), 90.0)
-        cols = np.array([1, 4, 6], dtype=np.int64)
-        accumulator = EarliestArrivalAccumulator()
-        scan_series(series, accumulator, targets=cols)
-        expected = bruteforce_pair_reachability(series)
-        got = (
-            accumulator.reach_steps, accumulator.dist_sum,
-            accumulator.hops_sum,
-        )
-        diagonal = cols[None, :] == np.arange(7)[:, None]
-        for got_matrix, expected_matrix in zip(got, expected):
-            assert got_matrix.shape == (7, cols.size)
-            want = expected_matrix[:, cols]
-            assert np.array_equal(got_matrix[~diagonal], want[~diagonal])
-            assert want[~diagonal].any()
-
-    def test_invalid_block_width_rejected(self):
-        series = aggregate(small_stream(n=6, m=60), 200.0)
-        with pytest.raises(ValidationError):
-            blocked_pair_reachability(series, block_cols=0)
 
 
 class TestIncrementalSession:

@@ -6,9 +6,6 @@ import pytest
 from repro.linkstream import (
     LinkStream,
     concatenate,
-    deduplicate,
-    relabel,
-    reverse_time,
     subsample_events,
 )
 from repro.utils.errors import LinkStreamError
@@ -36,45 +33,6 @@ class TestConcatenate:
     def test_single_stream_passthrough(self, chain_stream):
         merged = concatenate([chain_stream])
         assert merged.num_events == chain_stream.num_events
-
-
-class TestDeduplicate:
-    def test_drops_exact_duplicates(self):
-        stream = LinkStream([0, 0, 1], [1, 1, 2], [5, 5, 6])
-        assert deduplicate(stream).num_events == 2
-
-    def test_keeps_same_pair_at_other_times(self):
-        stream = LinkStream([0, 0], [1, 1], [5, 6])
-        assert deduplicate(stream).num_events == 2
-
-    def test_empty_stream_ok(self):
-        stream = LinkStream([], [], [])
-        assert deduplicate(stream).num_events == 0
-
-
-class TestRelabel:
-    def test_renames(self):
-        stream = LinkStream.from_triples([("a", "b", 0)])
-        renamed = relabel(stream, {"a": "alice"})
-        assert set(renamed.labels) == {"alice", "b"}
-
-    def test_collision_rejected(self):
-        stream = LinkStream.from_triples([("a", "b", 0)])
-        with pytest.raises(LinkStreamError):
-            relabel(stream, {"a": "b"})
-
-
-class TestReverseTime:
-    def test_mirrors_timestamps(self, chain_stream):
-        mirrored = reverse_time(chain_stream)
-        assert mirrored.timestamps.tolist() == [1, 3, 5]
-        # Events attached to their new times: last event is now first.
-        assert mirrored.t_min == chain_stream.t_min
-        assert mirrored.t_max == chain_stream.t_max
-
-    def test_involution(self, medium_stream):
-        twice = reverse_time(reverse_time(medium_stream))
-        assert twice == medium_stream
 
 
 class TestSubsample:

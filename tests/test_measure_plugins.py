@@ -53,6 +53,7 @@ from repro.temporal import (
 )
 from repro.temporal.reachability import SCAN_COUNTS
 from repro.utils.errors import EngineError, ValidationError
+from tests.splicing import spliced_scans
 
 
 class HopHistogramCollector:
@@ -520,27 +521,22 @@ class TestAnalyzeStreamMeasureSet:
 
 
 class TestChainCollectorParity:
-    def test_merge_and_empty_under_destination_sharding(self, small_stream):
+    def test_merge_and_empty_under_window_spans(self, small_stream):
         series = aggregate(small_stream, 250.0)
-        full = ChainCollector(TripListCollector(), CountingCollector())
-        scan_series(series, full)
 
-        merged = ChainCollector(TripListCollector(), CountingCollector())
-        assert merged.empty
-        for index in range(3):
-            shard = ChainCollector(TripListCollector(), CountingCollector())
-            scan_series(
-                series,
-                shard,
-                targets=np.arange(index, series.num_nodes, 3),
-            )
-            merged.merge(shard)
-        assert not merged.empty
-        trips_full = sorted(full.collectors[0].trips().as_tuples())
-        trips_merged = sorted(merged.collectors[0].trips().as_tuples())
-        assert trips_merged == trips_full
-        assert merged.collectors[1].num_trips == full.collectors[1].num_trips
-        assert merged.collectors[1].max_hops == full.collectors[1].max_hops
+        def chain():
+            return ChainCollector(TripListCollector(), CountingCollector())
+
+        full = chain()
+        scan_series(series, full)
+        assert chain().empty
+        for merged in spliced_scans(series, chain):
+            assert not merged.empty
+            trips_full = sorted(full.collectors[0].trips().as_tuples())
+            trips_merged = sorted(merged.collectors[0].trips().as_tuples())
+            assert trips_merged == trips_full
+            assert merged.collectors[1].num_trips == full.collectors[1].num_trips
+            assert merged.collectors[1].max_hops == full.collectors[1].max_hops
 
     def test_merge_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="chains of"):
@@ -558,22 +554,18 @@ class TestCappedTripListCollector:
         with pytest.raises(ValidationError, match="caps or seeds"):
             TripListCollector(max_trips=4).merge(TripListCollector(max_trips=5))
 
-    def test_shard_merge_equals_unsharded_capped_collection(self, small_stream):
+    def test_span_merge_equals_unspliced_capped_collection(self, small_stream):
         series = aggregate(small_stream, 250.0)
         full = TripListCollector(max_trips=9, seed=3)
         scan_series(series, full)
-        merged = TripListCollector(max_trips=9, seed=3)
-        for index in range(4):
-            shard = TripListCollector(max_trips=9, seed=3)
-            scan_series(
-                series, shard, targets=np.arange(index, series.num_nodes, 4)
+        for merged in spliced_scans(
+            series, lambda: TripListCollector(max_trips=9, seed=3)
+        ):
+            assert merged.num_recorded == full.num_recorded
+            assert merged.hops_total == full.hops_total
+            assert sorted(merged.trips().as_tuples()) == sorted(
+                full.trips().as_tuples()
             )
-            merged.merge(shard)
-        assert merged.num_recorded == full.num_recorded
-        assert merged.hops_total == full.hops_total
-        assert sorted(merged.trips().as_tuples()) == sorted(
-            full.trips().as_tuples()
-        )
 
 
 class TestCLIErrorPaths:

@@ -11,7 +11,6 @@ backend.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import analyze_stream, classical_sweep, occupancy_method
@@ -335,33 +334,7 @@ class TestPerMeasureCache:
         assert aggregation_count() - a0 == len(deltas)
 
 
-class TestDistanceMeasureSharding:
-    def test_merge_is_associative_under_shard_groupings(self, series):
-        """Distance shard accumulators merge integer-exactly whatever the
-        grouping: ((a + b) + c) == (a + (b + c)) == full scan."""
-        shards = []
-        for i in range(3):
-            totals = DistanceTotals()
-            scan_series(series, totals, targets=np.arange(i, series.num_nodes, 3))
-            shards.append(totals)
-
-        def fresh(source):
-            copy = DistanceTotals()
-            copy.merge(source)
-            return copy
-
-        left = fresh(shards[0]).merge(fresh(shards[1])).merge(fresh(shards[2]))
-        right = fresh(shards[0]).merge(fresh(shards[1]).merge(fresh(shards[2])))
-        reference = DistanceTotals()
-        scan_series(series, reference)
-        for merged in (left, right):
-            assert merged.dist_sum == reference.dist_sum
-            assert merged.hops_sum == reference.hops_sum
-            assert merged.count_sum == reference.count_sum
-            assert merged.stats(series.num_nodes, series.num_steps) == (
-                reference.stats(series.num_nodes, series.num_steps)
-            )
-
+class TestDistanceTotals:
     def test_distance_sums_are_exact_integers(self, series):
         totals = DistanceTotals()
         scan_series(series, totals)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reporting import format_float, line_chart, render_table, scatter_chart
+from repro.reporting import format_float, render_table, scatter_chart
 from repro.utils.errors import ValidationError
 
 
@@ -43,15 +43,17 @@ class TestTable:
 
 
 class TestCharts:
-    def test_line_chart_contains_markers(self):
+    def test_single_series_contains_markers(self):
         xs = np.linspace(1, 10, 20)
-        text = line_chart(xs, xs**2, width=40, height=10)
+        text = scatter_chart({"y": (xs, xs**2)}, width=40, height=10)
         assert "o" in text
         assert "+" + "-" * 40 in text
 
     def test_logx(self):
         xs = np.geomspace(1, 1e6, 30)
-        text = line_chart(xs, np.log(xs), logx=True, width=40, height=8)
+        text = scatter_chart(
+            {"y": (xs, np.log(xs))}, logx=True, width=40, height=8
+        )
         assert "1e+06" in text
 
     def test_multiple_series_get_legend(self):
@@ -64,12 +66,14 @@ class TestCharts:
         assert "x=fall" in text
 
     def test_non_finite_points_dropped(self):
-        text = line_chart([1, 2, 3], [1, float("nan"), 3], width=20, height=5)
+        text = scatter_chart(
+            {"y": ([1, 2, 3], [1, float("nan"), 3])}, width=20, height=5
+        )
         assert isinstance(text, str)
 
     def test_all_bad_points_rejected(self):
         with pytest.raises(ValidationError):
-            line_chart([1], [float("nan")], width=10, height=5)
+            scatter_chart({"y": ([1], [float("nan")])}, width=10, height=5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,8 +5,8 @@ be *bit-identical* to the per-source reference loop
 (:func:`repro.temporal.bruteforce.reference_scan`) — trips, collector
 states, accumulator outputs, call logs and checkpoint states — on every
 input: directed and undirected series, int and float streams,
-destination-restricted scans, ``include_self``, and any chunking of the
-window working set or bound of the row buffer.
+``include_self``, and any chunking of the window working set or bound
+of the row buffer.
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.temporal.reachability import (
 from tests.strategies import link_streams
 
 
-def _scan_state(series, *, reference=False, targets=None, include_self=False):
+def _scan_state(series, *, reference=False, include_self=False):
     """Run one scan (the run kernel, or the reference loop) and snapshot
     every consumer's observable state."""
     trips = TripListCollector()
@@ -50,7 +50,6 @@ def _scan_state(series, *, reference=False, targets=None, include_self=False):
         series,
         [trips, counts, occ, totals, pairwise],
         include_self=include_self,
-        targets=targets,
     )
     t = trips.trips()
     occ_values = (
@@ -89,14 +88,6 @@ def _assert_identical(state_a, state_b):
                 assert np.array_equal(left, right), key
             else:
                 assert left == right, key
-
-
-def _targets_for(mode, num_nodes):
-    if mode == 0:
-        return None
-    if mode == 1:
-        return np.arange(max(1, num_nodes // 2), dtype=np.int64)
-    return np.array([num_nodes - 1], dtype=np.int64)
 
 
 class RecordLog:
@@ -159,17 +150,12 @@ class TestKernelBitIdentity:
         stream=link_streams(),
         delta=st.sampled_from([1.0, 2.0, 3.0, 5.0]),
         include_self=st.booleans(),
-        target_mode=st.integers(0, 2),
     )
-    def test_batched_matches_legacy(
-        self, stream, delta, include_self, target_mode
-    ):
+    def test_batched_matches_legacy(self, stream, delta, include_self):
         series = aggregate(stream, delta)
-        targets = _targets_for(target_mode, series.num_nodes)
-        kwargs = dict(targets=targets, include_self=include_self)
         _assert_identical(
-            _scan_state(series, **kwargs),
-            _scan_state(series, reference=True, **kwargs),
+            _scan_state(series, include_self=include_self),
+            _scan_state(series, reference=True, include_self=include_self),
         )
 
     def test_chunking_never_changes_results(self, monkeypatch):
@@ -503,7 +489,7 @@ def _consumers(totals):
     )
 
 
-def _observe(series, *, targets, include_self, totals, record, resume_from=None):
+def _observe(series, *, include_self, totals, record, resume_from=None):
     """Scan on the run kernel, optionally with a checkpoint recorder and
     optionally resuming a recorded base scan; returns the results and
     the recorder."""
@@ -514,7 +500,7 @@ def _observe(series, *, targets, include_self, totals, record, resume_from=None)
         base_recorder = CheckpointRecorder()
         scan_series(
             base, _consumers(totals), include_self=include_self,
-            targets=targets, checkpoints=base_recorder,
+            checkpoints=base_recorder,
         )
         resume = ResumePlan(
             base_recorder.checkpoints, base_recorder.spans,
@@ -522,7 +508,7 @@ def _observe(series, *, targets, include_self, totals, record, resume_from=None)
         )
     consumers = _consumers(totals)
     result = scan_series(
-        series, consumers, include_self=include_self, targets=targets,
+        series, consumers, include_self=include_self,
         checkpoints=recorder, resume=resume,
     )
     return _snapshot(result, consumers), recorder
@@ -548,32 +534,26 @@ class TestRunKernelProperty:
     @given(
         data=window_series(),
         include_self=st.booleans(),
-        target_mode=st.integers(0, 2),
         totals=st.booleans(),
         record=st.booleans(),
         cells=st.sampled_from([None, 1, 24]),
         flush_cells=st.sampled_from([None, 1, 40]),
     )
     def test_run_kernel_matches_legacy_call_for_call(
-        self, data, include_self, target_mode, totals, record, cells,
-        flush_cells,
+        self, data, include_self, totals, record, cells, flush_cells,
     ):
         base, grown, limit = data
-        targets = _targets_for(target_mode, grown.num_nodes)
         consumers = _consumers(totals)
         snapshots = {}
         oracle = _snapshot(
             reference_scan(
                 grown, consumers, include_self=include_self,
-                targets=targets, snapshots=snapshots,
+                snapshots=snapshots,
             ),
             consumers,
         )
         deps = consumers[1].trips().dep
-        kwargs = dict(
-            targets=targets, include_self=include_self, totals=totals,
-            record=record,
-        )
+        kwargs = dict(include_self=include_self, totals=totals, record=record)
         with pytest.MonkeyPatch.context() as mp:
             if cells is not None:
                 mp.setattr(reachability, "BATCH_CELL_BUDGET", cells)

@@ -358,6 +358,20 @@ class TestHTTPDaemon:
             daemon.analyze(fingerprint, measures="doesnotexist")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "xyz", "../x"])
+    def test_unknown_upload_format_is_400(self, daemon, events_file, fmt):
+        # A TSV body must not register under another format's name, and
+        # the format never reaches the file system.
+        with pytest.raises(ServiceError, match="'tsv' or 'csv'") as excinfo:
+            daemon.upload_stream_bytes(events_file.read_bytes(), fmt=fmt)
+        assert excinfo.value.status == 400
+        assert daemon.health()["status"] == "ok"
+
+    def test_csv_upload_registers_the_same_stream(self, daemon, events_file):
+        body = events_file.read_text().replace("\t", ",").encode()
+        fingerprint = daemon.upload_stream_bytes(body, fmt="csv")
+        assert fingerprint == daemon.upload_stream(str(events_file))
+
     def test_cancelled_job_maps_to_jobcancelled(self, daemon, events_file):
         fingerprint = daemon.upload_stream(str(events_file))
         job = daemon.analyze(
