@@ -86,58 +86,6 @@ class OccupancyDistribution:
             raise ValidationError("histogram is empty")
         return cls(values[mask], weights[mask])
 
-    @classmethod
-    def sum_of_histograms(
-        cls,
-        counts_list: list[np.ndarray],
-        *,
-        ones_counts: list[float] | None = None,
-    ) -> "OccupancyDistribution":
-        """Pool same-resolution histogram shards into one distribution.
-
-        The shards' integer bin counts (and exact atoms at 1) are summed
-        before a single :meth:`from_histogram` call, so the result is
-        bit-identical to a histogram accumulated in one pass.  The
-        engine's incremental splice merges live collectors instead
-        (:meth:`~repro.core.occupancy.OccupancyCollector.merge`); this is
-        the equivalent entry point for callers holding raw histogram
-        arrays (e.g. pooled from files or remote workers).
-        """
-        if not counts_list:
-            raise ValidationError("need at least one histogram to sum")
-        first = np.asarray(counts_list[0])
-        total = np.zeros(first.shape, dtype=np.int64)
-        for counts in counts_list:
-            counts = np.asarray(counts)
-            if counts.shape != first.shape:
-                raise ValidationError(
-                    "histogram shards must share the same bin count"
-                )
-            if counts.dtype.kind == "f":
-                rounded = np.rint(counts)
-                if np.any(np.abs(counts - rounded) > 1e-6):
-                    raise ValidationError(
-                        "histogram shard counts must be integral "
-                        "(got non-integer float counts)"
-                    )
-                counts = rounded
-            if counts.size and counts.min() < 0:
-                raise ValidationError("histogram shard counts must be non-negative")
-            total += counts.astype(np.int64)
-        ones = 0.0
-        if ones_counts is not None:
-            if len(ones_counts) != len(counts_list):
-                raise ValidationError(
-                    "ones_counts must have one entry per histogram shard"
-                )
-            for count in ones_counts:
-                if count < 0 or abs(count - round(count)) > 1e-6:
-                    raise ValidationError(
-                        "ones counts must be non-negative integers"
-                    )
-            ones = float(round(sum(ones_counts)))
-        return cls.from_histogram(total, ones_count=ones)
-
     # -- basic accessors ------------------------------------------------------
 
     @property

@@ -243,7 +243,7 @@ def stream_occupancy_at(
     an interactive call at some Δ reads the series a sweep stored in the
     per-process series store (and vice versa).
     """
-    series = aggregate_cached(stream, delta, origin=origin)
+    series = aggregate_cached(stream, [delta], origin=origin)[0]
     distribution, num_trips = series_occupancy(
         series, bins=bins, exact=exact, include_self=include_self
     )

@@ -143,7 +143,7 @@ def elongation_at(
         stream_index = PairTripIndex(stream_minimal_trips(stream), stream.num_nodes)
     # The cached aggregation typically hits: validation at gamma follows
     # a sweep that already materialized the series at gamma.
-    series = aggregate_cached(stream, delta, origin=origin)
+    series = aggregate_cached(stream, [delta], origin=origin)[0]
     collector = TripListCollector()
     scan_series(series, collector)
     trips = collector.trips()

@@ -141,6 +141,38 @@ def incremental_stats() -> dict:
 clear_incremental_store = clear_aggregate_cache
 
 
+def aggregate_sessions(sessions) -> None:
+    """Give every session its series, aggregating the cold ones together.
+
+    A session with a store entry or a warm ancestor keeps that path
+    (:meth:`IncrementalScanSession.warm_series`).  The rest are grouped
+    by stream content and origin, and each group's Δ grid goes through
+    one :func:`~repro.graphseries.aggregation.aggregate_cached` call: one
+    pair sort of the stream for every Δ it misses.  Each session keeps
+    the series that call returns, so an entry evicted under a small
+    budget is not aggregated again.  A group that cannot aggregate (an
+    empty stream, a bad Δ or origin) is left alone: each of its sessions
+    then raises its own error when asked for its series.
+    """
+    groups: dict[tuple, list[IncrementalScanSession]] = {}
+    for session in sessions:
+        if session.warm_series() is None:
+            key = (session._key[0], session._key[2])
+            groups.setdefault(key, []).append(session)
+    for group in groups.values():
+        lead = group[0]
+        try:
+            built = aggregate_cached(
+                lead._stream,
+                [session._delta for session in group],
+                origin=lead._origin,
+            )
+        except AggregationError:
+            continue
+        for session, series in zip(group, built):
+            session._series = series
+
+
 class IncrementalScanSession:
     """One (stream, Δ) evaluation's view of the series store.
 
@@ -220,14 +252,18 @@ class IncrementalScanSession:
     def series(self) -> GraphSeries:
         """The stream aggregated at Δ: its store entry, else spliced from
         a warm ancestor's entry, else :func:`aggregate_cached`."""
+        if self.warm_series() is None:
+            self._series = aggregate_cached(
+                self._stream, [self._delta], origin=self._origin
+            )[0]
+        return self._series
+
+    def warm_series(self) -> GraphSeries | None:
+        """The series without aggregating: the stream's store entry, else
+        spliced from a warm ancestor's entry, else ``None``."""
         if self._series is None:
             entry = store_get(self._key)
-            series = entry.series if entry is not None else self._splice()
-            if series is None:
-                series = aggregate_cached(
-                    self._stream, self._delta, origin=self._origin
-                )
-            self._series = series
+            self._series = entry.series if entry is not None else self._splice()
         return self._series
 
     def _splice(self) -> GraphSeries | None:

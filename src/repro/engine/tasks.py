@@ -47,7 +47,7 @@ from repro.engine.measures import (
     normalize_measures,
 )
 from repro.engine.cancel import CancelToken
-from repro.engine.incremental import IncrementalScanSession
+from repro.engine.incremental import IncrementalScanSession, aggregate_sessions
 from repro.linkstream.stream import LinkStream
 from repro.temporal.reachability import (
     ScanJob,
@@ -289,18 +289,16 @@ class AnalysisTask(DeltaTask):
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, stream: LinkStream) -> dict:
-        evaluation = self.prepare(stream)
+        evaluation = self.prepare(self.session(stream))
         if evaluation.job is not None:
             evaluation.session.run(evaluation.job)
         return self.finish(evaluation)
 
-    def prepare(self, stream: LinkStream) -> "Evaluation":
-        """Aggregate at Δ and set up the one scan: everything
-        :meth:`evaluate` does before scanning.  :func:`evaluate_tasks`
-        scans several prepared tasks as one stack."""
-        stream = _restrict_span(stream, self.span)
-        session = IncrementalScanSession(
-            stream,
+    def session(self, stream: LinkStream) -> IncrementalScanSession:
+        """This task's view of the series store, on its span of
+        ``stream``."""
+        return IncrementalScanSession(
+            _restrict_span(stream, self.span),
             delta=float(self.delta),
             origin=self.origin,
             include_self=self.include_self,
@@ -308,6 +306,12 @@ class AnalysisTask(DeltaTask):
                 (m.name, m.collector_token()) for m in self.measures if m.scans
             ),
         )
+
+    def prepare(self, session: IncrementalScanSession) -> "Evaluation":
+        """Aggregate at Δ (unless ``session`` already holds its series)
+        and set up the one scan: everything :meth:`evaluate` does before
+        scanning.  :func:`evaluate_tasks` scans several prepared tasks
+        as one stack."""
         series = session.series()
         collectors = {
             m.name: m.make_collector() for m in self.measures if m.scans
@@ -365,23 +369,29 @@ def evaluate_tasks(
     """Evaluate a plan of tasks in order; ``results[i]`` matches
     ``tasks[i]``.  The one in-process evaluation loop of the backends.
 
-    Consecutive :class:`AnalysisTask`\\ s whose scans are stackable
+    Every :class:`AnalysisTask`'s session is built first.  A session
+    whose series is in the store, or splices from a warm ancestor, keeps
+    that path; the other Δ that share a (span-restricted stream, origin)
+    are aggregated together, from one pair sort of the stream
+    (:func:`~repro.engine.incremental.aggregate_sessions`).  Then
+    consecutive :class:`AnalysisTask`\\ s whose scans are stackable
     (no resume plan, no state accumulator: see
     :attr:`~repro.temporal.reachability.ScanJob.stackable`) and share a
-    node set and ``include_self`` are aggregated one by one, then
-    scanned as one stack (:func:`~repro.temporal.reachability.
-    scan_stack`) of at most :func:`~repro.temporal.reachability.
-    stack_capacity` scans; each session then commits its record and
-    each task finishes.  Every other task evaluates alone.  Results,
-    cache keys and records are those of evaluating each task alone.
+    node set and ``include_self`` are scanned as one stack
+    (:func:`~repro.temporal.reachability.scan_stack`) of at most
+    :func:`~repro.temporal.reachability.stack_capacity` scans; each
+    session then commits its record and each task finishes.  Every
+    other task evaluates alone.  Results, cache keys and records are
+    those of evaluating each task alone.
 
-    ``cancel`` is checked before each task and, inside a stack, before
-    each block of lockstep steps, where :class:`~repro.utils.errors.
-    JobCancelled` names the first unfinished Δ.  ``tick(1)`` follows
-    each finished task.  A failure of a task evaluated alone propagates
-    as is unless ``wrap`` (then it becomes an :class:`EngineError`
-    naming the task); a failure inside a stack always becomes one
-    naming the Δ it belongs to.
+    ``cancel`` is checked before the sessions are built, before each
+    task and, inside a stack, before each block of lockstep steps, where
+    :class:`~repro.utils.errors.JobCancelled` names the first unfinished
+    Δ.  ``tick(1)`` follows each finished task.  A failure of a task
+    evaluated alone propagates as is unless ``wrap`` (then it becomes an
+    :class:`EngineError` naming the task); a failure inside a stack
+    always becomes one naming the Δ it belongs to.  A task whose
+    session cannot be built fails before any task is evaluated.
     """
     results: list = [None] * len(tasks)
     stack: list[tuple[int, Evaluation]] = []
@@ -435,6 +445,14 @@ def evaluate_tasks(
                 cancel.guard(task)
             done(index, guarded(task, task.finish, evaluation))
 
+    if cancel is not None and tasks:
+        cancel.guard(tasks[0])
+    sessions = {
+        index: guarded(task, task.session, stream)
+        for index, task in enumerate(tasks)
+        if isinstance(task, AnalysisTask)
+    }
+    aggregate_sessions(sessions.values())
     for index, task in enumerate(tasks):
         if cancel is not None:
             cancel.guard(task)
@@ -443,7 +461,7 @@ def evaluate_tasks(
                 run_stack()
             done(index, guarded(task, task.evaluate, stream))
             continue
-        evaluation = guarded(task, task.prepare, stream)
+        evaluation = guarded(task, task.prepare, sessions.pop(index))
         job = evaluation.job
         if job is None:
             done(index, guarded(task, task.finish, evaluation))

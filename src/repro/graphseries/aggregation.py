@@ -11,11 +11,20 @@ the one a baseline uses is provided here: adaptive variable-length
 windows that close once the forming snapshot "matures" (its density
 stabilizes), after Soundarajan et al.
 
+Every aggregation is built by one row builder (:class:`_PairSorted`):
+the events are sorted **once by pair**, stably, so each pair's events
+stay in time order.  A window length then keeps an event when it starts
+its pair or lands in another window than its same-pair predecessor, and
+one stable argsort of the kept windows yields the deduplicated rows in
+``(step, u, v)`` order.  A whole Δ grid therefore costs one pair sort
+per stream plus one linear pass and one nearly-sorted argsort per Δ.
+
 Every consumer of one ``G_Δ`` reads it from one per-process **series
 store** (:func:`aggregate_cached`): an LRU of :class:`SeriesEntry`
 objects under one content key (:func:`series_key`), one lock and one
-byte budget (``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB).  The
-incremental engine (:mod:`repro.engine.incremental`) splices a grown
+byte budget (``REPRO_INCREMENTAL_MAX_BYTES``, default 512 MiB).  It
+takes a grid of Δ and builds every miss of the grid from one pair sort.
+The incremental engine (:mod:`repro.engine.incremental`) splices a grown
 stream's series from its ancestor's entry and attaches its scan records
 to the entries, so the budget covers both.
 """
@@ -34,13 +43,14 @@ from repro.linkstream.stream import LinkStream
 from repro.utils.errors import AggregationError, EngineError
 
 #: Aggregation instrumentation: how many series this process has
-#: materialized from scratch (``"aggregate"``) and how many were spliced
-#: from a cached prefix after an append (``"incremental"``; these do
-#: *not* bump ``"aggregate"`` — the whole point is that no full
-#: re-windowing happened).  Cache hits served by :func:`aggregate_cached`
-#: count under neither.  The measure-fusion and incremental-append tests
-#: and benches assert against these tallies; they have no behavioural
-#: effect.
+#: materialized from scratch (``"aggregate"``: one per series built, so
+#: a grid of K misses counts K although its events are pair-sorted once)
+#: and how many were spliced from a cached prefix after an append
+#: (``"incremental"``; these do *not* bump ``"aggregate"`` — the whole
+#: point is that no full re-windowing happened).  Cache hits served by
+#: :func:`aggregate_cached` count under neither.  The measure-fusion and
+#: incremental-append tests and benches assert against these tallies;
+#: they have no behavioural effect.
 AGGREGATION_COUNTS = {"aggregate": 0, "incremental": 0}
 
 
@@ -53,26 +63,85 @@ def window_index(
     return np.floor((np.asarray(times) - origin) / delta).astype(np.int64)
 
 
-def _dedup_rows(
-    step: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep one row per distinct ``(step, u, v)``, lexsorted.
+class _PairSorted:
+    """Events sorted once by pair: the one row builder of every
+    aggregation.
 
-    Deduplicates column-wise rather than through a packed composite key
-    ``(step * n + u) * n + v``: that key silently wraps int64 once
-    ``num_steps * n**2`` exceeds 2**63, at which point distinct rows can
-    collide (dropped edges) or equal rows can land apart (surviving
-    duplicates).  ``np.lexsort`` + neighbor comparison needs no products,
-    so it is exact for any ``num_steps``/``num_nodes``.
+    ``np.lexsort((v, u))`` is stable and the events come in time order
+    (undirected pairs already canonical), so each pair's events stay in
+    time order and any window assignment that is monotone in time gives
+    each pair nondecreasing windows.  Sorting by the two columns needs
+    no packed ``u * n + v`` key, so nothing can wrap int64.
     """
-    if not step.size:
-        return step, u, v
-    order = np.lexsort((v, u, step))
-    step, u, v = step[order], u[order], v[order]
-    keep = np.empty(step.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = (step[1:] != step[:-1]) | (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return step[keep], u[keep], v[keep]
+
+    __slots__ = ("order", "u", "v", "first")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
+        self.order = np.lexsort((v, u))
+        self.u = u[self.order]
+        self.v = v[self.order]
+        #: Whether each event (in pair order) is its pair's first.
+        self.first = np.ones(self.order.size, dtype=bool)
+        self.first[1:] = (
+            (self.u[1:] != self.u[:-1]) | (self.v[1:] != self.v[:-1])
+        )
+
+    def rows(
+        self, steps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One row per distinct ``(step, u, v)``, in ``(step, u, v)``
+        order, from each event's window given in pair order.
+
+        An event is kept when it starts its pair or its window differs
+        from its same-pair predecessor's, so each (pair, window) keeps
+        exactly one event.  A stable argsort of the kept windows keeps
+        pair order within a window; the kept windows are runs ascending
+        per pair, which the sort exploits.
+        """
+        keep = self.first.copy()
+        keep[1:] |= steps[1:] != steps[:-1]
+        kept = np.flatnonzero(keep)
+        step = steps[kept]
+        rank = np.argsort(step, kind="stable")
+        kept = kept[rank]
+        return step[rank], self.u[kept], self.v[kept]
+
+
+def _aggregate_grid(
+    stream: LinkStream, deltas, origin: float | None
+) -> list[GraphSeries]:
+    """:func:`aggregate` at every Δ of ``deltas``, from one pair sort."""
+    if not stream.num_events:
+        raise AggregationError("cannot aggregate an empty stream")
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if delta <= 0:
+            raise AggregationError(
+                f"window length must be positive, got {delta}"
+            )
+    if origin is None:
+        origin = stream.t_min
+    elif origin > stream.t_min:
+        raise AggregationError("origin must not be after the first event")
+    pairs = _PairSorted(stream.sources, stream.targets)
+    times = stream.timestamps[pairs.order]
+    built = []
+    for delta in deltas:
+        AGGREGATION_COUNTS["aggregate"] += 1
+        step, u, v = pairs.rows(window_index(times, delta, origin))
+        built.append(
+            GraphSeries._from_rows(
+                stream.num_nodes,
+                int(step[-1]) + 1,
+                step,
+                u,
+                v,
+                directed=stream.directed,
+                delta=delta,
+                origin=float(origin),
+            )
+        )
+    return built
 
 
 def aggregate(
@@ -95,34 +164,7 @@ def aggregate(
     origin:
         Absolute start of window 0; defaults to ``stream.t_min``.
     """
-    if not stream.num_events:
-        raise AggregationError("cannot aggregate an empty stream")
-    if delta <= 0:
-        raise AggregationError(f"window length must be positive, got {delta}")
-    AGGREGATION_COUNTS["aggregate"] += 1
-    if origin is None:
-        origin = stream.t_min
-    elif origin > stream.t_min:
-        raise AggregationError("origin must not be after the first event")
-    steps = window_index(stream.timestamps, delta, origin)
-    num_steps = int(steps.max()) + 1
-    if not stream.directed:
-        swap = stream.sources > stream.targets
-        u = np.where(swap, stream.targets, stream.sources)
-        v = np.where(swap, stream.sources, stream.targets)
-    else:
-        u, v = stream.sources, stream.targets
-    steps, u, v = _dedup_rows(steps, u.copy(), v.copy())
-    return GraphSeries(
-        stream.num_nodes,
-        num_steps,
-        steps,
-        u,
-        v,
-        directed=stream.directed,
-        delta=float(delta),
-        origin=float(origin),
-    )
+    return _aggregate_grid(stream, [delta], origin)[0]
 
 
 #: Default byte budget of the series store.
@@ -278,45 +320,67 @@ def clear_aggregate_cache() -> None:
 
 def aggregate_cached(
     stream: LinkStream,
-    delta: float,
+    deltas,
     *,
     origin: float | None = None,
-) -> GraphSeries:
-    """:func:`aggregate`, behind the per-process series store.
+) -> list[GraphSeries]:
+    """:func:`aggregate` at every Δ of ``deltas``, behind the
+    per-process series store; ``result[i]`` is the series at
+    ``deltas[i]``.
 
-    Bit-identical to :func:`aggregate` — a :class:`GraphSeries` is
-    immutable, so sharing one instance is free correctness-wise.  Use it
-    anywhere a ``(stream, Δ)`` aggregation may repeat: the engine's
-    fused per-Δ tasks and the one-shot
-    helpers (:func:`~repro.core.occupancy.stream_occupancy_at`,
-    validation, spreading fidelity) all route through here, so an
-    interactive call reads the series a sweep stored, and vice versa.
-    Thread-safe; concurrent requests for one key aggregate once.
+    Store hits are served from their entries; the misses are built from
+    **one pair sort** of the stream's events and each is put as its own
+    entry (``AGGREGATION_COUNTS["aggregate"]`` counts one per series
+    built).  A one-shot caller passes a grid of one.  Bit-identical to
+    :func:`aggregate` — a :class:`GraphSeries` is immutable, so sharing
+    one instance is free correctness-wise.  The engine's sweep tasks and
+    the one-shot helpers (:func:`~repro.core.occupancy.
+    stream_occupancy_at`, validation, spreading fidelity) all route
+    through here, so an interactive call reads the series a sweep
+    stored, and vice versa.  Thread-safe: concurrent requests for one
+    key aggregate it once.  The returned series are the caller's even
+    when a small budget evicts their entries at once.
     """
-    key = series_key(stream, delta, origin)
+    keys = [series_key(stream, delta, origin) for delta in deltas]
+    found: list[GraphSeries | None] = [None] * len(keys)
+    mine: list[int] = []
+    waits: list[tuple[int, threading.Event]] = []
     with _STORE_LOCK:
-        entry = _get_locked(key)
-        if entry is not None:
-            return entry.series
-        pending = _SERIES_IN_FLIGHT.get(key)
-        if pending is None:
-            _SERIES_IN_FLIGHT[key] = threading.Event()
-    if pending is not None:
+        for i, key in enumerate(keys):
+            entry = _get_locked(key)
+            if entry is not None:
+                found[i] = entry.series
+                continue
+            pending = _SERIES_IN_FLIGHT.get(key)
+            if pending is None:
+                _SERIES_IN_FLIGHT[key] = threading.Event()
+                mine.append(i)
+            else:
+                waits.append((i, pending))
+    if mine:
+        try:
+            built = _aggregate_grid(stream, [deltas[i] for i in mine], origin)
+            for i, series in zip(mine, built):
+                found[i] = store_put(keys[i], series, stream.num_events).series
+        finally:
+            with _STORE_LOCK:
+                events = [_SERIES_IN_FLIGHT.pop(keys[i], None) for i in mine]
+            for event in events:
+                if event is not None:
+                    event.set()
+    for i, pending in waits:
         pending.wait()
-        entry = store_get(key)
+        entry = store_get(keys[i])
         if entry is not None:
-            return entry.series
-        # The computing thread failed or the entry was evicted under
-        # memory pressure; fall through and aggregate locally.
-        return aggregate(stream, float(delta), origin=origin)
-    try:
-        series = aggregate(stream, float(delta), origin=origin)
-        return store_put(key, series, stream.num_events).series
-    finally:
-        with _STORE_LOCK:
-            event = _SERIES_IN_FLIGHT.pop(key, None)
-        if event is not None:
-            event.set()
+            found[i] = entry.series
+    # The computing thread failed, or its entry was evicted under memory
+    # pressure: build what is still missing here.
+    missing = [i for i, series in enumerate(found) if series is None]
+    if missing:
+        built = _aggregate_grid(stream, [deltas[i] for i in missing], origin)
+        for i, series in zip(missing, built):
+            found[i] = series
+    return found
 
 
 def aggregate_prefix_extended(
@@ -335,11 +399,11 @@ def aggregate_prefix_extended(
     strictly time-increasing, so every window entirely before the
     *straddle window* (the window containing the first appended event)
     is unchanged: its deduplicated edge rows are taken verbatim from the
-    prefix series, and only events from the straddle window onward are
-    re-windowed and re-deduplicated.  The result is bit-identical to
-    :func:`aggregate` on the full stream — prefix rows and suffix rows
-    occupy disjoint step ranges, so their concatenation is exactly the
-    full lexsorted dedup.
+    prefix series, and only events from the straddle window onward go
+    through the row builder (one pair sort of the suffix).  The result
+    is bit-identical to :func:`aggregate` on the full stream — prefix
+    rows and suffix rows occupy disjoint step ranges, so their
+    concatenation is exactly the full build's ``(step, u, v)`` rows.
 
     Counts under ``AGGREGATION_COUNTS["incremental"]`` (not
     ``"aggregate"``).  Raises :class:`AggregationError` when the prefix
@@ -378,21 +442,12 @@ def aggregate_prefix_extended(
     # events share the straddle window.
     lo = int(np.searchsorted(steps_all, straddle, side="left"))
     AGGREGATION_COUNTS["incremental"] += 1
-    if not stream.directed:
-        swap = stream.sources[lo:] > stream.targets[lo:]
-        u_suffix = np.where(swap, stream.targets[lo:], stream.sources[lo:])
-        v_suffix = np.where(swap, stream.sources[lo:], stream.targets[lo:])
-    else:
-        u_suffix = stream.sources[lo:].copy()
-        v_suffix = stream.targets[lo:].copy()
-    s_suffix, u_suffix, v_suffix = _dedup_rows(
-        steps_all[lo:], u_suffix, v_suffix
-    )
+    pairs = _PairSorted(stream.sources[lo:], stream.targets[lo:])
+    s_suffix, u_suffix, v_suffix = pairs.rows(steps_all[lo:][pairs.order])
     cut = int(np.searchsorted(prefix_series.edge_steps, straddle, side="left"))
-    num_steps = int(s_suffix[-1]) + 1 if s_suffix.size else prefix_series.num_steps
-    return GraphSeries(
+    return GraphSeries._from_rows(
         stream.num_nodes,
-        num_steps,
+        int(s_suffix[-1]) + 1,
         np.concatenate([prefix_series.edge_steps[:cut], s_suffix]),
         np.concatenate([prefix_series.edge_sources[:cut], u_suffix]),
         np.concatenate([prefix_series.edge_targets[:cut], v_suffix]),
@@ -472,13 +527,11 @@ def aggregate_adaptive(
     else:
         terminal_pad = 1.0
     boundaries.append(float(stream.t_max) + terminal_pad)
-    num_steps = current_step + 1
-    dedup_steps, u, v = _dedup_rows(
-        steps, stream.sources.copy(), stream.targets.copy()
-    )
-    series = GraphSeries(
+    pairs = _PairSorted(stream.sources, stream.targets)
+    dedup_steps, u, v = pairs.rows(steps[pairs.order])
+    series = GraphSeries._from_rows(
         num_nodes,
-        num_steps,
+        current_step + 1,
         dedup_steps,
         u,
         v,

@@ -68,21 +68,42 @@ class GraphSeries:
             swap = u > v
             u, v = np.where(swap, v, u), np.where(swap, u, v)
         order = np.lexsort((v, u, step))
-        self._step = step[order]
-        self._u = u[order]
-        self._v = v[order]
-        if self._step.size > 1:
+        step, u, v = step[order], u[order], v[order]
+        if step.size > 1:
             # Compare columns directly: a packed (step * n + u) * n + v key
             # wraps int64 for large num_steps * n**2 and can then miss (or
             # invent) duplicates.  Rows are lexsorted, so duplicates are
             # adjacent.
-            dup = (
-                (np.diff(self._step) == 0)
-                & (np.diff(self._u) == 0)
-                & (np.diff(self._v) == 0)
-            )
+            dup = (np.diff(step) == 0) & (np.diff(u) == 0) & (np.diff(v) == 0)
             if np.any(dup):
                 raise AggregationError("duplicate (step, u, v) rows in series")
+        self._assign(num_nodes, num_steps, step, u, v, directed, delta, origin)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        num_nodes: int,
+        num_steps: int,
+        step: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        *,
+        directed: bool,
+        delta: float | None,
+        origin: float | None,
+    ) -> "GraphSeries":
+        """A series over int64 rows that are already unique, in
+        ``(step, u, v)`` order, in range, loop-free and (undirected)
+        canonical: the aggregation builder's output.  Nothing is copied,
+        sorted or checked; the public constructor checks everything."""
+        series = cls.__new__(cls)
+        series._assign(num_nodes, num_steps, step, u, v, directed, delta, origin)
+        return series
+
+    def _assign(self, num_nodes, num_steps, step, u, v, directed, delta, origin) -> None:
+        self._step = step
+        self._u = u
+        self._v = v
         self._num_nodes = int(num_nodes)
         self._num_steps = int(num_steps)
         self._directed = bool(directed)

@@ -100,7 +100,7 @@ def reachability_fidelity(
         # Shares the per-process series store with the sweep engine, so
         # probing Δ values a sweep already aggregated costs no window
         # pass.
-        series = aggregate_cached(stream, float(delta), origin=origin)
+        series = aggregate_cached(stream, [float(delta)], origin=origin)[0]
         jaccards = []
         ratios = []
         for (node, t_start), truth in zip(probes, stream_sets):

@@ -143,43 +143,6 @@ class TestEntropies:
         assert dist.cumulative_residual_entropy() == pytest.approx(numeric, abs=1e-3)
 
 
-class TestMerge:
-    def test_sum_of_histograms_matches_single_histogram(self):
-        rng = np.random.default_rng(5)
-        parts = [rng.integers(0, 50, size=32) for _ in range(3)]
-        ones = [3, 0, 7]
-        pooled = OccupancyDistribution.sum_of_histograms(parts, ones_counts=ones)
-        single = OccupancyDistribution.from_histogram(
-            sum(parts), ones_count=float(sum(ones))
-        )
-        assert pooled.values.tolist() == single.values.tolist()
-        assert pooled.weights.tolist() == single.weights.tolist()
-
-    def test_sum_of_histograms_rejects_mixed_resolutions(self):
-        with pytest.raises(ValidationError):
-            OccupancyDistribution.sum_of_histograms(
-                [np.ones(8, dtype=np.int64), np.ones(16, dtype=np.int64)]
-            )
-
-    def test_sum_of_histograms_rejects_corrupt_counts(self):
-        # Float counts from a lossy round-trip must not be silently
-        # floored; negative counts are never valid.
-        with pytest.raises(ValidationError, match="integral"):
-            OccupancyDistribution.sum_of_histograms([np.array([1.0, 2.4])])
-        with pytest.raises(ValidationError, match="non-negative"):
-            OccupancyDistribution.sum_of_histograms([np.array([1, -2])])
-        # Integer-valued floats (a clean serialization round-trip) pass.
-        pooled = OccupancyDistribution.sum_of_histograms([np.array([1.0, 2.0])])
-        assert pooled.total_weight == 3
-        # ones_counts get the same scrutiny as bin counts.
-        with pytest.raises(ValidationError, match="one entry per"):
-            OccupancyDistribution.sum_of_histograms(
-                [np.ones(4)], ones_counts=[1, 2]
-            )
-        with pytest.raises(ValidationError, match="non-negative integers"):
-            OccupancyDistribution.sum_of_histograms([np.ones(4)], ones_counts=[-1])
-
-
 @settings(max_examples=100, deadline=None)
 @given(sample=occupancy_samples())
 def test_statistic_bounds_hold_for_any_distribution(sample):

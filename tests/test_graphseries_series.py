@@ -34,6 +34,23 @@ class TestConstruction:
         with pytest.raises(AggregationError):
             GraphSeries(3, 1, [0, 0], [0, 1], [1, 0], directed=False)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ([1, 1], [0, 0], [2, 2]),  # duplicate row
+            ([0], [2], [2]),  # self-loop
+            ([-1], [0], [1]),  # step below range
+            ([2], [0], [1]),  # step past num_steps
+            ([0], [-1], [1]),  # endpoint below range
+            ([0], [0], [3]),  # endpoint past num_nodes
+        ],
+    )
+    def test_public_constructor_checks_every_row(self, rows):
+        # Aggregation builds series through a private constructor that
+        # trusts its rows; the public one must keep every check.
+        with pytest.raises(AggregationError):
+            GraphSeries(3, 2, *rows)
+
     def test_from_snapshots(self):
         snaps = [Snapshot(3, [0], [1]), Snapshot(3, [], []), Snapshot(3, [1], [2])]
         series = GraphSeries.from_snapshots(snaps)

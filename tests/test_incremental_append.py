@@ -215,7 +215,7 @@ class TestMemoStalenessRegression:
     def test_aggregate_cached_keys_on_content_not_object(self):
         base = small_stream()
         delta = 100.0
-        series_base = aggregate_cached(base, delta)
+        series_base = aggregate_cached(base, [delta])[0]
         u, v, t = append_batch(base)
         grown = base.extend(u, v, t)
         fresh = aggregate(scratch_equivalent(grown), delta)
@@ -234,8 +234,8 @@ class TestMemoStalenessRegression:
         assert np.array_equal(series_grown.edge_sources, fresh.edge_sources)
         assert np.array_equal(series_grown.edge_targets, fresh.edge_targets)
         # Each stream's own entry serves it, with no further work.
-        assert aggregate_cached(grown, delta) is series_grown
-        again = aggregate_cached(base, delta)
+        assert aggregate_cached(grown, [delta])[0] is series_grown
+        again = aggregate_cached(base, [delta])[0]
         assert again is series_base
         assert AGGREGATION_COUNTS == {
             "aggregate": before["aggregate"],
@@ -245,9 +245,9 @@ class TestMemoStalenessRegression:
     def test_empty_extend_hits_the_same_cache_entry(self):
         base = small_stream()
         delta = 100.0
-        series_base = aggregate_cached(base, delta)
+        series_base = aggregate_cached(base, [delta])[0]
         grown = base.extend([])
-        assert aggregate_cached(grown, delta) is series_base
+        assert aggregate_cached(grown, [delta])[0] is series_base
 
 
 class TestPrefixSplicedAggregation:
@@ -863,6 +863,53 @@ class TestSeriesStore:
             stream_occupancy_at(stream, float(delta), origin=stream.t_min)
         assert AGGREGATION_COUNTS["aggregate"] == before
 
+    def test_sweep_aggregates_its_cold_grid_in_one_call(self, monkeypatch):
+        from repro.engine import SweepEngine
+        from repro.engine.tasks import plan_measure_sweep
+
+        calls = []
+        real = incremental.aggregate_cached
+
+        def counting(stream, deltas, *, origin=None):
+            calls.append(len(deltas))
+            return real(stream, deltas, origin=origin)
+
+        monkeypatch.setattr(incremental, "aggregate_cached", counting)
+        stream = small_stream(m=300, span=3000.0)
+        tasks = plan_measure_sweep(np.geomspace(20.0, 2000.0, 8), "occupancy")
+
+        def sweep(on, plan=tasks):
+            with SweepEngine("serial", cache=None) as engine:
+                return repr(engine.run(on, plan))
+
+        before = AGGREGATION_COUNTS["aggregate"]
+        cold = sweep(stream)
+        assert calls == [8]
+        assert AGGREGATION_COUNTS["aggregate"] == before + 8
+        # Stored series are read from the store, not re-aggregated.
+        assert sweep(stream) == cold and calls == [8]
+        # A grown stream splices every Δ from its parent's entries.
+        splices = incremental.INCREMENTAL_COUNTS["splices"]
+        grown = stream.extend(*append_batch(stream))
+        sweep(grown)
+        assert calls == [8]
+        assert incremental.INCREMENTAL_COUNTS["splices"] == splices + 8
+        # Spanned tasks, each slicing the stream, still share one call.
+        span = (float(stream.t_min), float(stream.t_min) + 1500.0)
+        spanned = plan_measure_sweep(
+            np.geomspace(20.0, 2000.0, 8), "occupancy", span=span
+        )
+        sweep(stream, spanned)
+        assert calls == [8, 8]
+        # A budget that keeps one entry evicts the grid as it is put;
+        # each task still uses the series the call built for it.
+        clear_aggregate_cache()
+        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_BYTES", "1")
+        before = AGGREGATION_COUNTS["aggregate"]
+        assert sweep(stream) == cold
+        assert calls == [8, 8, 8]
+        assert AGGREGATION_COUNTS["aggregate"] == before + 8
+
     def test_running_total_tracks_puts_records_evictions_and_clears(
         self, monkeypatch
     ):
@@ -871,7 +918,7 @@ class TestSeriesStore:
         def put_both(stream):
             IncrementalScanSession(stream, delta=100.0).scan(_consumer_set())
             assert agg_mod._STORE_BYTES == self._entry_sum()
-            aggregate_cached(stream, 250.0)
+            aggregate_cached(stream, [250.0])
             assert agg_mod._STORE_BYTES == self._entry_sum()
 
         put_both(streams[0])
